@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .fileio import SchemaError
 from .render import Panel, RenderSpec, caption_text, render_grid
-from .solver import ReserveProblem, solve
+from .solver import ReserveProblem, solve, solve_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -160,14 +160,7 @@ def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
         panels = []
         for label, grid in (("observed counts", observed), ("projected counts", projected)):
             try:
-                solution = solve(
-                    ReserveProblem(
-                        values=grid.matrix(),
-                        weights=scenario.weights,
-                        costs=scenario.costs,
-                        budget=args.budget,
-                    )
-                )
+                [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
             except ValueError as exc:
                 raise CLIError(str(exc)) from exc
             panels.append(Panel(label=label, counts=grid, solution=solution))

@@ -136,13 +136,9 @@ def _step_columns(state: np.ndarray, params: LVParams) -> np.ndarray:
     The interaction sum accumulates species in a fixed order so that a column
     evolves identically whether simulated alone or alongside other parcels.
     """
-    s = state.shape[0]
     pressure = np.zeros_like(state)
-    for i in range(s):
-        acc = np.zeros(state.shape[1], dtype=np.float64)
-        for j in range(s):
-            acc += params.alpha[i, j] * state[j]
-        pressure[i] = acc
+    for j in range(state.shape[0]):
+        pressure += params.alpha[:, j, np.newaxis] * state[j]
     delta = params.dt * (
         params.r[:, np.newaxis] * state
         - state * pressure

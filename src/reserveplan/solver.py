@@ -3,10 +3,12 @@
 A problem scores each parcel as the weight-combined species value it holds;
 protecting a parcel spends its cost against the budget. Weights are ingested
 as exact rationals and all objective arithmetic clears denominators into
-integers, so optima and tie-breaks never depend on floating point. All three
-solvers share one tie-break: among optimal selections, prefer the protection
-vector that protects the lower-indexed parcel at the first index where two
-optima differ.
+integers, so optima and tie-breaks never depend on floating point. Every
+exact solve, for one budget or a whole budget sweep, runs through one kernel:
+a top-k order for unit costs, a knapsack table otherwise. It shares one
+tie-break with the exhaustive oracle: among optimal selections, prefer the
+protection vector that protects the lower-indexed parcel at the first index
+where two optima differ.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "ReserveSolution",
     "parcel_score",
     "solve",
+    "solve_sweep",
     "solve_topk",
     "solve_dp",
     "solve_bruteforce",
@@ -50,19 +54,27 @@ class EnumerationLimitError(ValueError):
 
 def _as_nonneg_int_array(arr, name: str) -> np.ndarray:
     a = np.asarray(arr)
-    if not np.issubdtype(a.dtype, np.integer):
-        rounded = np.rint(a)
-        if not np.array_equal(rounded, a):
+    if a.dtype.kind in "uO":  # Python ints past int64 arrive as uint64 or object arrays
+        items = a.ravel().tolist()
+        if not all(isinstance(v, Integral) and -(2**63) <= v < 2**63 for v in items):
+            raise ValueError(f"{name} must be integers within int64 range")
+    elif a.dtype.kind != "i":
+        if not np.array_equal(np.rint(a), a):
             if name == "costs":
-                raise NonIntegerCostError(
-                    "costs must be integers; rescale to whole currency units"
-                )
+                raise NonIntegerCostError("costs must be integers; rescale to whole currency units")
             raise ValueError(f"{name} must be whole numbers")
-        a = rounded
+        if not np.all(np.abs(a) < 2**63):
+            raise ValueError(f"{name} must be integers within int64 range")
     a = a.astype(np.int64)
     if np.any(a < 0):
         raise ValueError(f"{name} must be nonnegative")
     return a
+
+
+def _check_budget(budget) -> int:
+    if budget < 0 or int(budget) != budget:
+        raise NonIntegerCostError(f"budget must be a nonnegative integer, got {budget}")
+    return int(budget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +108,10 @@ class ReserveProblem:
                 f"{costs.shape[0] if costs.ndim == 1 else costs.shape} costs for "
                 f"{values.shape[1]} parcels"
             )
-        if self.budget < 0 or int(self.budget) != self.budget:
-            raise NonIntegerCostError(f"budget must be a nonnegative integer, got {self.budget}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", _check_budget(self.budget))
 
     @property
     def species_count(self) -> int:
@@ -154,13 +164,12 @@ def _integer_scores(problem: ReserveProblem) -> tuple[list[int], int]:
 
 
 def _build_solution(problem: ReserveProblem, chosen: Sequence[int]) -> ReserveSolution:
+    idx = np.asarray(chosen, dtype=np.intp)
     x = np.zeros(problem.parcel_count, dtype=np.int8)
-    for p in chosen:
-        x[p] = 1
-    objective = Fraction(0)
-    for i, w in enumerate(problem.weights):
-        objective += w * int(sum(int(problem.values[i, p]) for p in chosen))
-    spent = int(sum(int(problem.costs[p]) for p in chosen))
+    x[idx] = 1
+    rows = problem.values[:, idx].tolist()
+    objective = sum((w * sum(row) for w, row in zip(problem.weights, rows)), Fraction(0))
+    spent = sum(problem.costs[idx].tolist())
     return ReserveSolution(x=x, objective=objective, spent=spent)
 
 
@@ -174,6 +183,52 @@ def parcel_score(problem: ReserveProblem, p: int) -> Fraction:
     )
 
 
+def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> list[ReserveSolution]:
+    """The one exact kernel: the optimal selection of ``problem`` at each budget.
+
+    With ``topk`` (unit costs) every optimum is a prefix of one score order.
+    Otherwise one knapsack recursion up to the largest budget fills a boolean
+    table: ``keep[j, b]`` says protecting parcel j attains the optimum over
+    parcels j.. at budget b. Each budget traces back through it, protecting
+    whenever ``keep`` allows.
+    """
+    scores, _ = _integer_scores(problem)
+    n = problem.parcel_count
+    if topk:
+        order = sorted(range(n), key=lambda p: -scores[p])  # stable: ties keep index order
+        return [_build_solution(problem, order[:b]) for b in budgets]
+    costs = problem.costs.tolist()
+    bmax = min(max(budgets, default=0), sum(costs))
+    # object dtype: exact arithmetic for extreme weights, at reduced speed
+    best = np.zeros(bmax + 1, dtype=object if sum(scores) >= _INT64_SAFE else np.int64)
+    keep = np.zeros((n, bmax + 1), dtype=bool)
+    for j in range(n - 1, -1, -1):
+        c, s = costs[j], scores[j]
+        if c <= bmax:
+            take = best[: bmax + 1 - c] + s
+            keep[j, c:] = take >= best[c:]
+            np.maximum(best[c:], take, out=best[c:])
+    solutions = []
+    for budget in budgets:
+        b, chosen = min(budget, bmax), []
+        for j in range(n):
+            if keep[j, b]:
+                chosen.append(j)
+                b -= costs[j]
+        solutions.append(_build_solution(problem, chosen))
+    return solutions
+
+
+def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveSolution]:
+    """``solve`` at every budget in ``budgets``, in order, from one sort or one table.
+
+    The data are validated once, as a problem at the largest budget.
+    """
+    budgets = [_check_budget(b) for b in budgets]
+    problem = ReserveProblem(values, weights, costs, max(budgets, default=0))
+    return _solve_budgets(problem, budgets, topk=bool(np.all(problem.costs == 1)))
+
+
 def solve_topk(problem: ReserveProblem) -> ReserveSolution:
     """Exact fast path for unit costs: protect the budget's worth of highest-scoring parcels.
 
@@ -181,44 +236,16 @@ def solve_topk(problem: ReserveProblem) -> ReserveSolution:
     """
     if np.any(problem.costs != 1):
         raise WrongSolverError("solve_topk requires every parcel cost to equal 1")
-    scores, _ = _integer_scores(problem)
-    take = min(problem.budget, problem.parcel_count)
-    order = sorted(range(problem.parcel_count), key=lambda p: (-scores[p], p))
-    return _build_solution(problem, order[:take])
+    return _solve_budgets(problem, [problem.budget], topk=True)[0]
 
 
 def solve_dp(problem: ReserveProblem) -> ReserveSolution:
     """Exact 0/1 knapsack over integer costs by dynamic programming.
 
-    Runs a backward value recursion and a forward traceback that protects a
-    parcel whenever doing so still attains the optimum, which yields the
-    optimal protection vector that prefers x_p = 1 at the lowest indices.
-    Zero-cost parcels are therefore always protected.
+    Prefers x_p = 1 at the lowest indices, so zero-cost parcels are always
+    protected. Memory: one value row and a boolean parcels-by-budget table.
     """
-    scores, den = _integer_scores(problem)
-    costs = [int(c) for c in problem.costs]
-    n = problem.parcel_count
-    bmax = min(problem.budget, sum(costs))
-    dtype: type | np.dtype = np.int64
-    if sum(scores) >= _INT64_SAFE:
-        dtype = object  # exact arithmetic for extreme weights, at reduced speed
-    best = np.zeros((n + 1, bmax + 1), dtype=dtype)
-    for j in range(n - 1, -1, -1):
-        skip = best[j + 1]
-        row = skip.copy()
-        c, s = costs[j], scores[j]
-        if c <= bmax:
-            take = skip[: bmax + 1 - c] + s
-            row[c:] = np.maximum(row[c:], take)
-        best[j] = row
-    chosen = []
-    b = bmax
-    for j in range(n):
-        c, s = costs[j], scores[j]
-        if c <= b and s + best[j + 1][b - c] == best[j][b]:
-            chosen.append(j)
-            b -= c
-    return _build_solution(problem, chosen)
+    return _solve_budgets(problem, [problem.budget], topk=False)[0]
 
 
 def solve(problem: ReserveProblem) -> ReserveSolution:

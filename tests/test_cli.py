@@ -269,3 +269,14 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "weights" in capsys.readouterr().err
+
+    def test_value_beyond_int64_exits_1_and_names_field(self, tmp_path, capsys):
+        problem = tmp_path / "huge.json"
+        problem.write_text(
+            json.dumps({"values": [[1, 2**65]], "weights": [[1, 1]], "costs": [1, 1], "budget": 1})
+        )
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--problem", str(problem), "--out", str(out)])
+        assert code == 1
+        assert "huge.json: problem: values must be integers within int64 range" in capsys.readouterr().err
+        assert not out.exists()

@@ -57,6 +57,27 @@ class TestStep:
         out = lv_step([50.0], single_species())
         assert out[0] == pytest.approx(50.025, abs=1e-9)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scalar_reference_bit_for_bit(self, seed):
+        # the documented update in Python floats, pressure summed over j in order
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(1, 6))
+        alpha = rng.uniform(0.0, 0.01, size=(s, s))
+        np.fill_diagonal(alpha, 0.0)
+        params = LVParams(
+            r=rng.uniform(0.0, 1.0, s), alpha=alpha, beta=rng.uniform(0.0, 0.01, s), dt=0.05
+        )
+        state = rng.uniform(0.0, 300.0, s).tolist()
+        expected = []
+        for i in range(s):
+            pressure = 0.0
+            for j in range(s):
+                pressure += float(alpha[i, j]) * state[j]
+            n, r, beta = state[i], float(params.r[i]), float(params.beta[i])
+            expected.append(max(0.0, n + params.dt * (r * n - n * pressure - beta * n * n)))
+        assert lv_step(state, params).tolist() == expected
+
     def test_logistic_fixed_point_is_bit_stable(self):
         # dyadic rates make r*N and beta*N^2 exact: fixed point 32 = 0.25 / 2^-7
         params = single_species(r=0.25, beta=2.0**-7, dt=0.125)

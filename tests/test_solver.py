@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from reserveplan import (
     solve_dp,
     solve_topk,
 )
+from reserveplan.solver import solve_sweep
 from conftest import random_problem
 
 
@@ -135,6 +137,79 @@ class TestSolveDp:
         oracle = solve_bruteforce(p)
         assert sol.objective == oracle.objective
         assert sol.x.tolist() == oracle.x.tolist()
+
+
+    def test_memory_is_one_boolean_table(self):
+        rng = np.random.default_rng(5)
+        p = ReserveProblem(
+            values=rng.integers(0, 51, size=(2, 5000)),
+            weights=(1, 1),
+            costs=rng.integers(1, 10, size=5000),
+            budget=5000,
+        )
+        tracemalloc.start()
+        try:
+            solve_dp(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an int64 value table of 5001 x 5001 entries alone would take 200 MB;
+        # the keep table of 5000 x 5001 booleans takes 25 MB
+        assert peak < 50e6
+
+
+class TestSolveSweep:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([2, 50]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bruteforce_at_every_budget(self, seed, unit_costs, max_value, data):
+        # values up to 2 make ties common, so the tie-break is exercised
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, max_parcels=12, max_value=max_value, unit_costs=unit_costs)
+        total = int(p.costs.sum())
+        # unsorted, possibly repeated, with 0 and budgets past the total cost
+        budgets = data.draw(
+            st.lists(st.one_of(st.integers(0, total), st.sampled_from([0, total + 7])), max_size=8)
+        )
+        sols = solve_sweep(p.values, p.weights, p.costs, budgets)
+        assert len(sols) == len(budgets)
+        for budget, sol in zip(budgets, sols):
+            oracle = solve_bruteforce(
+                ReserveProblem(values=p.values, weights=p.weights, costs=p.costs, budget=budget)
+            )
+            assert sol.x.tolist() == oracle.x.tolist()
+            assert sol.objective == oracle.objective
+            assert sol.spent == oracle.spent
+
+    def test_huge_weights_take_exact_path(self):
+        values, weights, costs = np.array([[50, 49, 3, 7]]), (Fraction(2**70, 3),), [1, 2, 1, 3]
+        budgets = [3, 0, 7, 2, 3]
+        sols = solve_sweep(values, weights, costs, budgets)
+        assert sols[0].objective == Fraction(2**70, 3) * 99  # parcels 0 and 1
+        for budget, sol in zip(budgets, sols):
+            oracle = solve_bruteforce(
+                ReserveProblem(values=values, weights=weights, costs=costs, budget=budget)
+            )
+            assert sol.x.tolist() == oracle.x.tolist()
+            assert sol.objective == oracle.objective
+            assert sol.spent == oracle.spent
+
+    def test_every_budget_is_checked(self):
+        for budgets in ([3, 1.5], [2, -1]):
+            with pytest.raises(NonIntegerCostError):
+                solve_sweep([[5, 3]], (1,), [1, 2], budgets)
+
+    def test_no_budgets_no_solutions(self):
+        assert solve_sweep([[5, 3]], (1,), [1, 2], []) == []
+
+
+class TestProblemValidation:
+    def test_integers_beyond_int64_rejected_naming_the_field(self):
+        with pytest.raises(ValueError, match="values must be integers within int64 range"):
+            ReserveProblem(values=[[1, 2**65]], weights=(1,), costs=[1, 1], budget=1)
+        with pytest.raises(ValueError, match="costs must be integers within int64 range"):
+            ReserveProblem(values=[[1, 2]], weights=(1,), costs=[1, 2**64 - 1], budget=1)
+        with pytest.raises(ValueError, match="values must be integers within int64 range"):
+            ReserveProblem(values=[[1.0, 1e19]], weights=(1,), costs=[1, 1], budget=1)
 
 
 class TestSolveBruteforce:
