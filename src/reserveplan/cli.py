@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .fileio import SchemaError
 from .render import Panel, RenderSpec, caption_text, render_grid
-from .solver import ReserveProblem, solve, solve_sweep
+from .solver import ReserveProblem, TableTooLargeError, solve, solve_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -125,7 +125,10 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
             )
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
-    solution = solve(problem)
+    try:
+        solution = solve(problem)
+    except TableTooLargeError as exc:
+        raise CLIError(f"{args.problem}: {exc}") from exc
     fileio.write_json(args.out, fileio.solution_to_obj(solution))
     print(
         f"wrote {args.out} (objective {solution.objective}, spent {solution.spent} "
@@ -136,7 +139,10 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _read(args.scenario, fileio.scenario_from_obj)
-    rows = budget_sweep(scenario)
+    try:
+        rows = budget_sweep(scenario)
+    except TableTooLargeError as exc:
+        raise CLIError(f"{args.scenario}: {exc}") from exc
     fileio.write_text_atomic(args.out, fileio.sweep_rows_to_csv(rows))
     note = f"wrote {args.out} ({len(rows)} budgets)"
     if len(rows) >= 3:

@@ -22,9 +22,11 @@ from .dynamics import LVParams, default_params, round_counts, simulate
 from .landscape import (
     CountsGrid,
     Landscape,
+    _extreme_indices,
+    _fragmentation_scores,
+    _generate_values,
     distribute_population,
     generate_landscape,
-    select_extremes,
 )
 # ``solve`` is unused here; bench/test_bench.py checks that the tracer wraps this name.
 from .solver import ReserveSolution, solve, solve_sweep  # noqa: F401
@@ -173,15 +175,17 @@ def build_species_suite(
         raise ValueError(f"pool_size must be >= 4 to pick two extremes each way, got {pool_size}")
     rng = np.random.default_rng(seed)
     rounds = rng.integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
-    pool = [
-        generate_landscape(grid, int(rounds[i]), seed + i) for i in range(pool_size)
-    ]
-    most, least = select_extremes(pool, k=2)
+    # Scoring one smoothing-rounds group at a time holds about a ninth of the
+    # pool's values in memory at once; only the four kept grids become Landscapes.
+    scores = np.empty(pool_size)
+    for r in range(MAX_SMOOTHING_ROUNDS + 1):
+        idx = np.flatnonzero(rounds == r)
+        values = _generate_values(grid, r, [seed + i for i in idx.tolist()])
+        scores[idx] = _fragmentation_scores(values)
+    most, least = _extreme_indices(scores, k=2)
     by_rank = {
-        "highest": most[0],
-        "2nd highest": most[1],
-        "lowest": least[0],
-        "2nd lowest": least[1],
+        rank: generate_landscape(grid, int(rounds[i]), seed + int(i))
+        for rank, i in zip(("highest", "2nd highest", "lowest", "2nd lowest"), [*most, *least])
     }
     suite = []
     for j, (label, rank, total) in enumerate(SUITE_LAYOUT):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -365,12 +366,22 @@ def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
 # --- files --------------------------------------------------------------------
 
 def read_json(path: str | os.PathLike):
-    """Parse a JSON file; schema errors downstream carry the file name via the CLI."""
+    """Parse a strict JSON file; schema errors downstream carry the file name via the CLI.
+
+    ``NaN`` and ``Infinity`` literals and numbers that overflow a float are refused.
+    """
     try:
         with open(path, "r") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"invalid JSON: non-finite number {text}")
+    return value
 
 
 def write_json(path: str | os.PathLike, obj) -> None:

@@ -59,7 +59,7 @@ class Landscape:
             raise InvalidDimensionError(
                 f"expected a {self.n}x{self.n} value grid, got shape {values.shape}"
             )
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("habitat values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
 
@@ -129,40 +129,48 @@ def generate_landscape(n: int, smoothing_rounds: int, seed: int) -> Landscape:
     constant). More smoothing rounds yield smoother, less fragmented grids.
     The output is a deterministic function of (n, smoothing_rounds, seed).
     """
+    values = _generate_values(n, smoothing_rounds, [seed])[0]
+    return Landscape(n=n, values=values, seed=seed, smoothing_rounds=smoothing_rounds)
+
+
+def _generate_values(n: int, rounds: int, seeds: Sequence[int]) -> np.ndarray:
+    """Value grids of ``generate_landscape(n, rounds, s)`` for each s in seeds, shape (m, n, n)."""
     if n < 1:
         raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
-    if smoothing_rounds < 0:
-        raise ValueError(f"smoothing_rounds must be >= 0, got {smoothing_rounds}")
-    rng = np.random.default_rng(seed)
-    h = rng.random((n, n))
-    for _ in range(smoothing_rounds):
+    if rounds < 0:
+        raise ValueError(f"smoothing_rounds must be >= 0, got {rounds}")
+    h = np.empty((len(seeds), n, n))
+    for k, seed in enumerate(seeds):
+        np.random.default_rng(seed).random(out=h[k])
+    for _ in range(rounds):
         h = _neighbor_mean(h)
-    h = _rescale_unit(h)
-    return Landscape(n=n, values=h, seed=seed, smoothing_rounds=smoothing_rounds)
+    return _rescale_unit(h)
 
 
 def _neighbor_mean(h: np.ndarray) -> np.ndarray:
-    """One smoothing pass: mean of each cell and its in-grid orthogonal neighbours."""
+    """One smoothing pass over the last two axes.
+
+    Each cell becomes the mean of itself and its in-grid orthogonal neighbours.
+    """
     total = h.copy()
-    count = np.ones_like(h)
-    total[1:, :] += h[:-1, :]
+    count = np.ones(h.shape[-2:])
+    total[..., 1:, :] += h[..., :-1, :]
     count[1:, :] += 1.0
-    total[:-1, :] += h[1:, :]
+    total[..., :-1, :] += h[..., 1:, :]
     count[:-1, :] += 1.0
-    total[:, 1:] += h[:, :-1]
+    total[..., :, 1:] += h[..., :, :-1]
     count[:, 1:] += 1.0
-    total[:, :-1] += h[:, 1:]
+    total[..., :, :-1] += h[..., :, 1:]
     count[:, :-1] += 1.0
-    return total / count
+    return np.divide(total, count, out=total)
 
 
 def _rescale_unit(h: np.ndarray) -> np.ndarray:
-    """Affinely rescale a grid to span [0, 1]; constant grids pass through."""
-    lo = float(h.min())
-    hi = float(h.max())
-    if hi == lo:
-        return h
-    return (h - lo) / (hi - lo)
+    """Affinely rescale each grid (last two axes) to span [0, 1]; constant grids pass through."""
+    lo = h.min(axis=(-2, -1), keepdims=True)
+    hi = h.max(axis=(-2, -1), keepdims=True)
+    flat = hi == lo
+    return (h - np.where(flat, 0.0, lo)) / np.where(flat, 1.0, hi - lo)
 
 
 def fragmentation(landscape: Landscape) -> float:
@@ -171,12 +179,26 @@ def fragmentation(landscape: Landscape) -> float:
     0 for a constant grid, 1 for a maximal-contrast checkerboard; 0 for a
     single parcel, which has no adjacent pairs.
     """
-    if landscape.n == 1:
-        return 0.0
-    h = landscape.values
-    down = np.abs(np.diff(h, axis=0))
-    right = np.abs(np.diff(h, axis=1))
-    return float((down.sum() + right.sum()) / (down.size + right.size))
+    return float(_fragmentation_scores(landscape.values[np.newaxis])[0])
+
+
+def _fragmentation_scores(values: np.ndarray) -> np.ndarray:
+    """``fragmentation`` of each grid in a (m, n, n) batch, shape (m,)."""
+    m, n = values.shape[0], values.shape[-1]
+    if n == 1 or m == 0:
+        return np.zeros(m)
+    down = np.abs(np.diff(values, axis=1)).reshape(m, -1)
+    right = np.abs(np.diff(values, axis=2)).reshape(m, -1)
+    return (down.sum(axis=1) + right.sum(axis=1)) / (2 * n * (n - 1))
+
+
+def _extreme_indices(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the k highest and the k lowest scores, each from the more extreme end.
+
+    The head and the reversed tail of the (-score, index) order.
+    """
+    order = np.argsort(-scores, kind="stable")
+    return order[:k], order[::-1][:k]
 
 
 def select_extremes(
@@ -186,8 +208,9 @@ def select_extremes(
 
     Returns (most, least), each ordered from the more extreme to the less
     extreme entry, so most[0] has the highest score and least[0] the lowest.
-    Ties are broken by input position (earlier wins the more extreme slot);
-    the two groups are always disjoint.
+    Among tied scores the earlier landscape counts as more fragmented, so it
+    wins the more extreme slot in most and the less extreme one in least; the
+    two groups are always disjoint.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -195,11 +218,8 @@ def select_extremes(
         raise InsufficientCandidatesError(
             f"need at least {2 * k} landscapes to pick {k} of each extreme, got {len(landscapes)}"
         )
-    scores = [fragmentation(l) for l in landscapes]
-    order = sorted(range(len(landscapes)), key=lambda i: (-scores[i], i))
-    most = [landscapes[i] for i in order[:k]]
-    least = [landscapes[i] for i in reversed(order[-k:])]
-    return most, least
+    most, least = _extreme_indices(np.array([fragmentation(l) for l in landscapes]), k)
+    return [landscapes[i] for i in most], [landscapes[i] for i in least]
 
 
 def distribute_population(landscape: Landscape, total: int, seed: int) -> CountsGrid:

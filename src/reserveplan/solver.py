@@ -13,6 +13,7 @@ where two optima differ.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,6 +26,7 @@ __all__ = [
     "WrongSolverError",
     "NonIntegerCostError",
     "EnumerationLimitError",
+    "TableTooLargeError",
     "ReserveProblem",
     "ReserveSolution",
     "parcel_score",
@@ -50,6 +52,10 @@ class NonIntegerCostError(ValueError):
 
 class EnumerationLimitError(ValueError):
     """Problem is too large for exhaustive enumeration."""
+
+
+class TableTooLargeError(ValueError):
+    """The knapsack table for this budget needs more bytes than the machine's memory."""
 
 
 def _as_nonneg_int_array(arr, name: str) -> np.ndarray:
@@ -199,6 +205,13 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
         return [_build_solution(problem, order[:b]) for b in budgets]
     costs = problem.costs.tolist()
     bmax = min(max(budgets, default=0), sum(costs))
+    table_bytes = (n + 8) * (bmax + 1)  # boolean keep rows plus one 8-byte value row
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if table_bytes > memory:
+        raise TableTooLargeError(
+            f"budget {bmax} needs a {table_bytes:,}-byte knapsack table, "
+            f"more than the {memory:,} bytes of physical memory"
+        )
     # object dtype: exact arithmetic for extreme weights, at reduced speed
     best = np.zeros(bmax + 1, dtype=object if sum(scores) >= _INT64_SAFE else np.int64)
     keep = np.zeros((n, bmax + 1), dtype=bool)

@@ -1,5 +1,5 @@
-"""Shared helpers: random problem instances, the exact logistic solution and a
-small reusable species suite."""
+"""Shared helpers: random problem instances, the exact logistic solution, a
+per-landscape reference generator and a small reusable species suite."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reserveplan import ReserveProblem, build_species_suite
+from reserveplan import Landscape, ReserveProblem, build_species_suite
+from reserveplan.experiment import MAX_SMOOTHING_ROUNDS
 
 
 def random_problem(
@@ -46,6 +47,42 @@ def logistic_closed_form(n0: float, r: float, beta: float, t: float) -> float:
     k = r / beta
     growth = math.exp(r * t)
     return k * n0 * growth / (k + n0 * (growth - 1.0))
+
+
+def reference_landscape_values(n: int, smoothing_rounds: int, seed: int) -> np.ndarray:
+    """One landscape's values, generated grid by grid on a 2-D array.
+
+    The batched pool kernel in ``reserveplan.landscape`` must equal this bit for bit.
+    """
+    h = np.random.default_rng(seed).random((n, n))
+    for _ in range(smoothing_rounds):
+        total = h.copy()
+        count = np.ones_like(h)
+        total[1:, :] += h[:-1, :]
+        count[1:, :] += 1.0
+        total[:-1, :] += h[1:, :]
+        count[:-1, :] += 1.0
+        total[:, 1:] += h[:, :-1]
+        count[:, 1:] += 1.0
+        total[:, :-1] += h[:, 1:]
+        count[:, :-1] += 1.0
+        h = total / count
+    lo, hi = float(h.min()), float(h.max())
+    return h if hi == lo else (h - lo) / (hi - lo)
+
+
+def reference_pool(seed: int, pool_size: int, grid: int) -> list[Landscape]:
+    """The landscape pool ``build_species_suite`` scores, built one Landscape at a time."""
+    rounds = np.random.default_rng(seed).integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
+    return [
+        Landscape(
+            n=grid,
+            values=reference_landscape_values(grid, int(r), seed + i),
+            seed=seed + i,
+            smoothing_rounds=int(r),
+        )
+        for i, r in enumerate(rounds)
+    ]
 
 
 @pytest.fixture(scope="session")

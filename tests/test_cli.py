@@ -280,3 +280,45 @@ class TestErrorHandling:
         assert code == 1
         assert "huge.json: problem: values must be integers within int64 range" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_json_number_exits_1_and_names_file(self, tmp_path, capsys, number):
+        counts = tmp_path / "c.json"
+        fileio.write_json(counts, {"n": 1, "species": 1, "counts": [[5]]})
+        params = tmp_path / "p.json"
+        params.write_text(
+            f'{{"r": [{number}], "alpha": [[0.0]], "beta": [0.001], "dt": 0.01, "T": 10}}'
+        )
+        out = tmp_path / "o.json"
+        code = main(["simulate", "--counts", str(counts), "--params", str(params), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "p.json: invalid JSON: " in err
+        assert number in err
+        assert not out.exists()
+
+    def test_knapsack_table_beyond_memory_exits_1_and_names_file(self, tmp_path, capsys):
+        problem = tmp_path / "wide.json"
+        problem.write_text(
+            json.dumps(
+                {"values": [[3, 4]], "weights": [[1, 1]], "costs": [10**12, 7], "budget": 10**12}
+            )
+        )
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--problem", str(problem), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "wide.json: budget 1000000000000 needs a 10,000,000,000,010-byte knapsack table" in err
+        assert not out.exists()
+
+    def test_sweep_table_beyond_memory_exits_1_and_names_file(self, workspace, tmp_path, capsys):
+        scenario = tmp_path / "wide.json"
+        obj = fileio.read_json(workspace / "scenarios/case1.json")
+        obj["costs"] = [10**10] * len(obj["costs"])
+        obj["budgets"] = [0, 10**12]
+        fileio.write_json(scenario, obj)
+        out = tmp_path / "o.csv"
+        code = main(["sweep", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 1
+        assert "wide.json: budget 1000000000000 needs a" in capsys.readouterr().err
+        assert not out.exists()

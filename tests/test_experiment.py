@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reserveplan import (
     CASE_GROUPS,
@@ -13,11 +15,14 @@ from reserveplan import (
     build_species_suite,
     default_scenarios,
     fragmentation,
+    select_extremes,
     similarity,
     summarize,
     weighted_comparison,
 )
 from reserveplan.experiment import SweepRow
+
+from conftest import reference_pool
 
 
 def zero_params(species_count: int) -> LVParams:
@@ -81,6 +86,31 @@ class TestBuildSpeciesSuite:
         for x, y in zip(a, b):
             assert np.array_equal(x.counts.counts, y.counts.counts)
             assert np.array_equal(x.landscape.values, y.landscape.values)
+
+    @given(st.integers(0, 2**32), st.integers(4, 40), st.integers(1, 4))
+    @example(seed=0, pool_size=4, grid=1)  # empty rounds groups, all scores tied
+    @example(seed=7, pool_size=40, grid=1)
+    @settings(max_examples=60, deadline=None)
+    def test_picks_match_extremes_of_reference_pool(self, seed, pool_size, grid):
+        most, least = select_extremes(reference_pool(seed, pool_size, grid), k=2)
+        expected = dict(zip(("highest", "2nd highest", "lowest", "2nd lowest"), most + least))
+        for sp in build_species_suite(seed, pool_size=pool_size, grid=grid):
+            want = expected[sp.fragmentation_rank]
+            assert sp.landscape.seed == want.seed
+            assert sp.landscape.smoothing_rounds == want.smoothing_rounds
+            assert sp.landscape.values.tobytes() == want.values.tobytes()
+
+    def test_paper_size_picks_are_pinned(self):
+        # (seed, smoothing_rounds) of the seed-0, 10k-pool picks, recorded from
+        # the per-landscape pool before it was scored as arrays.
+        suite = build_species_suite(seed=0)
+        picks = {sp.fragmentation_rank: (sp.landscape.seed, sp.landscape.smoothing_rounds) for sp in suite}
+        assert picks == {
+            "highest": (139, 0),
+            "2nd highest": (5647, 0),
+            "lowest": (6799, 7),
+            "2nd lowest": (6951, 8),
+        }
 
 
 class TestDefaultScenarios:

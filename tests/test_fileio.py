@@ -37,6 +37,10 @@ class TestLandscapeSchema:
         with pytest.raises(SchemaError, match=r"landscape\.values"):
             fileio.landscape_from_obj({"n": 1, "values": [1.5]})
 
+    def test_nan_values_rejected(self):
+        with pytest.raises(SchemaError, match=r"landscape\.values: habitat values must lie in \[0, 1\]"):
+            fileio.landscape_from_obj({"n": 2, "values": [0.1, float("nan"), 0.3, 0.4]})
+
 
 class TestCountsSchema:
     def test_round_trip(self):

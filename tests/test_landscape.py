@@ -14,7 +14,9 @@ from reserveplan import (
     generate_landscape,
     select_extremes,
 )
-from reserveplan.landscape import _rescale_unit
+from reserveplan.landscape import _fragmentation_scores, _generate_values, _rescale_unit
+
+from conftest import reference_landscape_values
 
 
 def landscape_with_score(score: float) -> Landscape:
@@ -75,6 +77,24 @@ class TestGenerateLandscape:
             assert land.values.min() == 0.0
             assert land.values.max() == 1.0
 
+    @given(st.integers(1, 7), st.integers(0, 8), st.integers(0, 2**128))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_landscape_reference(self, n, rounds, seed):
+        got = generate_landscape(n, rounds, seed).values
+        assert got.tobytes() == reference_landscape_values(n, rounds, seed).tobytes()
+
+    def test_batch_rows_match_single_landscapes(self):
+        seeds = [3, 40, 41, 999]
+        batch = _generate_values(6, 4, seeds)
+        assert batch.shape == (4, 6, 6)
+        for row, seed in zip(batch, seeds):
+            assert row.tobytes() == generate_landscape(6, 4, seed).values.tobytes()
+        assert _generate_values(6, 4, []).shape == (0, 6, 6)
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="smoothing_rounds"):
+            generate_landscape(3, -1, 0)
+
     def test_smoothing_lowers_fragmentation(self):
         for seed in range(20):
             rough = fragmentation(generate_landscape(10, 0, seed))
@@ -98,6 +118,13 @@ class TestFragmentation:
 
     def test_single_parcel_scores_zero(self):
         assert fragmentation(Landscape(n=1, values=np.array([[0.3]]))) == 0.0
+
+    def test_batch_scores(self):
+        pool = [generate_landscape(5, r, 50 + r) for r in range(4)]
+        scores = _fragmentation_scores(np.stack([l.values for l in pool]))
+        assert scores.tolist() == [fragmentation(l) for l in pool]
+        assert _fragmentation_scores(np.zeros((0, 5, 5))).shape == (0,)
+        assert _fragmentation_scores(np.full((3, 1, 1), 0.2)).tolist() == [0.0, 0.0, 0.0]
 
     @given(grids)
     @settings(max_examples=60, deadline=None)
@@ -153,6 +180,18 @@ class TestSelectExtremes:
         pool = [landscape_with_score(0.2)] * 3
         with pytest.raises(InsufficientCandidatesError):
             select_extremes(pool, k=2)
+
+
+class TestLandscapeValidation:
+    def test_nan_values_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Landscape(n=2, values=np.full((2, 2), np.nan))
+
+    def test_single_nan_among_valid_values_rejected(self):
+        values = np.full((3, 3), 0.5)
+        values[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Landscape(n=3, values=values)
 
 
 class TestDistributePopulation:
