@@ -5,7 +5,7 @@ Subcommands: ``generate`` (landscape pool, species suite, scenario files),
 problem), ``sweep`` (scenario to budget-sweep CSV), ``render`` (solutions to
 an SVG map), ``report`` (sweep CSVs to a stats table and plot data). All
 randomness enters through an explicit --seed; exit status is 0 on success,
-1 on bad input files, 2 on usage errors.
+1 with a one-line ``error:`` message on bad input, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -49,16 +49,9 @@ def _parse_weights(text: str | None, species_count: int) -> tuple[Fraction, ...]
     if text is None:
         return tuple(Fraction(1) for _ in range(species_count))
     try:
-        weights = tuple(Fraction(tok.strip()) for tok in text.split(","))
+        return tuple(Fraction(tok.strip()) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise CLIError(f"--weights: {exc}") from exc
-    if len(weights) != species_count:
-        raise CLIError(
-            f"--weights: got {len(weights)} weights for {species_count} species"
-        )
-    if any(w < 0 for w in weights):
-        raise CLIError("--weights: weights must be nonnegative")
-    return weights
 
 
 def _cmd_generate(args) -> int:
@@ -95,12 +88,13 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             params = default_params(observed.species_count)
     try:
         projected = simulate(observed, params)
+        if args.round:
+            obj = fileio.counts_to_obj(round_counts(projected))
+        else:
+            obj = fileio.projected_to_obj(projected)
     except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    if args.round:
-        fileio.write_json(args.out, fileio.counts_to_obj(round_counts(projected)))
-    else:
-        fileio.write_json(args.out, fileio.projected_to_obj(projected))
+        raise CLIError(f"{args.params or args.scenario or args.counts}: {exc}") from exc
+    fileio.write_json(args.out, obj)
     print(f"wrote {args.out} ({params.T} steps of {params.dt:g})")
     return 0
 
@@ -116,15 +110,12 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
         if args.budget is None:
             parser.error("--counts input needs --budget")
         counts = _read(args.counts, fileio.counts_from_obj)
-        try:
-            problem = ReserveProblem(
-                values=counts.matrix(),
-                weights=_parse_weights(args.weights, counts.species_count),
-                costs=np.ones(counts.parcel_count, dtype=np.int64),
-                budget=args.budget,
-            )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        problem = ReserveProblem(
+            values=counts.matrix(),
+            weights=_parse_weights(args.weights, counts.species_count),
+            costs=np.ones(counts.parcel_count, dtype=np.int64),
+            budget=args.budget,
+        )
     try:
         solution = solve(problem)
     except TableTooLargeError as exc:
@@ -141,7 +132,7 @@ def _cmd_sweep(args) -> int:
     scenario = _read(args.scenario, fileio.scenario_from_obj)
     try:
         rows = budget_sweep(scenario)
-    except TableTooLargeError as exc:
+    except ValueError as exc:
         raise CLIError(f"{args.scenario}: {exc}") from exc
     fileio.write_text_atomic(args.out, fileio.sweep_rows_to_csv(rows))
     note = f"wrote {args.out} ({len(rows)} budgets)"
@@ -162,13 +153,13 @@ def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--scenario input needs --budget")
         scenario = _read(args.scenario, fileio.scenario_from_obj)
         observed = scenario.observed()
-        projected = round_counts(simulate(observed, scenario.lv_params))
+        try:
+            projected = round_counts(simulate(observed, scenario.lv_params))
+        except ValueError as exc:
+            raise CLIError(f"{args.scenario}: {exc}") from exc
         panels = []
         for label, grid in (("observed counts", observed), ("projected counts", projected)):
-            try:
-                [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
-            except ValueError as exc:
-                raise CLIError(str(exc)) from exc
+            [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
             panels.append(Panel(label=label, counts=grid, solution=solution))
         spec = RenderSpec(panels=tuple(panels))
     else:
@@ -191,10 +182,7 @@ def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
                     solution=_read(args.solution2, fileio.solution_from_obj),
                 )
             )
-        try:
-            spec = RenderSpec(panels=tuple(panels))
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        spec = RenderSpec(panels=tuple(panels))
     fileio.write_text_atomic(args.out, render_grid(spec))
     caption = caption_text(spec)
     print(f"wrote {args.out}" + (f": {caption}" if caption else ""))
@@ -298,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CLIError, OSError, ValueError) as exc:
+    except (CLIError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_numbers
 from .landscape import CountsGrid
 
 __all__ = [
@@ -52,27 +53,24 @@ class LVParams:
     T: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        r = np.atleast_1d(np.asarray(self.r, dtype=np.float64))
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
-        alpha = np.asarray(self.alpha, dtype=np.float64)
+        r = np.atleast_1d(as_numbers(self.r, "r"))
+        beta = np.atleast_1d(as_numbers(self.beta, "beta"))
+        alpha = as_numbers(self.alpha, "alpha")
         s = r.shape[0]
         if r.ndim != 1 or beta.shape != (s,) or alpha.shape != (s, s):
             raise ValueError(
                 f"inconsistent parameter shapes: r {r.shape}, beta {beta.shape}, alpha {alpha.shape}"
             )
-        if np.any(r < 0.0) or np.any(beta < 0.0) or np.any(alpha < 0.0):
-            raise ValueError("r, alpha and beta must be nonnegative")
         if np.any(np.diag(alpha) != 0.0):
             raise ValueError("alpha must have a zero diagonal; crowding lives in beta")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.T < 0 or int(self.T) != self.T:
-            raise ValueError(f"T must be a nonnegative integer step count, got {self.T}")
+        dt = float(as_numbers(self.dt, "dt"))
+        if dt == 0.0:
+            raise ValueError("dt must be positive")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "T", int(as_numbers(self.T, "T", integer=True)))
 
     @property
     def species_count(self) -> int:
@@ -112,13 +110,11 @@ class SimulatedGrid:
     source: CountsGrid
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = as_numbers(self.values, "projected values")
         if values.ndim != 3 or values.shape[1:] != (self.n, self.n):
             raise ValueError(
                 f"expected values of shape (species, {self.n}, {self.n}), got {values.shape}"
             )
-        if np.any(values < 0.0):
-            raise ValueError("projected counts must be nonnegative")
         object.__setattr__(self, "values", values)
 
     @property
@@ -149,14 +145,12 @@ def _step_columns(state: np.ndarray, params: LVParams) -> np.ndarray:
 
 def lv_step(state, params: LVParams) -> np.ndarray:
     """One update step for the per-species counts of a single parcel."""
-    vec = np.atleast_1d(np.asarray(state, dtype=np.float64))
+    vec = np.atleast_1d(as_numbers(state, "state"))
     if vec.shape != (params.species_count,):
         raise ValueError(
             f"state must hold one count per species, got shape {vec.shape} for "
             f"{params.species_count} species"
         )
-    if np.any(vec < 0.0):
-        raise ValueError("state counts must be nonnegative")
     return _step_columns(vec[:, np.newaxis], params)[:, 0]
 
 
@@ -174,13 +168,18 @@ def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
     state = observed.matrix().astype(np.float64)
     for _ in range(params.T):
         state = _step_columns(state, params)
+    if not np.isfinite(state).all():
+        # Parcels evolve independently: re-running the first bad one alone finds its step.
+        parcel = int(np.isfinite(state).all(axis=0).argmin())
+        column = observed.matrix()[:, [parcel]].astype(np.float64)
+        for step in range(1, params.T + 1):
+            column = _step_columns(column, params)
+            if not np.isfinite(column).all():
+                raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
     values = state.reshape(observed.species_count, observed.n, observed.n)
     return SimulatedGrid(n=observed.n, values=values, params=params, source=observed)
 
 
 def round_counts(simulated: SimulatedGrid) -> CountsGrid:
     """Round projected counts half-up to the nearest integer."""
-    return CountsGrid(
-        n=simulated.n,
-        counts=np.floor(simulated.values + 0.5).astype(np.int64),
-    )
+    return CountsGrid(n=simulated.n, counts=np.floor(simulated.values + 0.5))

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import as_numbers
 from .dynamics import LVParams, default_params, round_counts, simulate
 from .landscape import (
     CountsGrid,
@@ -116,10 +117,10 @@ class Scenario:
         weights = tuple(Fraction(w) for w in self.weights)
         if len(weights) != len(species):
             raise ValueError(f"{len(weights)} weights for {len(species)} species")
-        budgets = tuple(int(b) for b in self.budgets)
-        if list(budgets) != sorted(set(budgets)):
+        budgets = as_numbers(self.budgets, "budgets", integer=True)
+        if budgets.ndim != 1 or np.any(np.diff(budgets) <= 0):
             raise ValueError("budgets must be strictly ascending and unique")
-        costs = np.asarray(self.costs)
+        costs = as_numbers(self.costs, "costs", integer=True)
         if costs.shape != (n * n,):
             raise ValueError(f"expected {n * n} parcel costs, got shape {costs.shape}")
         if self.lv_params.species_count != len(species):
@@ -129,7 +130,7 @@ class Scenario:
             )
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "budgets", tuple(budgets.tolist()))
         object.__setattr__(self, "costs", costs)
 
     @property

@@ -97,117 +97,107 @@ def _fail(where: str, message: str) -> SchemaError:
     return SchemaError(f"{where}: {message}")
 
 
-def _require(obj, key: str, where: str):
+def _field(obj, key: str, where: str, depth: int | None = None, integer: bool = False):
+    """``obj[key]``; with ``depth``, checked as numbers nested ``depth`` lists deep."""
     if not isinstance(obj, dict):
         raise _fail(where, "expected a JSON object")
     if key not in obj:
         raise _fail(f"{where}.{key}", "missing field")
-    return obj[key]
+    if depth is None:
+        return obj[key]
+    return _numbers(obj[key], f"{where}.{key}", depth, integer)
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(where, f"expected an integer, got {value!r}")
+def _numbers(value, where: str, depth: int, integer: bool = False):
+    """``value`` if it is JSON numbers nested ``depth`` lists deep; names the first bad leaf."""
+    if depth == 0:
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise _fail(where, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+    elif not isinstance(value, list):
+        raise _fail(where, "expected a list")
+    else:
+        for i, item in enumerate(value):
+            _numbers(item, f"{where}[{i}]", depth - 1, integer)
     return value
 
 
-def _as_number_list(value, where: str) -> list[float]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise _fail(where, "expected a list of numbers")
-    return [float(v) for v in value]
+def _build(cls, where: str, **fields):
+    """``cls(**fields)``, with a refusal by the constructor reported at ``where``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _fail(where, str(exc)) from exc
 
 
-def _as_int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list):
-        raise _fail(where, "expected a list of integers")
-    return [_as_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
+def _fraction(pair: list, where: str) -> Fraction:
+    """An integer ``[numerator, denominator]`` pair as a Fraction."""
+    if len(pair) != 2 or pair[1] == 0:
+        raise _fail(where, "expected a [numerator, denominator] pair with a nonzero denominator")
+    return Fraction(*pair)
+
+
+def _fractions(obj, key: str, where: str) -> list[Fraction]:
+    """``obj[key]``, a list of ``[numerator, denominator]`` pairs, as Fractions."""
+    pairs = _field(obj, key, where, 2, integer=True)
+    return [_fraction(pair, f"{where}.{key}[{i}]") for i, pair in enumerate(pairs)]
 
 
 # --- landscape ---------------------------------------------------------------
 
 def landscape_to_obj(landscape: Landscape) -> dict:
-    return {"n": landscape.n, "values": [float(v) for v in landscape.values.ravel()]}
+    return {"n": landscape.n, "values": landscape.values.ravel().tolist()}
 
 
 def landscape_from_obj(obj, where: str = "landscape") -> Landscape:
-    n = _as_int(_require(obj, "n", where), f"{where}.n")
-    values = _as_number_list(_require(obj, "values", where), f"{where}.values")
+    n = _field(obj, "n", where, 0, integer=True)
+    values = _field(obj, "values", where, 1)
     if n < 1 or len(values) != n * n:
         raise _fail(f"{where}.values", f"expected {n * n} values for n={n}, got {len(values)}")
-    try:
-        return Landscape(n=n, values=np.asarray(values).reshape(n, n))
-    except ValueError as exc:
-        raise _fail(f"{where}.values", str(exc)) from exc
+    return _build(Landscape, f"{where}.values", n=n, values=np.reshape(values, (n, n)))
 
 
 # --- counts / projected counts ------------------------------------------------
 
 def counts_to_obj(grid: CountsGrid) -> dict:
-    return {
-        "n": grid.n,
-        "species": grid.species_count,
-        "counts": [[int(v) for v in row] for row in grid.matrix()],
-    }
+    return {"n": grid.n, "species": grid.species_count, "counts": grid.matrix().tolist()}
 
 
 def counts_from_obj(obj, where: str = "counts") -> CountsGrid:
-    n = _as_int(_require(obj, "n", where), f"{where}.n")
-    species = _as_int(_require(obj, "species", where), f"{where}.species")
-    raw = _require(obj, "counts", where)
-    if not isinstance(raw, list) or len(raw) != species:
-        raise _fail(f"{where}.counts", f"expected {species} per-species arrays")
-    rows = []
-    for i, row in enumerate(raw):
-        numbers = _as_number_list(row, f"{where}.counts[{i}]")
-        if len(numbers) != n * n:
-            raise _fail(f"{where}.counts[{i}]", f"expected {n * n} entries, got {len(numbers)}")
-        rows.append(numbers)
-    try:
-        return CountsGrid(n=n, counts=np.asarray(rows).reshape(species, n, n))
-    except ValueError as exc:
-        raise _fail(f"{where}.counts", str(exc)) from exc
+    n = _field(obj, "n", where, 0, integer=True)
+    species = _field(obj, "species", where, 0, integer=True)
+    rows = _field(obj, "counts", where, 2)
+    if n < 1 or len(rows) != species or any(len(row) != n * n for row in rows):
+        raise _fail(f"{where}.counts", f"expected {species} per-species arrays of {n * n} entries")
+    return _build(CountsGrid, f"{where}.counts", n=n, counts=np.reshape(rows, (species, n, n)))
 
 
 def projected_to_obj(grid: SimulatedGrid) -> dict:
     """Real-valued projected counts in the counts schema."""
-    return {
-        "n": grid.n,
-        "species": grid.species_count,
-        "counts": [[float(v) for v in row] for row in grid.matrix()],
-    }
+    return {"n": grid.n, "species": grid.species_count, "counts": grid.matrix().tolist()}
 
 
 # --- dynamics parameters ------------------------------------------------------
 
 def params_to_obj(params: LVParams) -> dict:
     return {
-        "r": [float(v) for v in params.r],
-        "alpha": [[float(v) for v in row] for row in params.alpha],
-        "beta": [float(v) for v in params.beta],
+        "r": params.r.tolist(),
+        "alpha": params.alpha.tolist(),
+        "beta": params.beta.tolist(),
         "dt": params.dt,
         "T": params.T,
     }
 
 
 def params_from_obj(obj, where: str = "params") -> LVParams:
-    r = _as_number_list(_require(obj, "r", where), f"{where}.r")
-    beta = _as_number_list(_require(obj, "beta", where), f"{where}.beta")
-    raw_alpha = _require(obj, "alpha", where)
-    if not isinstance(raw_alpha, list):
-        raise _fail(f"{where}.alpha", "expected a list of rows")
-    alpha = [_as_number_list(row, f"{where}.alpha[{i}]") for i, row in enumerate(raw_alpha)]
-    dt = _require(obj, "dt", where)
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)):
-        raise _fail(f"{where}.dt", f"expected a number, got {dt!r}")
-    T = _as_int(_require(obj, "T", where), f"{where}.T")
-    try:
-        return LVParams(
-            r=np.asarray(r), alpha=np.asarray(alpha), beta=np.asarray(beta), dt=float(dt), T=T
-        )
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from exc
+    return _build(
+        LVParams,
+        where,
+        r=_field(obj, "r", where, 1),
+        beta=_field(obj, "beta", where, 1),
+        alpha=_field(obj, "alpha", where, 2),
+        dt=_field(obj, "dt", where, 0),
+        T=_field(obj, "T", where, 0, integer=True),
+    )
 
 
 # --- reserve problems and solutions -------------------------------------------
@@ -216,62 +206,42 @@ def _fraction_to_pair(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
-def _fraction_from_pair(value, where: str) -> Fraction:
-    if not isinstance(value, list) or len(value) != 2:
-        raise _fail(where, "expected a [numerator, denominator] pair")
-    num = _as_int(value[0], f"{where}[0]")
-    den = _as_int(value[1], f"{where}[1]")
-    if den == 0:
-        raise _fail(where, "denominator must be nonzero")
-    return Fraction(num, den)
-
-
 def problem_to_obj(problem: ReserveProblem) -> dict:
     return {
-        "values": [[int(v) for v in row] for row in problem.values],
+        "values": problem.values.tolist(),
         "weights": [_fraction_to_pair(w) for w in problem.weights],
-        "costs": [int(c) for c in problem.costs],
+        "costs": problem.costs.tolist(),
         "budget": problem.budget,
     }
 
 
 def problem_from_obj(obj, where: str = "problem") -> ReserveProblem:
-    raw_values = _require(obj, "values", where)
-    if not isinstance(raw_values, list) or not raw_values:
-        raise _fail(f"{where}.values", "expected a nonempty list of per-species arrays")
-    values = [_as_int_list(row, f"{where}.values[{i}]") for i, row in enumerate(raw_values)]
-    raw_weights = _require(obj, "weights", where)
-    if not isinstance(raw_weights, list):
-        raise _fail(f"{where}.weights", "expected a list of [num, den] pairs")
-    weights = [
-        _fraction_from_pair(w, f"{where}.weights[{i}]") for i, w in enumerate(raw_weights)
-    ]
-    costs = _as_int_list(_require(obj, "costs", where), f"{where}.costs")
-    budget = _as_int(_require(obj, "budget", where), f"{where}.budget")
-    try:
-        return ReserveProblem(
-            values=np.asarray(values), weights=tuple(weights), costs=np.asarray(costs), budget=budget
-        )
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from exc
+    return _build(
+        ReserveProblem,
+        where,
+        values=_field(obj, "values", where, 2, integer=True),
+        weights=_fractions(obj, "weights", where),
+        costs=_field(obj, "costs", where, 1, integer=True),
+        budget=_field(obj, "budget", where, 0, integer=True),
+    )
 
 
 def solution_to_obj(solution: ReserveSolution) -> dict:
     return {
-        "x": [int(v) for v in solution.x],
+        "x": solution.x.tolist(),
         "objective": _fraction_to_pair(solution.objective),
         "spent": solution.spent,
     }
 
 
 def solution_from_obj(obj, where: str = "solution") -> ReserveSolution:
-    x = _as_int_list(_require(obj, "x", where), f"{where}.x")
-    objective = _fraction_from_pair(_require(obj, "objective", where), f"{where}.objective")
-    spent = _as_int(_require(obj, "spent", where), f"{where}.spent")
-    try:
-        return ReserveSolution(x=np.asarray(x), objective=objective, spent=spent)
-    except ValueError as exc:
-        raise _fail(f"{where}.x", str(exc)) from exc
+    return _build(
+        ReserveSolution,
+        f"{where}.x",
+        x=_field(obj, "x", where, 1, integer=True),
+        objective=_fraction(_field(obj, "objective", where, 1, integer=True), f"{where}.objective"),
+        spent=_field(obj, "spent", where, 0, integer=True),
+    )
 
 
 # --- species, scenarios, suites -----------------------------------------------
@@ -287,21 +257,18 @@ def _species_to_obj(spec: SpeciesSpec) -> dict:
 
 
 def _species_from_obj(obj, where: str) -> SpeciesSpec:
-    label = _require(obj, "id", where)
-    if not isinstance(label, str):
-        raise _fail(f"{where}.id", "expected a string")
-    rank = _require(obj, "fragmentation_rank", where)
-    if not isinstance(rank, str):
-        raise _fail(f"{where}.fragmentation_rank", "expected a string")
-    total = _as_int(_require(obj, "total", where), f"{where}.total")
-    landscape = landscape_from_obj(_require(obj, "landscape", where), f"{where}.landscape")
-    counts = counts_from_obj(_require(obj, "counts", where), f"{where}.counts")
-    try:
-        return SpeciesSpec(
-            label=label, fragmentation_rank=rank, total=total, landscape=landscape, counts=counts
-        )
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from exc
+    for key in ("id", "fragmentation_rank"):
+        if not isinstance(_field(obj, key, where), str):
+            raise _fail(f"{where}.{key}", "expected a string")
+    return _build(
+        SpeciesSpec,
+        where,
+        label=obj["id"],
+        fragmentation_rank=obj["fragmentation_rank"],
+        total=_field(obj, "total", where, 0, integer=True),
+        landscape=landscape_from_obj(_field(obj, "landscape", where), f"{where}.landscape"),
+        counts=counts_from_obj(_field(obj, "counts", where), f"{where}.counts"),
+    )
 
 
 def scenario_to_obj(scenario: Scenario) -> dict:
@@ -309,7 +276,7 @@ def scenario_to_obj(scenario: Scenario) -> dict:
         "seed": scenario.seed,
         "weights": [_fraction_to_pair(w) for w in scenario.weights],
         "budgets": list(scenario.budgets),
-        "costs": [int(c) for c in scenario.costs],
+        "costs": scenario.costs.tolist(),
         "lv_params": params_to_obj(scenario.lv_params),
         "species": [_species_to_obj(sp) for sp in scenario.species],
     }
@@ -317,34 +284,16 @@ def scenario_to_obj(scenario: Scenario) -> dict:
 
 def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
     seed = obj.get("seed") if isinstance(obj, dict) else None
-    if seed is not None:
-        seed = _as_int(seed, f"{where}.seed")
-    raw_weights = _require(obj, "weights", where)
-    if not isinstance(raw_weights, list):
-        raise _fail(f"{where}.weights", "expected a list of [num, den] pairs")
-    weights = tuple(
-        _fraction_from_pair(w, f"{where}.weights[{i}]") for i, w in enumerate(raw_weights)
+    return _build(
+        Scenario,
+        where,
+        seed=None if seed is None else _field(obj, "seed", where, 0, integer=True),
+        weights=_fractions(obj, "weights", where),
+        budgets=_field(obj, "budgets", where, 1, integer=True),
+        costs=_field(obj, "costs", where, 1, integer=True),
+        lv_params=params_from_obj(_field(obj, "lv_params", where), f"{where}.lv_params"),
+        species=suite_from_obj(obj, where),
     )
-    budgets = _as_int_list(_require(obj, "budgets", where), f"{where}.budgets")
-    costs = _as_int_list(_require(obj, "costs", where), f"{where}.costs")
-    lv_params = params_from_obj(_require(obj, "lv_params", where), f"{where}.lv_params")
-    raw_species = _require(obj, "species", where)
-    if not isinstance(raw_species, list) or not raw_species:
-        raise _fail(f"{where}.species", "expected a nonempty list")
-    species = tuple(
-        _species_from_obj(sp, f"{where}.species[{i}]") for i, sp in enumerate(raw_species)
-    )
-    try:
-        return Scenario(
-            species=species,
-            weights=weights,
-            budgets=tuple(budgets),
-            costs=np.asarray(costs),
-            lv_params=lv_params,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from exc
 
 
 def suite_to_obj(suite: Sequence[SpeciesSpec], *, seed: int, pool_size: int, grid: int) -> dict:
@@ -357,7 +306,8 @@ def suite_to_obj(suite: Sequence[SpeciesSpec], *, seed: int, pool_size: int, gri
 
 
 def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
-    raw = _require(obj, "species", where)
+    """The species of a suite document, or of a scenario document."""
+    raw = _field(obj, "species", where)
     if not isinstance(raw, list) or not raw:
         raise _fail(f"{where}.species", "expected a nonempty list")
     return [_species_from_obj(sp, f"{where}.species[{i}]") for i, sp in enumerate(raw)]

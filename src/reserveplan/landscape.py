@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import as_numbers
+
 __all__ = [
     "InvalidDimensionError",
     "InsufficientCandidatesError",
@@ -54,13 +56,11 @@ class Landscape:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidDimensionError(f"grid side length must be >= 1, got {self.n}")
-        values = np.asarray(self.values, dtype=np.float64)
+        values = as_numbers(self.values, "habitat values", hi=1.0)
         if values.shape != (self.n, self.n):
             raise InvalidDimensionError(
                 f"expected a {self.n}x{self.n} value grid, got shape {values.shape}"
             )
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError("habitat values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
 
     @property
@@ -78,19 +78,11 @@ class CountsGrid:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidDimensionError(f"grid side length must be >= 1, got {self.n}")
-        counts = np.asarray(self.counts)
+        counts = as_numbers(self.counts, "counts", integer=True)
         if counts.ndim != 3 or counts.shape[1:] != (self.n, self.n):
             raise InvalidDimensionError(
                 f"expected counts of shape (species, {self.n}, {self.n}), got {counts.shape}"
             )
-        if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if not np.array_equal(rounded, counts):
-                raise ValueError("counts must be whole numbers")
-            counts = rounded
-        counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
 
     @property

@@ -17,10 +17,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
+
+from ._checks import as_numbers
 
 __all__ = [
     "WrongSolverError",
@@ -58,29 +59,12 @@ class TableTooLargeError(ValueError):
     """The knapsack table for this budget needs more bytes than the machine's memory."""
 
 
-def _as_nonneg_int_array(arr, name: str) -> np.ndarray:
-    a = np.asarray(arr)
-    if a.dtype.kind in "uO":  # Python ints past int64 arrive as uint64 or object arrays
-        items = a.ravel().tolist()
-        if not all(isinstance(v, Integral) and -(2**63) <= v < 2**63 for v in items):
-            raise ValueError(f"{name} must be integers within int64 range")
-    elif a.dtype.kind != "i":
-        if not np.array_equal(np.rint(a), a):
-            if name == "costs":
-                raise NonIntegerCostError("costs must be integers; rescale to whole currency units")
-            raise ValueError(f"{name} must be whole numbers")
-        if not np.all(np.abs(a) < 2**63):
-            raise ValueError(f"{name} must be integers within int64 range")
-    a = a.astype(np.int64)
-    if np.any(a < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return a
-
-
-def _check_budget(budget) -> int:
-    if budget < 0 or int(budget) != budget:
-        raise NonIntegerCostError(f"budget must be a nonnegative integer, got {budget}")
-    return int(budget)
+def _as_costs(value, name: str) -> np.ndarray:
+    """Costs or budgets as int64; every refusal is a NonIntegerCostError."""
+    try:
+        return as_numbers(value, name, integer=True)
+    except ValueError as exc:
+        raise NonIntegerCostError(str(exc)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +82,7 @@ class ReserveProblem:
     budget: int
 
     def __post_init__(self) -> None:
-        values = _as_nonneg_int_array(self.values, "values")
+        values = as_numbers(self.values, "values", integer=True)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"values must be (species, parcels), got shape {values.shape}")
         weights = tuple(Fraction(w) for w in self.weights)
@@ -108,7 +92,7 @@ class ReserveProblem:
             )
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        costs = _as_nonneg_int_array(self.costs, "costs")
+        costs = _as_costs(self.costs, "costs")
         if costs.shape != (values.shape[1],):
             raise ValueError(
                 f"{costs.shape[0] if costs.ndim == 1 else costs.shape} costs for "
@@ -117,7 +101,7 @@ class ReserveProblem:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "budget", _check_budget(self.budget))
+        object.__setattr__(self, "budget", int(_as_costs(self.budget, "budget")))
 
     @property
     def species_count(self) -> int:
@@ -137,9 +121,9 @@ class ReserveSolution:
     spent: int
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x)
-        if x.ndim != 1 or np.any((x != 0) & (x != 1)):
-            raise ValueError("x must be a flat 0/1 vector")
+        x = as_numbers(self.x, "x", integer=True, hi=1)
+        if x.ndim != 1:
+            raise ValueError(f"x must be a flat 0/1 vector, got shape {x.shape}")
         object.__setattr__(self, "x", x.astype(np.int8))
 
     @property
@@ -237,7 +221,7 @@ def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveS
 
     The data are validated once, as a problem at the largest budget.
     """
-    budgets = [_check_budget(b) for b in budgets]
+    budgets = _as_costs(budgets, "budgets").tolist()
     problem = ReserveProblem(values, weights, costs, max(budgets, default=0))
     return _solve_budgets(problem, budgets, topk=bool(np.all(problem.costs == 1)))
 

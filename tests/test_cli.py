@@ -322,3 +322,51 @@ class TestErrorHandling:
         assert code == 1
         assert "wide.json: budget 1000000000000 needs a" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_overflowing_projection_exits_1_and_names_step(self, tmp_path, capsys, rounded):
+        counts = tmp_path / "c.json"
+        fileio.write_json(counts, {"n": 1, "species": 1, "counts": [[100]]})
+        params = tmp_path / "p.json"
+        fileio.write_json(params, {"r": [1e300], "alpha": [[0.0]], "beta": [0.0], "dt": 1.0, "T": 5})
+        out = tmp_path / "o.json"
+        argv = ["simulate", "--counts", str(counts), "--params", str(params), "--out", str(out)]
+        code = main(argv + ["--round"] * rounded)
+        assert code == 1
+        assert "p.json: projected counts overflow at step 2 in parcel 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rounded_projection_beyond_int64_exits_1_and_names_file(self, tmp_path, capsys):
+        counts = tmp_path / "c.json"
+        fileio.write_json(counts, {"n": 1, "species": 1, "counts": [[100]]})
+        params = tmp_path / "p.json"  # equilibrium r / beta = 1e20, past int64
+        fileio.write_json(params, {"r": [0.1], "alpha": [[0.0]], "beta": [1e-21], "dt": 1.0, "T": 2000})
+        out = tmp_path / "o.json"
+        code = main(
+            ["simulate", "--counts", str(counts), "--params", str(params), "--round", "--out", str(out)]
+        )
+        assert code == 1
+        assert "p.json: counts must be integers within int64 range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_counts_beyond_int64_exits_1_and_names_field(self, tmp_path, capsys):
+        counts = tmp_path / "big.json"
+        fileio.write_json(counts, {"n": 1, "species": 1, "counts": [[1e30]]})
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--counts", str(counts), "--budget", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "big.json: counts.counts: counts must be integers within int64 range" in err
+        assert not out.exists()
+
+    def test_allocation_failure_exits_1_without_traceback(self, tmp_path, capsys):
+        # A 10^7 x 10^7 float grid is ~728 TiB, beyond the user address space, so the
+        # allocation fails at once whatever the overcommit policy; no memory is touched.
+        out = tmp_path / "g.json"
+        code = main(
+            ["generate", "--seed", "0", "--pool-size", "4", "--grid", "10000000", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()

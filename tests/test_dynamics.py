@@ -172,6 +172,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(grid, single_species())
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflow_names_the_step_and_the_first_bad_parcel(self):
+        # Parcel 0 stays empty; parcels 1 and 2 leave the float range at step 2.
+        grid = CountsGrid(n=2, counts=np.array([[[0, 100], [100, 0]]]))
+        params = LVParams(r=[1e300], alpha=[[0.0]], beta=[0.0], dt=1.0, T=5)
+        with pytest.raises(ValueError, match="overflow at step 2 in parcel 1$"):
+            simulate(grid, params)
+
     def test_source_and_params_recorded(self):
         grid = CountsGrid(n=2, counts=np.ones((1, 2, 2), dtype=int))
         params = single_species(T=10)
@@ -201,3 +209,7 @@ class TestRoundCounts:
         rounded = round_counts(projected(np.asarray(values).reshape(1, 2, 2)))
         for got, raw in zip(rounded.counts.ravel(), values):
             assert got == math.floor(raw + 0.5)
+
+    def test_beyond_int64_rejected_not_wrapped(self):
+        with pytest.raises(ValueError, match="counts must be integers within int64 range"):
+            round_counts(projected([[[1e19]]]))
