@@ -1,7 +1,8 @@
-"""The one numeric check behind every constructor that takes numbers."""
+"""The numeric checks behind every constructor that takes numbers: arrays and weights."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from numbers import Integral, Real
 
 import numpy as np
@@ -44,3 +45,19 @@ def as_numbers(value, name: str, *, integer: bool = False, hi: float | None = No
     if np.any(a < 0):
         raise ValueError(f"{name} must be nonnegative")
     return a.astype(np.int64 if integer else np.float64)
+
+
+def as_weights(value, name: str) -> tuple[Fraction, ...]:
+    """``value`` as a tuple of exact nonnegative rationals.
+
+    Each entry may be anything ``Fraction`` takes: an integer, a finite float,
+    a Fraction or a string such as ``"9/10"``. Raises ValueError naming
+    ``name`` for anything else and for negative entries.
+    """
+    try:
+        weights = tuple(Fraction(w) for w in value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be finite rational numbers: {exc}") from None
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{name} must be nonnegative")
+    return weights

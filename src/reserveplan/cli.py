@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
+from ._checks import as_weights
 from .dynamics import default_params, round_counts, simulate
 from .experiment import (
     budget_sweep,
     build_species_suite,
     default_scenarios,
+    summarize,
     summarize_similarities,
 )
 from .fileio import SchemaError
@@ -43,15 +44,6 @@ def _read(path, convert):
         raise CLIError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise CLIError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _parse_weights(text: str | None, species_count: int) -> tuple[Fraction, ...]:
-    if text is None:
-        return tuple(Fraction(1) for _ in range(species_count))
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CLIError(f"--weights: {exc}") from exc
 
 
 def _cmd_generate(args) -> int:
@@ -110,9 +102,12 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
         if args.budget is None:
             parser.error("--counts input needs --budget")
         counts = _read(args.counts, fileio.counts_from_obj)
+        weights = (1,) * counts.species_count
+        if args.weights is not None:
+            weights = as_weights(args.weights.split(","), "--weights")
         problem = ReserveProblem(
             values=counts.matrix(),
-            weights=_parse_weights(args.weights, counts.species_count),
+            weights=weights,
             costs=np.ones(counts.parcel_count, dtype=np.int64),
             budget=args.budget,
         )
@@ -137,9 +132,7 @@ def _cmd_sweep(args) -> int:
     fileio.write_text_atomic(args.out, fileio.sweep_rows_to_csv(rows))
     note = f"wrote {args.out} ({len(rows)} budgets)"
     if len(rows) >= 3:
-        stats = summarize_similarities(
-            [r.budget for r in rows], [r.similarity for r in rows]
-        )
+        stats = summarize(rows)
         note += f"; interior similarity min {stats.min} mean {stats.mean:.2f} median {stats.median:g}"
     print(note)
     return 0
@@ -153,14 +146,14 @@ def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--scenario input needs --budget")
         scenario = _read(args.scenario, fileio.scenario_from_obj)
         observed = scenario.observed()
+        panels = []
         try:
             projected = round_counts(simulate(observed, scenario.lv_params))
+            for label, grid in (("observed counts", observed), ("projected counts", projected)):
+                [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
+                panels.append(Panel(label=label, counts=grid, solution=solution))
         except ValueError as exc:
             raise CLIError(f"{args.scenario}: {exc}") from exc
-        panels = []
-        for label, grid in (("observed counts", observed), ("projected counts", projected)):
-            [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
-            panels.append(Panel(label=label, counts=grid, solution=solution))
         spec = RenderSpec(panels=tuple(panels))
     else:
         if args.solution is None:

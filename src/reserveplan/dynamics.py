@@ -166,16 +166,18 @@ def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
             f"{params.species_count}"
         )
     state = observed.matrix().astype(np.float64)
-    for _ in range(params.T):
-        state = _step_columns(state, params)
-    if not np.isfinite(state).all():
-        # Parcels evolve independently: re-running the first bad one alone finds its step.
-        parcel = int(np.isfinite(state).all(axis=0).argmin())
-        column = observed.matrix()[:, [parcel]].astype(np.float64)
-        for step in range(1, params.T + 1):
-            column = _step_columns(column, params)
-            if not np.isfinite(column).all():
-                raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
+    # An overflow is refused below, naming its step, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.T):
+            state = _step_columns(state, params)
+        if not np.isfinite(state).all():
+            # Parcels evolve independently: re-running the first bad one alone finds its step.
+            parcel = int(np.isfinite(state).all(axis=0).argmin())
+            column = observed.matrix()[:, [parcel]].astype(np.float64)
+            for step in range(1, params.T + 1):
+                column = _step_columns(column, params)
+                if not np.isfinite(column).all():
+                    raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
     values = state.reshape(observed.species_count, observed.n, observed.n)
     return SimulatedGrid(n=observed.n, values=values, params=params, source=observed)
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import as_numbers
+from ._checks import as_numbers, as_weights
 from .dynamics import LVParams, default_params, round_counts, simulate
 from .landscape import (
     CountsGrid,
@@ -114,7 +114,7 @@ class Scenario:
         n = species[0].counts.n
         if any(sp.counts.n != n for sp in species):
             raise ValueError("all species in a scenario must share the same grid size")
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = as_weights(self.weights, "weights")
         if len(weights) != len(species):
             raise ValueError(f"{len(weights)} weights for {len(species)} species")
         budgets = as_numbers(self.budgets, "budgets", integer=True)
@@ -208,13 +208,13 @@ def default_scenarios(
     suite: Sequence[SpeciesSpec],
     *,
     seed: int | None = None,
-    budgets: Sequence[int] = DEFAULT_BUDGETS,
     params_factory: Callable[[int], LVParams] | None = None,
 ) -> list[Scenario]:
     """The six standard reserve cases over an 8-species suite, equal weights, unit costs.
 
-    ``params_factory`` maps a species count to dynamics parameters (cases mix
-    2- and 5-species reserves); the default builds the uniform defaults.
+    Every case sweeps ``DEFAULT_BUDGETS``. ``params_factory`` maps a species
+    count to dynamics parameters (cases mix 2- and 5-species reserves); the
+    default builds the uniform defaults.
     """
     if len(suite) != len(SUITE_LAYOUT):
         raise ValueError(f"expected a suite of {len(SUITE_LAYOUT)} species, got {len(suite)}")
@@ -227,8 +227,8 @@ def default_scenarios(
         scenarios.append(
             Scenario(
                 species=species,
-                weights=tuple(Fraction(1) for _ in group),
-                budgets=tuple(budgets),
+                weights=(1,) * len(group),
+                budgets=DEFAULT_BUDGETS,
                 costs=np.ones(parcels, dtype=np.int64),
                 lv_params=params,
                 seed=seed,
@@ -294,14 +294,9 @@ def summarize(rows: Sequence[SweepRow]) -> SimilarityStats:
 def weighted_comparison(
     scenario: Scenario, weight_sets: Sequence[Sequence]
 ) -> list[tuple[tuple[Fraction, ...], list[SweepRow]]]:
-    """Run the same sweep once per weight set on otherwise identical inputs."""
-    results = []
-    for raw in weight_sets:
-        weights = tuple(Fraction(w) for w in raw)
-        if len(weights) != len(scenario.species):
-            raise ValueError(
-                f"weight set of length {len(weights)} for {len(scenario.species)} species"
-            )
-        variant = dataclasses.replace(scenario, weights=weights)
-        results.append((weights, budget_sweep(variant)))
-    return results
+    """Run the same sweep once per weight set on otherwise identical inputs.
+
+    Every weight set is checked, as a scenario, before any sweep runs.
+    """
+    variants = [dataclasses.replace(scenario, weights=weights) for weights in weight_sets]
+    return [(variant.weights, budget_sweep(variant)) for variant in variants]

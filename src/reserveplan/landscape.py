@@ -54,13 +54,13 @@ class Landscape:
     smoothing_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidDimensionError(f"grid side length must be >= 1, got {self.n}")
+        n = int(as_numbers(self.n, "n", integer=True))
+        if n < 1:
+            raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
         values = as_numbers(self.values, "habitat values", hi=1.0)
-        if values.shape != (self.n, self.n):
-            raise InvalidDimensionError(
-                f"expected a {self.n}x{self.n} value grid, got shape {values.shape}"
-            )
+        if values.shape != (n, n):
+            raise InvalidDimensionError(f"expected a {n}x{n} value grid, got shape {values.shape}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
     @property
@@ -76,13 +76,15 @@ class CountsGrid:
     counts: np.ndarray  # shape (species, n, n)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidDimensionError(f"grid side length must be >= 1, got {self.n}")
+        n = int(as_numbers(self.n, "n", integer=True))
+        if n < 1:
+            raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
         counts = as_numbers(self.counts, "counts", integer=True)
-        if counts.ndim != 3 or counts.shape[1:] != (self.n, self.n):
+        if counts.ndim != 3 or counts.shape[1:] != (n, n):
             raise InvalidDimensionError(
-                f"expected counts of shape (species, {self.n}, {self.n}), got {counts.shape}"
+                f"expected counts of shape (species, {n}, {n}), got {counts.shape}"
             )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
 
     @property

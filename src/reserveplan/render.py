@@ -55,11 +55,9 @@ class Panel:
 
 @dataclass(frozen=True, eq=False)
 class RenderSpec:
-    """One or two panels plus the protection palette."""
+    """One or two panels, drawn side by side."""
 
     panels: tuple[Panel, ...]
-    preserved_color: str = PRESERVED_COLOR
-    unpreserved_color: str = UNPRESERVED_COLOR
 
     def __post_init__(self) -> None:
         panels = tuple(self.panels)
@@ -92,7 +90,7 @@ def _annotations(counts: CountsGrid, row: int, col: int) -> list[tuple[float, fl
     ]
 
 
-def _panel_svg(panel: Panel, x0: float, y0: float, spec: RenderSpec) -> list[str]:
+def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
     parts = [
         f'<text x="{x0 + panel.counts.n * _CELL / 2:.1f}" y="{y0 - 7:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="14" '
@@ -102,9 +100,7 @@ def _panel_svg(panel: Panel, x0: float, y0: float, spec: RenderSpec) -> list[str
     for row in range(n):
         for col in range(n):
             p = row * n + col
-            fill = (
-                spec.preserved_color if panel.solution.x[p] == 1 else spec.unpreserved_color
-            )
+            fill = PRESERVED_COLOR if panel.solution.x[p] == 1 else UNPRESERVED_COLOR
             cx = x0 + col * _CELL
             cy = y0 + row * _CELL
             parts.append(
@@ -138,7 +134,7 @@ def render_grid(spec: RenderSpec) -> str:
     y0 = _MARGIN + _TITLE_H
     for i, panel in enumerate(spec.panels):
         x0 = _MARGIN + i * (panel_w + _PANEL_GAP)
-        parts.extend(_panel_svg(panel, x0, y0, spec))
+        parts.extend(_panel_svg(panel, x0, y0))
     if caption:
         parts.append(
             f'<text x="{width / 2:.1f}" y="{y0 + panel_h + 18:.1f}" text-anchor="middle" '

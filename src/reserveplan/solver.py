@@ -4,11 +4,12 @@ A problem scores each parcel as the weight-combined species value it holds;
 protecting a parcel spends its cost against the budget. Weights are ingested
 as exact rationals and all objective arithmetic clears denominators into
 integers, so optima and tie-breaks never depend on floating point. Every
-exact solve, for one budget or a whole budget sweep, runs through one kernel:
-a top-k order for unit costs, a knapsack table otherwise. It shares one
-tie-break with the exhaustive oracle: among optimal selections, prefer the
-protection vector that protects the lower-indexed parcel at the first index
-where two optima differ.
+solver, the exhaustive oracle included, reads one exact integer score per
+parcel. Every exact solve, for one budget or a whole budget sweep, runs
+through ``solve_sweep``: a top-k order for unit costs, a knapsack table
+otherwise. It shares one tie-break with the oracle: among optimal selections,
+prefer the protection vector that protects the lower-indexed parcel at the
+first index where two optima differ.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_numbers
+from ._checks import as_numbers, as_weights
 
 __all__ = [
     "WrongSolverError",
@@ -71,9 +72,9 @@ def _as_costs(value, name: str) -> np.ndarray:
 class ReserveProblem:
     """Per-parcel species values, species weights, parcel costs, and a budget.
 
-    ``values`` has shape (species, parcels); weights accept anything Fraction
-    can ingest (ints, strings, (num, den) handled by callers). Costs and the
-    budget must be nonnegative integers.
+    ``values`` has shape (species, parcels); weights are exact nonnegative
+    rationals, one per species (see ``as_weights``). Costs and the budget must
+    be nonnegative integers.
     """
 
     values: np.ndarray
@@ -85,13 +86,11 @@ class ReserveProblem:
         values = as_numbers(self.values, "values", integer=True)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"values must be (species, parcels), got shape {values.shape}")
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = as_weights(self.weights, "weights")
         if len(weights) != values.shape[0]:
             raise ValueError(
                 f"{len(weights)} weights for {values.shape[0]} species value rows"
             )
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
         costs = _as_costs(self.costs, "costs")
         if costs.shape != (values.shape[1],):
             raise ValueError(
@@ -134,43 +133,35 @@ class ReserveSolution:
         return [int(i) for i in np.flatnonzero(self.x)]
 
 
-def _integer_scores(problem: ReserveProblem) -> tuple[list[int], int]:
-    """Per-parcel scores with weight denominators cleared; returns (scores, denominator)."""
+def _integer_scores(problem: ReserveProblem) -> tuple[np.ndarray, int]:
+    """Per-parcel scores with weight denominators cleared; returns (scores, denominator).
+
+    The scores are computed once in exact integers. They are stored as int64
+    when their total is below ``_INT64_SAFE``, so every sum of them fits, and
+    as Python ints in an object array otherwise.
+    """
     den = lcm(*(w.denominator for w in problem.weights))
-    scaled = [int(w * den) for w in problem.weights]
-    bound = sum(
-        sw * int(col_max)
-        for sw, col_max in zip(scaled, problem.values.max(axis=1, initial=0))
-    ) * problem.parcel_count
-    if bound < _INT64_SAFE and all(sw < _INT64_SAFE for sw in scaled):
-        scores = np.asarray(scaled, dtype=np.int64) @ problem.values
-        return [int(v) for v in scores], den
-    rows = problem.values.tolist()
-    scores = [
-        sum(sw * int(rows[i][p]) for i, sw in enumerate(scaled))
-        for p in range(problem.parcel_count)
-    ]
-    return scores, den
+    scaled = np.array([int(w * den) for w in problem.weights], dtype=object)
+    scores = scaled @ problem.values.astype(object)
+    return scores.astype(np.int64 if scores.sum() < _INT64_SAFE else object), den
 
 
-def _build_solution(problem: ReserveProblem, chosen: Sequence[int]) -> ReserveSolution:
+def _build_solution(
+    problem: ReserveProblem, scores: np.ndarray, den: int, chosen: Sequence[int]
+) -> ReserveSolution:
     idx = np.asarray(chosen, dtype=np.intp)
     x = np.zeros(problem.parcel_count, dtype=np.int8)
     x[idx] = 1
-    rows = problem.values[:, idx].tolist()
-    objective = sum((w * sum(row) for w, row in zip(problem.weights, rows)), Fraction(0))
-    spent = sum(problem.costs[idx].tolist())
-    return ReserveSolution(x=x, objective=objective, spent=spent)
+    objective = Fraction(int(scores[idx].sum()), den)
+    return ReserveSolution(x=x, objective=objective, spent=sum(problem.costs[idx].tolist()))
 
 
 def parcel_score(problem: ReserveProblem, p: int) -> Fraction:
     """Weight-combined value of one parcel: sum_i w_i * values[i, p]."""
     if not 0 <= p < problem.parcel_count:
         raise IndexError(f"parcel index {p} out of range for {problem.parcel_count} parcels")
-    return sum(
-        (w * int(problem.values[i, p]) for i, w in enumerate(problem.weights)),
-        Fraction(0),
-    )
+    scores, den = _integer_scores(problem)
+    return Fraction(int(scores[p]), den)
 
 
 def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> list[ReserveSolution]:
@@ -182,11 +173,11 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
     parcels j.. at budget b. Each budget traces back through it, protecting
     whenever ``keep`` allows.
     """
-    scores, _ = _integer_scores(problem)
+    scores, den = _integer_scores(problem)
     n = problem.parcel_count
     if topk:
-        order = sorted(range(n), key=lambda p: -scores[p])  # stable: ties keep index order
-        return [_build_solution(problem, order[:b]) for b in budgets]
+        order = np.argsort(-scores, kind="stable")  # ties keep index order
+        return [_build_solution(problem, scores, den, order[:b]) for b in budgets]
     costs = problem.costs.tolist()
     bmax = min(max(budgets, default=0), sum(costs))
     table_bytes = (n + 8) * (bmax + 1)  # boolean keep rows plus one 8-byte value row
@@ -196,8 +187,7 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
             f"budget {bmax} needs a {table_bytes:,}-byte knapsack table, "
             f"more than the {memory:,} bytes of physical memory"
         )
-    # object dtype: exact arithmetic for extreme weights, at reduced speed
-    best = np.zeros(bmax + 1, dtype=object if sum(scores) >= _INT64_SAFE else np.int64)
+    best = np.zeros(bmax + 1, dtype=scores.dtype)
     keep = np.zeros((n, bmax + 1), dtype=bool)
     for j in range(n - 1, -1, -1):
         c, s = costs[j], scores[j]
@@ -212,14 +202,15 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
             if keep[j, b]:
                 chosen.append(j)
                 b -= costs[j]
-        solutions.append(_build_solution(problem, chosen))
+        solutions.append(_build_solution(problem, scores, den, chosen))
     return solutions
 
 
 def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveSolution]:
-    """``solve`` at every budget in ``budgets``, in order, from one sort or one table.
+    """The optimal selection at every budget in ``budgets``, in order.
 
-    The data are validated once, as a problem at the largest budget.
+    The data are validated once, as a problem at the largest budget. Unit
+    costs are answered from one sort, any other costs from one table.
     """
     budgets = _as_costs(budgets, "budgets").tolist()
     problem = ReserveProblem(values, weights, costs, max(budgets, default=0))
@@ -246,10 +237,9 @@ def solve_dp(problem: ReserveProblem) -> ReserveSolution:
 
 
 def solve(problem: ReserveProblem) -> ReserveSolution:
-    """Dispatch to the unit-cost fast path when it applies, otherwise to the DP."""
-    if np.all(problem.costs == 1):
-        return solve_topk(problem)
-    return solve_dp(problem)
+    """``solve_sweep`` at the problem's one budget."""
+    [solution] = solve_sweep(problem.values, problem.weights, problem.costs, [problem.budget])
+    return solution
 
 
 def solve_bruteforce(problem: ReserveProblem) -> ReserveSolution:
@@ -259,13 +249,10 @@ def solve_bruteforce(problem: ReserveProblem) -> ReserveSolution:
         raise EnumerationLimitError(
             f"refusing to enumerate 2^{n} subsets; limit is {BRUTEFORCE_LIMIT} parcels"
         )
-    scores, _ = _integer_scores(problem)
+    scores, den = _integer_scores(problem)
     total = 1 << n
     masks = np.arange(total, dtype=np.uint32)
-    dtype: type | np.dtype = np.int64
-    if sum(scores) >= _INT64_SAFE:
-        dtype = object
-    subset_score = np.zeros(total, dtype=dtype)
+    subset_score = np.zeros(total, dtype=scores.dtype)
     subset_cost = np.zeros(total, dtype=np.int64)
     for j in range(n):
         picked = ((masks >> j) & 1).astype(bool)
@@ -281,4 +268,4 @@ def solve_bruteforce(problem: ReserveProblem) -> ReserveSolution:
         reversed_key |= ((candidates >> j) & 1) << (n - 1 - j)
     winner = int(candidates[int(np.argmax(reversed_key))])
     chosen = [j for j in range(n) if (winner >> j) & 1]
-    return _build_solution(problem, chosen)
+    return _build_solution(problem, scores, den, chosen)

@@ -323,7 +323,32 @@ class TestErrorHandling:
         assert "wide.json: budget 1000000000000 needs a" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_render_table_beyond_memory_exits_1_and_names_file(self, workspace, tmp_path, capsys):
+        scenario = tmp_path / "wide.json"
+        obj = fileio.read_json(workspace / "scenarios/case1.json")
+        obj["costs"] = [10**12] * len(obj["costs"])
+        fileio.write_json(scenario, obj)
+        out = tmp_path / "o.svg"
+        code = main(["render", "--scenario", str(scenario), "--budget", str(10**12), "--out", str(out)])
+        assert code == 1
+        assert "wide.json: budget 1000000000000 needs a" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep"], ["render", "--budget", "5"]])
+    def test_negative_scenario_weight_exits_1_and_names_file(
+        self, workspace, tmp_path, capsys, command
+    ):
+        scenario = tmp_path / "neg.json"
+        obj = fileio.read_json(workspace / "scenarios/case1.json")
+        obj["weights"] = [[1, 1], [-1, 1]]
+        fileio.write_json(scenario, obj)
+        out = tmp_path / "out"
+        code = main([*command, "--scenario", str(scenario), "--out", str(out)])
+        assert code == 1
+        assert "neg.json: scenario: weights must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rounded", [False, True])
     def test_overflowing_projection_exits_1_and_names_step(self, tmp_path, capsys, rounded):
         counts = tmp_path / "c.json"

@@ -172,7 +172,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(grid, single_species())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_the_step_and_the_first_bad_parcel(self):
         # Parcel 0 stays empty; parcels 1 and 2 leave the float range at step 2.
         grid = CountsGrid(n=2, counts=np.array([[[0, 100], [100, 0]]]))

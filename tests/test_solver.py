@@ -16,7 +16,7 @@ from reserveplan import (
     solve_dp,
     solve_topk,
 )
-from reserveplan.solver import solve_sweep
+from reserveplan.solver import _integer_scores, solve_sweep
 from conftest import random_problem
 
 
@@ -179,6 +179,9 @@ class TestSolveSweep:
             assert sol.x.tolist() == oracle.x.tolist()
             assert sol.objective == oracle.objective
             assert sol.spent == oracle.spent
+            # the oracle reads the same scores, so check the objective apart from them
+            exact = sum((w * int(row @ sol.x) for w, row in zip(p.weights, p.values)), Fraction(0))
+            assert sol.objective == exact
 
     def test_huge_weights_take_exact_path(self):
         values, weights, costs = np.array([[50, 49, 3, 7]]), (Fraction(2**70, 3),), [1, 2, 1, 3]
@@ -192,6 +195,23 @@ class TestSolveSweep:
             assert sol.x.tolist() == oracle.x.tolist()
             assert sol.objective == oracle.objective
             assert sol.spent == oracle.spent
+
+    def test_huge_weights_take_exact_topk_path(self):
+        # parcels 0 and 3 tie; parcel 1 beats parcel 2 only by 1/7, far below float resolution
+        values = np.array([[50, 49, 49, 50], [0, 1, 0, 0]])
+        weights = (Fraction(2**70, 3), Fraction(1, 7))
+        p = ReserveProblem(values=values, weights=weights, costs=[1, 1, 1, 1], budget=4)
+        assert _integer_scores(p)[0].dtype == object
+        budgets = [0, 1, 2, 3, 4]
+        sols = solve_sweep(values, weights, p.costs, budgets)
+        assert [sol.protected_indices() for sol in sols[:4]] == [[], [0], [0, 3], [0, 1, 3]]
+        assert sols[3].objective == Fraction(2**70, 3) * 149 + Fraction(1, 7)
+        for budget, sol in zip(budgets, sols):
+            oracle = solve_bruteforce(
+                ReserveProblem(values=values, weights=weights, costs=p.costs, budget=budget)
+            )
+            assert sol.x.tolist() == oracle.x.tolist()
+            assert sol.objective == oracle.objective
 
     def test_every_budget_is_checked(self):
         for budgets in ([3, 1.5], [2, -1]):

@@ -37,10 +37,10 @@ SPECIES = SpeciesSpec(
 PARAMS = default_params(2)
 
 
-def _scenario(budgets=(0, 2, 4), costs=(1, 1, 1, 1)):
+def _scenario(budgets=(0, 2, 4), costs=(1, 1, 1, 1), weights=(Fraction(1),)):
     return Scenario(
         species=(SPECIES,),
-        weights=(Fraction(1),),
+        weights=weights,
         budgets=budgets,
         costs=costs,
         lv_params=default_params(1),
@@ -59,13 +59,20 @@ FIELDS = {
         [1, 2, 3],
         True,
     ),
+    "problem.weights": (
+        lambda v: ReserveProblem(values=[[1, 2, 3], [4, 5, 6]], weights=v, costs=[1, 2, 3], budget=3),
+        [Fraction(1, 3), 2],
+        False,
+    ),
     "problem.budget": (
         lambda v: ReserveProblem(values=[[1, 2, 3]], weights=(1,), costs=[1, 2, 3], budget=v),
         3,
         True,
     ),
     "solution.x": (lambda v: ReserveSolution(x=v, objective=Fraction(1), spent=1), [1, 0, 1], True),
+    "landscape.n": (lambda v: Landscape(n=v, values=np.full((N, N), 0.5)), N, True),
     "landscape.values": (lambda v: Landscape(n=N, values=v), [[0.0, 0.25], [0.5, 1.0]], False),
+    "counts.n": (lambda v: CountsGrid(n=v, counts=COUNTS), N, True),
     "counts.counts": (lambda v: CountsGrid(n=N, counts=v), COUNTS.tolist(), True),
     "params.r": (lambda v: LVParams(r=v, alpha=PARAMS.alpha, beta=PARAMS.beta), [0.1, 0.2], False),
     "params.alpha": (
@@ -84,6 +91,7 @@ FIELDS = {
     "lv_step.state": (lambda v: lv_step(v, PARAMS), [1.0, 2.0], False),
     "scenario.budgets": (lambda v: _scenario(budgets=v), [0, 2, 4], True),
     "scenario.costs": (lambda v: _scenario(costs=v), [1, 1, 2, 3], True),
+    "scenario.weights": (lambda v: _scenario(weights=v), ["9/10"], False),
 }
 
 BAD = [math.nan, math.inf, -math.inf, "x"]
@@ -112,6 +120,13 @@ def test_bad_number_is_refused_naming_the_field(field, data):
     # ValueError only: a TypeError or OverflowError here would escape the CLI as a traceback.
     with pytest.raises(ValueError, match=rf"\b{name} must"):
         build(value)
+
+
+@pytest.mark.parametrize("field", ["problem.weights", "scenario.weights"])
+def test_negative_weight_is_refused_naming_the_field(field):
+    build, valid, _ = FIELDS[field]
+    with pytest.raises(ValueError, match=r"\bweights must be nonnegative"):
+        build([-1, *valid[1:]])
 
 
 LEAVES = {
