@@ -1,4 +1,4 @@
-"""The numeric checks behind every constructor that takes numbers: arrays and weights."""
+"""The numeric checks behind every constructor that takes numbers: shapes, arrays and weights."""
 
 from __future__ import annotations
 
@@ -8,18 +8,34 @@ from numbers import Integral, Real
 import numpy as np
 
 
-def as_numbers(value, name: str, *, integer: bool = False, hi: float | None = None) -> np.ndarray:
+class InvalidDimensionError(ValueError):
+    """An array or a single-number field has the wrong shape, or a grid side length is below 1."""
+
+
+def as_numbers(
+    value, name: str, *, integer: bool = False, hi: float | None = None, shape: tuple | None = None
+) -> np.ndarray:
     """``value`` as a float64 array, or as an int64 array when ``integer`` is set.
 
-    Raises ValueError naming ``name`` for non-numeric or ragged input, NaN or
-    infinities, fractions where integers are required, integers outside int64,
-    and values below 0 or above ``hi``. The upper bound is checked first, so a
-    NaN under it is reported as out of range.
+    When ``shape`` is given, the array must have it: ``None`` in it matches
+    any length, and ``()`` asks for a single number. A mismatch raises
+    InvalidDimensionError naming ``name``. Raises ValueError naming ``name``
+    for non-numeric or ragged input, NaN or infinities, fractions where
+    integers are required, integers outside int64, and values below 0 or
+    above ``hi``. The upper bound is checked first, so a NaN under it is
+    reported as out of range.
     """
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting
         raise ValueError(f"{name} must be a rectangular array of numbers") from None
+    if shape is not None and (
+        a.ndim != len(shape) or any(d not in (None, got) for d, got in zip(shape, a.shape))
+    ):
+        if shape == ():
+            raise InvalidDimensionError(f"{name} must be a single number, got shape {a.shape}")
+        want = str(shape).replace("None", "any")
+        raise InvalidDimensionError(f"{name} must have shape {want}, got {a.shape}")
     # Python ints past int64 arrive as uint64 or object arrays
     if a.dtype.kind in "uO" and all(isinstance(v, Real) for v in a.flat):
         if integer and all(isinstance(v, Integral) for v in a.flat):

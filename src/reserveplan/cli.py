@@ -80,10 +80,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             params = default_params(observed.species_count)
     try:
         projected = simulate(observed, params)
-        if args.round:
-            obj = fileio.counts_to_obj(round_counts(projected))
-        else:
-            obj = fileio.projected_to_obj(projected)
+        obj = fileio.counts_to_obj(round_counts(projected) if args.round else projected)
     except ValueError as exc:
         raise CLIError(f"{args.params or args.scenario or args.counts}: {exc}") from exc
     fileio.write_json(args.out, obj)

@@ -53,24 +53,20 @@ class LVParams:
     T: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        r = np.atleast_1d(as_numbers(self.r, "r"))
-        beta = np.atleast_1d(as_numbers(self.beta, "beta"))
-        alpha = as_numbers(self.alpha, "alpha")
-        s = r.shape[0]
-        if r.ndim != 1 or beta.shape != (s,) or alpha.shape != (s, s):
-            raise ValueError(
-                f"inconsistent parameter shapes: r {r.shape}, beta {beta.shape}, alpha {alpha.shape}"
-            )
+        r = as_numbers(self.r, "r", shape=(None,))
+        s = len(r)
+        beta = as_numbers(self.beta, "beta", shape=(s,))
+        alpha = as_numbers(self.alpha, "alpha", shape=(s, s))
         if np.any(np.diag(alpha) != 0.0):
             raise ValueError("alpha must have a zero diagonal; crowding lives in beta")
-        dt = float(as_numbers(self.dt, "dt"))
+        dt = float(as_numbers(self.dt, "dt", shape=()))
         if dt == 0.0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "T", int(as_numbers(self.T, "T", integer=True)))
+        object.__setattr__(self, "T", int(as_numbers(self.T, "T", integer=True, shape=())))
 
     @property
     def species_count(self) -> int:
@@ -102,19 +98,13 @@ def default_params(
 
 @dataclass(frozen=True, eq=False)
 class SimulatedGrid:
-    """Real-valued projected counts plus the parameters and source grid that produced them."""
+    """Real-valued projected counts on an n x n grid."""
 
     n: int
     values: np.ndarray  # shape (species, n, n), nonnegative floats
-    params: LVParams
-    source: CountsGrid
 
     def __post_init__(self) -> None:
-        values = as_numbers(self.values, "projected values")
-        if values.ndim != 3 or values.shape[1:] != (self.n, self.n):
-            raise ValueError(
-                f"expected values of shape (species, {self.n}, {self.n}), got {values.shape}"
-            )
+        values = as_numbers(self.values, "projected values", shape=(None, self.n, self.n))
         object.__setattr__(self, "values", values)
 
     @property
@@ -145,12 +135,7 @@ def _step_columns(state: np.ndarray, params: LVParams) -> np.ndarray:
 
 def lv_step(state, params: LVParams) -> np.ndarray:
     """One update step for the per-species counts of a single parcel."""
-    vec = np.atleast_1d(as_numbers(state, "state"))
-    if vec.shape != (params.species_count,):
-        raise ValueError(
-            f"state must hold one count per species, got shape {vec.shape} for "
-            f"{params.species_count} species"
-        )
+    vec = as_numbers(state, "state", shape=(params.species_count,))
     return _step_columns(vec[:, np.newaxis], params)[:, 0]
 
 
@@ -179,7 +164,7 @@ def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
                 if not np.isfinite(column).all():
                     raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
     values = state.reshape(observed.species_count, observed.n, observed.n)
-    return SimulatedGrid(n=observed.n, values=values, params=params, source=observed)
+    return SimulatedGrid(n=observed.n, values=values)
 
 
 def round_counts(simulated: SimulatedGrid) -> CountsGrid:

@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import fmean, median
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,12 +117,10 @@ class Scenario:
         weights = as_weights(self.weights, "weights")
         if len(weights) != len(species):
             raise ValueError(f"{len(weights)} weights for {len(species)} species")
-        budgets = as_numbers(self.budgets, "budgets", integer=True)
-        if budgets.ndim != 1 or np.any(np.diff(budgets) <= 0):
+        budgets = as_numbers(self.budgets, "budgets", integer=True, shape=(None,))
+        if np.any(np.diff(budgets) <= 0):
             raise ValueError("budgets must be strictly ascending and unique")
-        costs = as_numbers(self.costs, "costs", integer=True)
-        if costs.shape != (n * n,):
-            raise ValueError(f"expected {n * n} parcel costs, got shape {costs.shape}")
+        costs = as_numbers(self.costs, "costs", integer=True, shape=(n * n,))
         if self.lv_params.species_count != len(species):
             raise ValueError(
                 f"dynamics parameters cover {self.lv_params.species_count} species, "
@@ -204,37 +202,26 @@ def build_species_suite(
     return suite
 
 
-def default_scenarios(
-    suite: Sequence[SpeciesSpec],
-    *,
-    seed: int | None = None,
-    params_factory: Callable[[int], LVParams] | None = None,
-) -> list[Scenario]:
+def default_scenarios(suite: Sequence[SpeciesSpec], *, seed: int | None = None) -> list[Scenario]:
     """The six standard reserve cases over an 8-species suite, equal weights, unit costs.
 
-    Every case sweeps ``DEFAULT_BUDGETS``. ``params_factory`` maps a species
-    count to dynamics parameters (cases mix 2- and 5-species reserves); the
-    default builds the uniform defaults.
+    Every case sweeps ``DEFAULT_BUDGETS`` under the uniform ``default_params``
+    for its species count (cases mix 2- and 5-species reserves).
     """
     if len(suite) != len(SUITE_LAYOUT):
         raise ValueError(f"expected a suite of {len(SUITE_LAYOUT)} species, got {len(suite)}")
     parcels = suite[0].counts.parcel_count
-    build_params = params_factory if params_factory is not None else default_params
-    scenarios = []
-    for group in CASE_GROUPS:
-        species = tuple(suite[i] for i in group)
-        params = build_params(len(group))
-        scenarios.append(
-            Scenario(
-                species=species,
-                weights=(1,) * len(group),
-                budgets=DEFAULT_BUDGETS,
-                costs=np.ones(parcels, dtype=np.int64),
-                lv_params=params,
-                seed=seed,
-            )
+    return [
+        Scenario(
+            species=tuple(suite[i] for i in group),
+            weights=(1,) * len(group),
+            budgets=DEFAULT_BUDGETS,
+            costs=np.ones(parcels, dtype=np.int64),
+            lv_params=default_params(len(group)),
+            seed=seed,
         )
-    return scenarios
+        for group in CASE_GROUPS
+    ]
 
 
 def similarity(a: ReserveSolution, b: ReserveSolution) -> int:

@@ -3,8 +3,8 @@
 Schemas (all JSON, grids row-major):
 
 * landscape   {"n": int, "values": [float, ...]}
-* counts      {"n": int, "species": int, "counts": [[int, ...], ...]}
-* projected   same shape as counts with real-valued entries
+* counts      {"n": int, "species": int, "counts": [[int, ...], ...]}; projected
+              counts use this schema with real-valued entries
 * params      {"r": [...], "alpha": [[...]], "beta": [...], "dt": float, "T": int}
 * problem     {"values": [[int, ...], ...], "weights": [[num, den], ...],
                "costs": [int, ...], "budget": int}
@@ -45,7 +45,6 @@ __all__ = [
     "landscape_from_obj",
     "counts_to_obj",
     "counts_from_obj",
-    "projected_to_obj",
     "params_to_obj",
     "params_from_obj",
     "problem_to_obj",
@@ -158,7 +157,7 @@ def landscape_from_obj(obj, where: str = "landscape") -> Landscape:
 
 # --- counts / projected counts ------------------------------------------------
 
-def counts_to_obj(grid: CountsGrid) -> dict:
+def counts_to_obj(grid: CountsGrid | SimulatedGrid) -> dict:
     return {"n": grid.n, "species": grid.species_count, "counts": grid.matrix().tolist()}
 
 
@@ -169,11 +168,6 @@ def counts_from_obj(obj, where: str = "counts") -> CountsGrid:
     if n < 1 or len(rows) != species or any(len(row) != n * n for row in rows):
         raise _fail(f"{where}.counts", f"expected {species} per-species arrays of {n * n} entries")
     return _build(CountsGrid, f"{where}.counts", n=n, counts=np.reshape(rows, (species, n, n)))
-
-
-def projected_to_obj(grid: SimulatedGrid) -> dict:
-    """Real-valued projected counts in the counts schema."""
-    return {"n": grid.n, "species": grid.species_count, "counts": grid.matrix().tolist()}
 
 
 # --- dynamics parameters ------------------------------------------------------
@@ -342,14 +336,21 @@ SWEEP_HEADER = ["budget", "similarity", "objective1", "objective2"]
 STATS_HEADER = ["case", "min", "average", "median"]
 
 
-def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Render sweep rows as CSV text (LF line endings, exact rational objectives)."""
+def _csv_text(header: Sequence, rows) -> str:
+    """``header`` and ``rows`` as CSV text with LF line endings."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow([row.budget, row.similarity, str(row.objective_1), str(row.objective_2)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
+    """Render sweep rows as CSV text (LF line endings, exact rational objectives)."""
+    return _csv_text(
+        SWEEP_HEADER,
+        ([r.budget, r.similarity, str(r.objective_1), str(r.objective_2)] for r in rows),
+    )
 
 
 def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
@@ -389,20 +390,13 @@ def stats_to_csv_row(case: str, stats: SimilarityStats) -> list[str]:
 
 
 def write_stats_csv(path: str | os.PathLike, rows: Sequence[Sequence[str]]) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(STATS_HEADER)
-    writer.writerows(rows)
-    write_text_atomic(path, out.getvalue())
+    write_text_atomic(path, _csv_text(STATS_HEADER, rows))
 
 
 def write_plot_csv(
     path: str | os.PathLike, budgets: Sequence[int], series: Sequence[tuple[str, Sequence[int]]]
 ) -> None:
     """Aligned similarity-vs-budget series, one labelled column per sweep."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["budget"] + [label for label, _ in series])
-    for i, budget in enumerate(budgets):
-        writer.writerow([budget] + [values[i] for _, values in series])
-    write_text_atomic(path, out.getvalue())
+    header = ["budget"] + [label for label, _ in series]
+    rows = ([budget] + [values[i] for _, values in series] for i, budget in enumerate(budgets))
+    write_text_atomic(path, _csv_text(header, rows))

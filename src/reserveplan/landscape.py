@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_numbers
+from ._checks import InvalidDimensionError, as_numbers
 
 __all__ = [
     "InvalidDimensionError",
@@ -26,10 +26,6 @@ __all__ = [
     "select_extremes",
     "distribute_population",
 ]
-
-
-class InvalidDimensionError(ValueError):
-    """Grid side length is not positive, or an array has the wrong shape."""
 
 
 class InsufficientCandidatesError(ValueError):
@@ -54,12 +50,10 @@ class Landscape:
     smoothing_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        n = int(as_numbers(self.n, "n", integer=True))
+        n = int(as_numbers(self.n, "n", integer=True, shape=()))
         if n < 1:
             raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
-        values = as_numbers(self.values, "habitat values", hi=1.0)
-        if values.shape != (n, n):
-            raise InvalidDimensionError(f"expected a {n}x{n} value grid, got shape {values.shape}")
+        values = as_numbers(self.values, "habitat values", hi=1.0, shape=(n, n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
@@ -76,14 +70,10 @@ class CountsGrid:
     counts: np.ndarray  # shape (species, n, n)
 
     def __post_init__(self) -> None:
-        n = int(as_numbers(self.n, "n", integer=True))
+        n = int(as_numbers(self.n, "n", integer=True, shape=()))
         if n < 1:
             raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
-        counts = as_numbers(self.counts, "counts", integer=True)
-        if counts.ndim != 3 or counts.shape[1:] != (n, n):
-            raise InvalidDimensionError(
-                f"expected counts of shape (species, {n}, {n}), got {counts.shape}"
-            )
+        counts = as_numbers(self.counts, "counts", integer=True, shape=(None, n, n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_numbers, as_weights
+from ._checks import InvalidDimensionError, as_numbers, as_weights
 
 __all__ = [
     "WrongSolverError",
@@ -60,10 +60,12 @@ class TableTooLargeError(ValueError):
     """The knapsack table for this budget needs more bytes than the machine's memory."""
 
 
-def _as_costs(value, name: str) -> np.ndarray:
-    """Costs or budgets as int64; every refusal is a NonIntegerCostError."""
+def _as_costs(value, name: str, shape: tuple) -> np.ndarray:
+    """Costs or budgets of ``shape`` as int64; every numeric refusal is a NonIntegerCostError."""
     try:
-        return as_numbers(value, name, integer=True)
+        return as_numbers(value, name, integer=True, shape=shape)
+    except InvalidDimensionError:
+        raise
     except ValueError as exc:
         raise NonIntegerCostError(str(exc)) from None
 
@@ -83,24 +85,17 @@ class ReserveProblem:
     budget: int
 
     def __post_init__(self) -> None:
-        values = as_numbers(self.values, "values", integer=True)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"values must be (species, parcels), got shape {values.shape}")
+        values = as_numbers(self.values, "values", integer=True, shape=(None, None))
+        if values.size == 0:
+            raise InvalidDimensionError(f"values must not be empty, got shape {values.shape}")
+        species, parcels = values.shape
         weights = as_weights(self.weights, "weights")
-        if len(weights) != values.shape[0]:
-            raise ValueError(
-                f"{len(weights)} weights for {values.shape[0]} species value rows"
-            )
-        costs = _as_costs(self.costs, "costs")
-        if costs.shape != (values.shape[1],):
-            raise ValueError(
-                f"{costs.shape[0] if costs.ndim == 1 else costs.shape} costs for "
-                f"{values.shape[1]} parcels"
-            )
+        if len(weights) != species:
+            raise ValueError(f"{len(weights)} weights for {species} species value rows")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "budget", int(_as_costs(self.budget, "budget")))
+        object.__setattr__(self, "costs", _as_costs(self.costs, "costs", (parcels,)))
+        object.__setattr__(self, "budget", int(_as_costs(self.budget, "budget", ())))
 
     @property
     def species_count(self) -> int:
@@ -120,9 +115,7 @@ class ReserveSolution:
     spent: int
 
     def __post_init__(self) -> None:
-        x = as_numbers(self.x, "x", integer=True, hi=1)
-        if x.ndim != 1:
-            raise ValueError(f"x must be a flat 0/1 vector, got shape {x.shape}")
+        x = as_numbers(self.x, "x", integer=True, hi=1, shape=(None,))
         object.__setattr__(self, "x", x.astype(np.int8))
 
     @property
@@ -212,7 +205,7 @@ def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveS
     The data are validated once, as a problem at the largest budget. Unit
     costs are answered from one sort, any other costs from one table.
     """
-    budgets = _as_costs(budgets, "budgets").tolist()
+    budgets = _as_costs(budgets, "budgets", (None,)).tolist()
     problem = ReserveProblem(values, weights, costs, max(budgets, default=0))
     return _solve_budgets(problem, budgets, topk=bool(np.all(problem.costs == 1)))
 

@@ -9,6 +9,7 @@ line reports the step count, the horizon and the exact value beside each
 simulated one.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -159,7 +160,8 @@ def test_model_reduction_under_zero_dynamics():
 
     suite = build_species_suite(seed=3, pool_size=200, grid=10)
     ok = True
-    for scenario in default_scenarios(suite, seed=3, params_factory=zero_params):
+    for case in default_scenarios(suite, seed=3):
+        scenario = dataclasses.replace(case, lv_params=zero_params(len(case.species)))
         for row in budget_sweep(scenario):
             if row.similarity != scenario.parcel_count or not np.array_equal(row.x_1, row.x_2):
                 ok = False

@@ -2,10 +2,12 @@
 
 bench/ is only read here. Its tracer must find every function it wraps, undo
 every swap it makes, and meter real calls; its workloads must build and pass
-their own checks at a tiny size.
+their own checks at a tiny size, and their seed-0 reference units at full size
+must write exactly the bytes pinned in bench/pinned.json.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -45,3 +47,12 @@ def test_tiny_workload_runs_and_checks_under_the_tracer(name, tmp_path):
         assert tracer.restore() == []
     assert workload.check(inputs, out, tmp_path) == []
     assert tracer.counts[0]["dynamics.simulate.calls"] > 0
+
+
+@pytest.mark.parametrize("name", ["paper", "knapsack"])
+def test_reference_unit_matches_pinned_digests(name, tmp_path):
+    workload = workloads.workloads()[name]
+    inputs = workload.make_inputs(0)
+    out = workload.run_unit(inputs, tmp_path)
+    pinned = json.loads((BENCH / "pinned.json").read_text())[name]
+    assert workload.digests(inputs, out, tmp_path) == pinned

@@ -180,19 +180,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="overflow at step 2 in parcel 1$"):
             simulate(grid, params)
 
-    def test_source_and_params_recorded(self):
-        grid = CountsGrid(n=2, counts=np.ones((1, 2, 2), dtype=int))
-        params = single_species(T=10)
-        result = simulate(grid, params)
-        assert result.source is grid
-        assert result.params is params
-
 
 def projected(values: np.ndarray) -> SimulatedGrid:
     values = np.asarray(values, dtype=float)
-    n = values.shape[1]
-    source = CountsGrid(n=n, counts=np.zeros_like(values, dtype=np.int64))
-    return SimulatedGrid(n=n, values=values, params=single_species(T=0), source=source)
+    return SimulatedGrid(n=values.shape[1], values=values)
 
 
 class TestRoundCounts:

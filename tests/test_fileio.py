@@ -57,7 +57,7 @@ class TestCountsSchema:
     def test_projected_counts_keep_fractions(self):
         grid = CountsGrid(n=2, counts=np.ones((1, 2, 2), dtype=np.int64))
         projected = simulate(grid, default_params(1, T=3))
-        obj = fileio.projected_to_obj(projected)
+        obj = fileio.counts_to_obj(projected)
         assert obj["n"] == 2 and obj["species"] == 1
         assert obj["counts"][0] == pytest.approx(list(projected.matrix()[0]))
 

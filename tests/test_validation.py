@@ -1,4 +1,4 @@
-"""Every constructor refuses bad numbers through one check, and fileio names bad JSON leaves."""
+"""Every constructor refuses bad numbers and shapes through one check, and fileio names bad JSON leaves."""
 
 import math
 import re
@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from reserveplan import (
     CountsGrid,
+    InvalidDimensionError,
     LVParams,
+    NonIntegerCostError,
     Landscape,
     ReserveProblem,
     ReserveSolution,
@@ -23,6 +25,7 @@ from reserveplan import (
 )
 from reserveplan import fileio
 from reserveplan.fileio import SchemaError
+from reserveplan.solver import solve_sweep
 
 N = 2
 COUNTS = np.arange(N * N).reshape(1, N, N)
@@ -84,7 +87,7 @@ FIELDS = {
     "params.dt": (lambda v: LVParams(r=PARAMS.r, alpha=PARAMS.alpha, beta=PARAMS.beta, dt=v), 0.5, False),
     "params.T": (lambda v: LVParams(r=PARAMS.r, alpha=PARAMS.alpha, beta=PARAMS.beta, T=v), 10, True),
     "projected.values": (
-        lambda v: SimulatedGrid(n=N, values=v, params=default_params(1), source=GRID),
+        lambda v: SimulatedGrid(n=N, values=v),
         [[[0.0, 1.5], [2.0, 3.0]]],
         False,
     ),
@@ -127,6 +130,54 @@ def test_negative_weight_is_refused_naming_the_field(field):
     build, valid, _ = FIELDS[field]
     with pytest.raises(ValueError, match=r"\bweights must be nonnegative"):
         build([-1, *valid[1:]])
+
+
+# (field, a value of the wrong shape): a list for every scalar, a wrong length or rank for every array
+WRONG_SHAPES = [
+    ("landscape.n", [N, 3]),
+    ("counts.n", [N]),
+    ("params.dt", [0.5, 0.5]),
+    ("params.T", [10, 20]),
+    ("problem.budget", [1, 2]),
+    ("problem.values", [1, 2, 3]),
+    ("problem.values", [[]]),
+    ("problem.costs", [1, 2]),
+    ("problem.costs", [[1, 2, 3]]),
+    ("solution.x", [[1, 0, 1]]),
+    ("landscape.values", [[0.0, 0.25, 0.5], [0.5, 1.0, 1.0]]),
+    ("landscape.values", [0.0, 0.25, 0.5, 1.0]),
+    ("counts.counts", COUNTS[0].tolist()),
+    ("counts.counts", [[[0, 1, 2], [3, 4, 5]]]),
+    ("params.r", 0.1),
+    ("params.r", [[0.1, 0.2]]),
+    ("params.alpha", [[0.0]]),
+    ("params.alpha", [0.0, 0.5]),
+    ("params.beta", [0.1, 0.2, 0.3]),
+    ("params.beta", 0.1),
+    ("projected.values", [[0.0, 1.5], [2.0, 3.0]]),
+    ("lv_step.state", [1.0, 2.0, 3.0]),
+    ("lv_step.state", 1.0),
+    ("scenario.budgets", [[0, 2, 4]]),
+    ("scenario.costs", [1, 1, 1]),
+    ("sweep.budgets", [[1, 2]]),
+]
+SHAPE_BUILDS = {
+    **{field: build for field, (build, _, _) in FIELDS.items()},
+    "sweep.budgets": lambda v: solve_sweep([[1, 2]], (1,), [1, 1], v),
+}
+
+
+@pytest.mark.parametrize("field, value", WRONG_SHAPES, ids=[f for f, _ in WRONG_SHAPES])
+def test_wrong_shape_is_refused_naming_the_field(field, value):
+    name = field.split(".")[1]
+    with pytest.raises(InvalidDimensionError, match=rf"\b{name} must"):
+        SHAPE_BUILDS[field](value)
+
+
+def test_cost_length_mismatch_is_a_shape_error_not_a_cost_error():
+    with pytest.raises(InvalidDimensionError, match=r"^costs must have shape \(3,\), got \(2,\)$") as info:
+        ReserveProblem(values=[[1, 2, 3]], weights=(1,), costs=[1, 2], budget=3)
+    assert not isinstance(info.value, NonIntegerCostError)
 
 
 LEAVES = {
