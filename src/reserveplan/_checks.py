@@ -13,12 +13,12 @@ class InvalidDimensionError(ValueError):
 
 
 def as_numbers(
-    value, name: str, *, integer: bool = False, hi: float | None = None, shape: tuple | None = None
+    value, name: str, *, shape: tuple, integer: bool = False, hi: float | None = None
 ) -> np.ndarray:
     """``value`` as a float64 array, or as an int64 array when ``integer`` is set.
 
-    When ``shape`` is given, the array must have it: ``None`` in it matches
-    any length, and ``()`` asks for a single number. A mismatch raises
+    The array must have ``shape``: ``None`` in it matches any length, and
+    ``()`` asks for a single number. A mismatch raises
     InvalidDimensionError naming ``name``. Raises ValueError naming ``name``
     for non-numeric or ragged input, NaN or infinities, fractions where
     integers are required, integers outside int64, and values below 0 or
@@ -29,9 +29,7 @@ def as_numbers(
         a = np.asarray(value)
     except ValueError:  # ragged nesting
         raise ValueError(f"{name} must be a rectangular array of numbers") from None
-    if shape is not None and (
-        a.ndim != len(shape) or any(d not in (None, got) for d, got in zip(shape, a.shape))
-    ):
+    if a.ndim != len(shape) or any(d not in (None, got) for d, got in zip(shape, a.shape)):
         if shape == ():
             raise InvalidDimensionError(f"{name} must be a single number, got shape {a.shape}")
         want = str(shape).replace("None", "any")

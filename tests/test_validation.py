@@ -170,13 +170,8 @@ SHAPE_BUILDS = {
 @pytest.mark.parametrize("field, value", WRONG_SHAPES, ids=[f for f, _ in WRONG_SHAPES])
 def test_wrong_shape_is_refused_naming_the_field(field, value):
     name = field.split(".")[1]
-    with pytest.raises(InvalidDimensionError, match=rf"\b{name} must"):
+    with pytest.raises(InvalidDimensionError, match=rf"\b{name} must") as info:
         SHAPE_BUILDS[field](value)
-
-
-def test_cost_length_mismatch_is_a_shape_error_not_a_cost_error():
-    with pytest.raises(InvalidDimensionError, match=r"^costs must have shape \(3,\), got \(2,\)$") as info:
-        ReserveProblem(values=[[1, 2, 3]], weights=(1,), costs=[1, 2], budget=3)
     assert not isinstance(info.value, NonIntegerCostError)
 
 
