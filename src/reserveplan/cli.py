@@ -5,12 +5,14 @@ Subcommands: ``generate`` (landscape pool, species suite, scenario files),
 problem), ``sweep`` (scenario to budget-sweep CSV), ``render`` (solutions to
 an SVG map), ``report`` (sweep CSVs to a stats table and plot data). All
 randomness enters through an explicit --seed; exit status is 0 on success,
-1 with a one-line ``error:`` message on bad input, 2 on usage errors.
+1 with a one-line ``error:`` message naming the input at fault, 2 on usage
+errors, among them a flag that does not apply to the chosen input mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -26,9 +28,8 @@ from .experiment import (
     summarize,
     summarize_similarities,
 )
-from .fileio import SchemaError
 from .render import Panel, RenderSpec, caption_text, render_grid
-from .solver import ReserveProblem, TableTooLargeError, solve, solve_sweep
+from .solver import ReserveProblem, solve, solve_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -37,13 +38,36 @@ class CLIError(Exception):
     """Fatal input problem; the message names the offending file (and field)."""
 
 
-def _read(path, convert):
+@contextlib.contextmanager
+def _blame(path):
+    """Report an OSError or ValueError raised inside as a CLIError naming ``path``."""
     try:
-        return convert(fileio.read_json(path))
-    except SchemaError as exc:
-        raise CLIError(f"{path}: {exc}") from exc
+        yield
     except OSError as exc:
         raise CLIError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise CLIError(f"{path}: {exc}") from exc
+
+
+def _read(path, convert):
+    with _blame(path):
+        return convert(fileio.read_json(path))
+
+
+def _mode(args, mode: str, needs: str | None = None, refuses: tuple = ()) -> None:
+    """Exit 2 unless the ``mode`` input has the flag ``needs`` and none of ``refuses``."""
+    if needs is not None and getattr(args, needs) is None:
+        args.parser.error(f"--{mode} input needs --{needs}")
+    for flag in refuses:
+        if getattr(args, flag) is not None:
+            args.parser.error(f"--{flag} does not apply to --{mode} input")
+
+
+def _budget(text: str) -> int:
+    """A nonnegative integer ``--budget``; argparse reports a refusal as a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _cmd_generate(args) -> int:
@@ -63,69 +87,51 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
-    if (args.scenario is None) == (args.counts is None):
-        parser.error("simulate needs exactly one of --scenario or --counts")
+def _cmd_simulate(args) -> int:
     if args.scenario is not None:
-        if args.params is not None:
-            parser.error("--params only applies to --counts input")
+        _mode(args, "scenario", refuses=("params",))
         scenario = _read(args.scenario, fileio.scenario_from_obj)
-        observed = scenario.observed()
-        params = scenario.lv_params
+        observed, params = scenario.observed(), scenario.lv_params
     else:
         observed = _read(args.counts, fileio.counts_from_obj)
+        params = default_params(observed.species_count)
         if args.params is not None:
             params = _read(args.params, fileio.params_from_obj)
-        else:
-            params = default_params(observed.species_count)
-    try:
+    with _blame(args.params or args.scenario or args.counts):
         projected = simulate(observed, params)
         obj = fileio.counts_to_obj(round_counts(projected) if args.round else projected)
-    except ValueError as exc:
-        raise CLIError(f"{args.params or args.scenario or args.counts}: {exc}") from exc
     fileio.write_json(args.out, obj)
     print(f"wrote {args.out} ({params.T} steps of {params.dt:g})")
     return 0
 
 
-def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
-    if (args.problem is None) == (args.counts is None):
-        parser.error("solve needs exactly one of --problem or --counts")
+def _cmd_solve(args) -> int:
     if args.problem is not None:
-        if args.budget is not None or args.weights is not None:
-            parser.error("--budget/--weights only apply to --counts input")
+        _mode(args, "problem", refuses=("budget", "weights"))
         problem = _read(args.problem, fileio.problem_from_obj)
     else:
-        if args.budget is None:
-            parser.error("--counts input needs --budget")
+        _mode(args, "counts", needs="budget")
         counts = _read(args.counts, fileio.counts_from_obj)
         weights = (1,) * counts.species_count
         if args.weights is not None:
             weights = as_weights(args.weights.split(","), "--weights")
-        problem = ReserveProblem(
-            values=counts.matrix(),
-            weights=weights,
-            costs=np.ones(counts.parcel_count, dtype=np.int64),
-            budget=args.budget,
-        )
-    try:
+        with _blame(args.counts):
+            problem = ReserveProblem(
+                values=counts.matrix(),
+                weights=weights,
+                costs=np.ones(counts.parcel_count, dtype=np.int64),
+                budget=args.budget,
+            )
+    with _blame(args.problem or args.counts):
         solution = solve(problem)
-    except TableTooLargeError as exc:
-        raise CLIError(f"{args.problem}: {exc}") from exc
     fileio.write_json(args.out, fileio.solution_to_obj(solution))
-    print(
-        f"wrote {args.out} (objective {solution.objective}, spent {solution.spent} "
-        f"of {problem.budget})"
-    )
+    print(f"wrote {args.out} (objective {solution.objective}, spent {solution.spent} of {problem.budget})")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _read(args.scenario, fileio.scenario_from_obj)
-    try:
-        rows = budget_sweep(scenario)
-    except ValueError as exc:
-        raise CLIError(f"{args.scenario}: {exc}") from exc
+    with _blame(args.scenario):
+        rows = budget_sweep(_read(args.scenario, fileio.scenario_from_obj))
     fileio.write_text_atomic(args.out, fileio.sweep_rows_to_csv(rows))
     note = f"wrote {args.out} ({len(rows)} budgets)"
     if len(rows) >= 3:
@@ -135,43 +141,28 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
-    if (args.scenario is None) == (args.counts is None):
-        parser.error("render needs exactly one of --scenario or --counts")
+def _cmd_render(args) -> int:
     if args.scenario is not None:
-        if args.budget is None:
-            parser.error("--scenario input needs --budget")
-        scenario = _read(args.scenario, fileio.scenario_from_obj)
-        observed = scenario.observed()
-        panels = []
-        try:
+        _mode(args, "scenario", needs="budget", refuses=("solution", "counts2", "solution2"))
+        with _blame(args.scenario):
+            scenario = _read(args.scenario, fileio.scenario_from_obj)
+            observed = scenario.observed()
             projected = round_counts(simulate(observed, scenario.lv_params))
+            panels = []
             for label, grid in (("observed counts", observed), ("projected counts", projected)):
                 [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
-                panels.append(Panel(label=label, counts=grid, solution=solution))
-        except ValueError as exc:
-            raise CLIError(f"{args.scenario}: {exc}") from exc
-        spec = RenderSpec(panels=tuple(panels))
+                panels.append(Panel(label, grid, solution))
     else:
-        if args.solution is None:
-            parser.error("--counts input needs --solution")
+        _mode(args, "counts", needs="solution", refuses=("budget",))
         if (args.counts2 is None) != (args.solution2 is None):
-            parser.error("--counts2 and --solution2 go together")
-        panels = [
-            Panel(
-                label=Path(args.solution).stem,
-                counts=_read(args.counts, fileio.counts_from_obj),
-                solution=_read(args.solution, fileio.solution_from_obj),
-            )
-        ]
-        if args.counts2 is not None:
-            panels.append(
-                Panel(
-                    label=Path(args.solution2).stem,
-                    counts=_read(args.counts2, fileio.counts_from_obj),
-                    solution=_read(args.solution2, fileio.solution_from_obj),
-                )
-            )
+            args.parser.error("--counts2 and --solution2 go together")
+        panels = []
+        pairs = [(args.counts, args.solution), (args.counts2, args.solution2)]
+        for counts, solution in pairs[: 1 + (args.counts2 is not None)]:
+            grid = _read(counts, fileio.counts_from_obj)
+            with _blame(solution):
+                panels.append(Panel(Path(solution).stem, grid, _read(solution, fileio.solution_from_obj)))
+    with _blame(args.counts2):  # only a second counts grid can differ from the first
         spec = RenderSpec(panels=tuple(panels))
     fileio.write_text_atomic(args.out, render_grid(spec))
     caption = caption_text(spec)
@@ -180,40 +171,20 @@ def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args) -> int:
-    parsed = []
+    cases = []  # (label, budgets, similarities, stats) per sweep
     for path in args.sweeps:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise CLIError(f"{path}: {exc.strerror or exc}") from exc
-        try:
-            rows = fileio.sweep_csv_to_rows(text)
-        except SchemaError as exc:
-            raise CLIError(f"{path}: {exc}") from exc
-        rows.sort(key=lambda r: r["budget"])
-        parsed.append((Path(path).stem, rows))
-    stats_rows = []
-    for label, rows in parsed:
-        try:
-            stats = summarize_similarities(
-                [r["budget"] for r in rows], [r["similarity"] for r in rows]
-            )
-        except ValueError as exc:
-            raise CLIError(f"{label}: {exc}") from exc
-        stats_rows.append(fileio.stats_to_csv_row(label, stats))
-    fileio.write_stats_csv(args.out, stats_rows)
-    print(f"wrote {args.out} ({len(stats_rows)} cases)")
+        with _blame(path):
+            rows = sorted(fileio.sweep_csv_to_rows(Path(path).read_text()), key=lambda r: r["budget"])
+            budgets, similarities = [r["budget"] for r in rows], [r["similarity"] for r in rows]
+            stats = summarize_similarities(budgets, similarities)
+            if args.plot_out and cases and budgets != cases[0][1]:
+                raise ValueError(f"budget grid differs from {args.sweeps[0]}; cannot align plot data")
+        cases.append((Path(path).stem, budgets, similarities, stats))
+    fileio.write_stats_csv(args.out, [fileio.stats_to_csv_row(label, st) for label, _, _, st in cases])
+    print(f"wrote {args.out} ({len(cases)} cases)")
     if args.plot_out:
-        budgets = [r["budget"] for r in parsed[0][1]]
-        series = []
-        for label, rows in parsed:
-            if [r["budget"] for r in rows] != budgets:
-                raise CLIError(
-                    f"{label}: budget grid differs from {parsed[0][0]}; cannot align plot data"
-                )
-            series.append((label, [r["similarity"] for r in rows]))
-        fileio.write_plot_csv(args.plot_out, budgets, series)
-        print(f"wrote {args.plot_out} ({len(budgets)} budgets x {len(series)} series)")
+        fileio.write_plot_csv(args.plot_out, cases[0][1], [(label, sim) for label, _, sim, _ in cases])
+        print(f"wrote {args.plot_out} ({len(cases[0][1])} budgets x {len(cases)} series)")
     return 0
 
 
@@ -230,44 +201,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-size", type=int, default=10_000, help="landscapes to generate")
     p.add_argument("--grid", type=int, default=10, help="landscape side length")
     p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
-    p.set_defaults(func=lambda a: _cmd_generate(a))
+    p.set_defaults(func=_cmd_generate, parser=p)
 
     p = sub.add_parser("simulate", help="project a counts grid forward in time")
-    p.add_argument("--scenario", help="scenario JSON; uses its counts and parameters")
-    p.add_argument("--counts", help="counts JSON to project")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scenario", help="scenario JSON; uses its counts and parameters")
+    mode.add_argument("--counts", help="counts JSON to project")
     p.add_argument("--params", help="dynamics parameter JSON (defaults per species count)")
     p.add_argument("--round", action="store_true", help="round output to integer counts")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.set_defaults(func=lambda a, _p=p: _cmd_simulate(a, _p))
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("solve", help="solve one parcel-selection problem")
-    p.add_argument("--problem", help="problem JSON")
-    p.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
-    p.add_argument("--budget", type=int, help="budget for --counts input")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--problem", help="problem JSON")
+    mode.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
+    p.add_argument("--budget", type=_budget, help="budget for --counts input")
     p.add_argument("--weights", help="comma-separated species weights, e.g. 9/10,1/10")
     p.add_argument("--out", required=True, help="solution JSON output path")
-    p.set_defaults(func=lambda a, _p=p: _cmd_solve(a, _p))
+    p.set_defaults(func=_cmd_solve, parser=p)
 
     p = sub.add_parser("sweep", help="run a scenario's budget sweep to CSV")
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--out", required=True, help="sweep CSV output path")
-    p.set_defaults(func=lambda a: _cmd_sweep(a))
+    p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("render", help="render protection maps to SVG")
-    p.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
-    p.add_argument("--budget", type=int, help="budget for --scenario input")
-    p.add_argument("--counts", help="counts JSON annotating the first panel")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
+    mode.add_argument("--counts", help="counts JSON annotating the first panel")
+    p.add_argument("--budget", type=_budget, help="budget for --scenario input")
     p.add_argument("--solution", help="solution JSON for the first panel")
     p.add_argument("--counts2", help="counts JSON annotating the second panel")
     p.add_argument("--solution2", help="solution JSON for the second panel")
     p.add_argument("--out", required=True, help="SVG output path")
-    p.set_defaults(func=lambda a, _p=p: _cmd_render(a, _p))
+    p.set_defaults(func=_cmd_render, parser=p)
 
     p = sub.add_parser("report", help="summarize sweep CSVs into a stats table")
     p.add_argument("sweeps", nargs="+", help="sweep CSV files, one case each")
     p.add_argument("--out", required=True, help="stats CSV output path")
     p.add_argument("--plot-out", help="aligned similarity-vs-budget CSV for plotting")
-    p.set_defaults(func=lambda a: _cmd_report(a))
+    p.set_defaults(func=_cmd_report, parser=p)
 
     return parser
 

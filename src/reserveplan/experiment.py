@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_numbers, as_weights
+from ._checks import InvalidDimensionError, as_numbers, as_weights
 from .dynamics import LVParams, default_params, round_counts, simulate
 from .landscape import (
     CountsGrid,
@@ -91,6 +91,9 @@ class SpeciesSpec:
     def __post_init__(self) -> None:
         if self.counts.species_count != 1:
             raise ValueError("a species spec holds a single-species counts grid")
+        n, side = self.counts.n, self.landscape.n
+        if side != n:
+            raise InvalidDimensionError(f"landscape must be {n}x{n} like its counts, got {side}x{side}")
         placed = int(self.counts.totals()[0])
         if placed != self.total:
             raise ValueError(f"counts sum to {placed}, expected total {self.total}")

@@ -26,7 +26,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -72,10 +71,9 @@ class SchemaError(ValueError):
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see partial output."""
     path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent or Path("."), prefix=path.name, suffix=".tmp"
-        )
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:  # mode 0o666 lets the umask set the permissions, as open() would
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     except FileNotFoundError:
         raise FileNotFoundError(
             f"cannot write {path}: directory {path.parent} does not exist"
@@ -362,7 +360,7 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
         raise _fail(where, "empty CSV") from None
     if header != SWEEP_HEADER:
         raise _fail(f"{where}.header", f"expected {','.join(SWEEP_HEADER)}, got {','.join(header)}")
-    rows = []
+    rows, lines = [], {}  # lines: budget -> line number it was first read on
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
@@ -379,6 +377,10 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
             )
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(f"{where}.line{lineno}", str(exc)) from exc
+        budget = rows[-1]["budget"]
+        if budget in lines:
+            raise _fail(f"{where}.line{lineno}", f"budget {budget} repeats line {lines[budget]}")
+        lines[budget] = lineno
     if not rows:
         raise _fail(where, "no data rows")
     return rows

@@ -52,7 +52,7 @@ class Landscape:
     def __post_init__(self) -> None:
         n = int(as_numbers(self.n, "n", integer=True, shape=()))
         if n < 1:
-            raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
+            raise InvalidDimensionError(f"n must be >= 1, got {n}")
         values = as_numbers(self.values, "habitat values", hi=1.0, shape=(n, n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
@@ -72,7 +72,7 @@ class CountsGrid:
     def __post_init__(self) -> None:
         n = int(as_numbers(self.n, "n", integer=True, shape=()))
         if n < 1:
-            raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
+            raise InvalidDimensionError(f"n must be >= 1, got {n}")
         counts = as_numbers(self.counts, "counts", integer=True, shape=(None, n, n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)

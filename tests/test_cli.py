@@ -220,15 +220,61 @@ class TestErrorHandling:
             main(["sweep", "--scenario", "x.json", "--out", "y.csv", "--bogus"])
         assert exc.value.code == 2
 
-    def test_simulate_requires_one_input_mode(self, workspace):
+    # (subcommand and flags, a piece of the usage message); none of the named files exist,
+    # since each misuse is refused before any file is read
+    MISUSE = {
+        "simulate-no-mode": (["simulate"], "one of the arguments --scenario --counts is required"),
+        "simulate-two-modes": (["simulate", "--scenario", "a.json", "--counts", "b.json"], "not allowed with"),
+        "simulate-scenario-params": (
+            ["simulate", "--scenario", "a.json", "--params", "p.json"],
+            "--params does not apply to --scenario input",
+        ),
+        "solve-no-mode": (["solve", "--budget", "3"], "one of the arguments --problem --counts is required"),
+        "solve-two-modes": (["solve", "--problem", "a.json", "--counts", "b.json"], "not allowed with"),
+        "solve-problem-budget": (
+            ["solve", "--problem", "a.json", "--budget", "3"], "--budget does not apply to --problem input"
+        ),
+        "solve-problem-weights": (
+            ["solve", "--problem", "a.json", "--weights", "1"], "--weights does not apply to --problem input"
+        ),
+        "solve-counts-no-budget": (["solve", "--counts", "c.json"], "--counts input needs --budget"),
+        "solve-negative-budget": (
+            ["solve", "--counts", "c.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
+        ),
+        "render-no-mode": (["render", "--budget", "3"], "one of the arguments --scenario --counts is required"),
+        "render-two-modes": (["render", "--scenario", "a.json", "--counts", "b.json"], "not allowed with"),
+        "render-scenario-no-budget": (["render", "--scenario", "a.json"], "--scenario input needs --budget"),
+        "render-scenario-solution": (
+            ["render", "--scenario", "a.json", "--budget", "3", "--solution", "nope.json"],
+            "--solution does not apply to --scenario input",
+        ),
+        "render-scenario-second-panel": (
+            ["render", "--scenario", "a.json", "--budget", "3", "--counts2", "c.json", "--solution2", "s.json"],
+            "--counts2 does not apply to --scenario input",
+        ),
+        "render-negative-budget": (
+            ["render", "--scenario", "a.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
+        ),
+        "render-counts-budget": (
+            ["render", "--counts", "c.json", "--solution", "s.json", "--budget", "3"],
+            "--budget does not apply to --counts input",
+        ),
+        "render-counts-no-solution": (["render", "--counts", "c.json"], "--counts input needs --solution"),
+        "render-counts2-alone": (
+            ["render", "--counts", "c.json", "--solution", "s.json", "--counts2", "d.json"],
+            "--counts2 and --solution2 go together",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISUSE))
+    def test_input_mode_misuse_is_usage_error(self, tmp_path, capsys, case):
+        argv, message = self.MISUSE[case]
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--out", "x.json"])
+            main([*argv, "--out", str(out)])
         assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["simulate", "--scenario", "a.json", "--counts", "b.json", "--out", "x.json"]
-            )
-        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_1_and_names_it(self, tmp_path, capsys):
         code = main(["sweep", "--scenario", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o.csv")])
@@ -295,6 +341,36 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "p.json: invalid JSON: " in err
         assert number in err
+        assert not out.exists()
+
+    def test_render_solution_for_another_grid_exits_1_and_names_it(self, tmp_path, capsys):
+        counts, solution = tmp_path / "c.json", tmp_path / "s.json"
+        fileio.write_json(counts, {"n": 2, "species": 1, "counts": [[1, 2, 3, 4]]})
+        fileio.write_json(solution, {"x": [1], "objective": [1, 1], "spent": 1})
+        out = tmp_path / "o.svg"
+        code = main(["render", "--counts", str(counts), "--solution", str(solution), "--out", str(out)])
+        assert code == 1
+        assert "s.json: solution covers 1 parcels, counts grid has 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_render_panels_of_two_grid_sizes_exit_1_and_name_the_second(self, tmp_path, capsys):
+        argv = ["render"]
+        for suffix, n in (("", 1), ("2", 4)):
+            counts, solution = tmp_path / f"c{suffix}.json", tmp_path / f"s{suffix}.json"
+            fileio.write_json(counts, {"n": n, "species": 1, "counts": [[1] * (n * n)]})
+            fileio.write_json(solution, {"x": [0] * (n * n), "objective": [0, 1], "spent": 0})
+            argv += [f"--counts{suffix}", str(counts), f"--solution{suffix}", str(solution)]
+        out = tmp_path / "o.svg"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "c2.json: panels must share the same grid size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_repeated_budget_exits_1_and_names_file_and_line(self, tmp_path, capsys):
+        sweep = tmp_path / "dup.csv"
+        sweep.write_text("budget,similarity,objective1,objective2\n5,90,1,1\n10,80,2,2\n5,10,1,1\n")
+        out = tmp_path / "stats.csv"
+        assert main(["report", str(sweep), "--out", str(out)]) == 1
+        assert "dup.csv: sweep.line4: budget 5 repeats line 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_knapsack_table_beyond_memory_exits_1_and_names_file(self, tmp_path, capsys):

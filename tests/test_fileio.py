@@ -1,3 +1,5 @@
+import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +194,16 @@ class TestAtomicWrite:
         fileio.write_text_atomic(target, "replaced\n")
         assert target.read_text() == "replaced\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        target = tmp_path / "out.json"
+        old = os.umask(umask)
+        try:
+            fileio.write_text_atomic(target, "hello\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
     def test_json_files_end_with_newline(self, tmp_path):
         target = tmp_path / "x.json"

@@ -175,6 +175,20 @@ def test_wrong_shape_is_refused_naming_the_field(field, value):
     assert not isinstance(info.value, NonIntegerCostError)
 
 
+@pytest.mark.parametrize("grid", [Landscape, CountsGrid])
+def test_zero_side_is_refused_naming_n(grid):
+    with pytest.raises(InvalidDimensionError, match=r"^n must be >= 1, got 0$"):
+        grid(0, np.zeros((1, 0, 0)) if grid is CountsGrid else np.zeros((0, 0)))
+
+
+def test_landscape_of_another_side_than_the_counts_is_refused_naming_it():
+    obj = fileio.suite_to_obj([SPECIES], seed=0, pool_size=4, grid=N)
+    obj["species"][0]["landscape"] = {"n": 4, "values": [0.5] * 16}
+    message = "suite.species[0]: landscape must be 2x2 like its counts, got 4x4"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        fileio.suite_from_obj(obj)
+
+
 LEAVES = {
     "problem.values": (
         fileio.problem_from_obj,
