@@ -72,18 +72,19 @@ def _budget(text: str) -> int:
 
 def _cmd_generate(args) -> int:
     suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
+    scenarios = []
+    if args.scenario_dir:  # build and make room for every output before writing any
+        scenarios = default_scenarios(suite, seed=args.seed)
+        Path(args.scenario_dir).mkdir(parents=True, exist_ok=True)
     fileio.write_json(
         args.out,
         fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid),
     )
     print(f"wrote {args.out} ({len(suite)} species, pool {args.pool_size}, {args.grid}x{args.grid} grid)")
-    if args.scenario_dir:
-        directory = Path(args.scenario_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for i, scenario in enumerate(default_scenarios(suite, seed=args.seed), start=1):
-            path = directory / f"case{i}.json"
-            fileio.write_json(path, fileio.scenario_to_obj(scenario))
-            print(f"wrote {path}")
+    for i, scenario in enumerate(scenarios, start=1):
+        path = Path(args.scenario_dir) / f"case{i}.json"
+        fileio.write_json(path, fileio.scenario_to_obj(scenario))
+        print(f"wrote {path}")
     return 0
 
 

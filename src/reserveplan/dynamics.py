@@ -3,12 +3,17 @@
 Counts in every parcel evolve independently through T explicit fixed-size
 update steps. For species i with per-parcel state N,
 
-    dN_i = dt * (r_i * N_i  -  N_i * sum_j alpha[i, j] * N_j  -  beta_i * N_i**2)
+    dN_i = dt * (r_i * N_i  -  N_i * sum_j alpha[i, j] * N_j  -  beta_i * N_i * N_i)
 
-computed simultaneously for all species from the pre-step state, after which
-each count is clamped at zero. The interaction matrix alpha has a zero
-diagonal; self-limitation is carried entirely by the crowding coefficients
-beta, giving each species the single-species fixed point r_i / beta_i.
+computed for all species from the pre-step state (left to right, the sum in
+index order), after which each count is clamped at zero. The interaction
+matrix alpha has a zero diagonal; the crowding coefficients beta carry all
+self-limitation, giving each species the single-species fixed point r_i / beta_i.
+
+Each distinct starting column is stepped once and shared by every parcel that
+starts there, so wide grids of mostly distinct columns gain only from the lean
+step. A positive count clamped to zero (a step-size artefact: the continuous
+model never reaches zero) or an overflow is refused, naming step and parcel.
 """
 
 from __future__ import annotations
@@ -116,55 +121,70 @@ class SimulatedGrid:
         return self.values.reshape(self.species_count, -1)
 
 
-def _step_columns(state: np.ndarray, params: LVParams) -> np.ndarray:
-    """Advance a (species, parcels) state matrix by one step.
+def _project(state: np.ndarray, params: LVParams, steps: int) -> np.ndarray:
+    """Advance a (species, parcels) state by ``steps`` steps, each distinct column once.
 
-    The interaction sum accumulates species in a fixed order so that a column
-    evolves identically whether simulated alone or alongside other parcels.
+    Distinct starting columns are stepped in place and scattered back. Species
+    pressure is summed in index order, never by a numpy reduction (which sums
+    pairwise on some shapes), so a column evolves alike alone or in a batch.
     """
-    pressure = np.zeros_like(state)
-    for j in range(state.shape[0]):
-        pressure += params.alpha[:, j, np.newaxis] * state[j]
-    delta = params.dt * (
-        params.r[:, np.newaxis] * state
-        - state * pressure
-        - params.beta[:, np.newaxis] * state * state
-    )
-    return np.maximum(0.0, state + delta)
+    unique, inverse = np.unique(state, axis=1, return_inverse=True)
+    x = np.ascontiguousarray(unique, dtype=np.float64)
+    pressure, t1, t2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    pairs = list(zip(params.alpha.T[:, :, np.newaxis], x))  # (alpha[:, j], N_j) views
+    r, beta, dt = params.r[:, np.newaxis], params.beta[:, np.newaxis], params.dt
+    for _ in range(steps):
+        pressure.fill(0.0)
+        for alpha_j, n_j in pairs:
+            np.multiply(alpha_j, n_j, out=t1)
+            np.add(pressure, t1, out=pressure)
+        np.multiply(r, x, out=t1)
+        np.multiply(x, pressure, out=pressure)
+        np.subtract(t1, pressure, out=t1)
+        np.multiply(beta, x, out=t2)
+        np.multiply(t2, x, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(dt, t1, out=t1)
+        np.add(x, t1, out=x)
+        np.maximum(0.0, x, out=x)
+    return x[:, inverse]
 
 
 def lv_step(state, params: LVParams) -> np.ndarray:
     """One update step for the per-species counts of a single parcel."""
     vec = as_numbers(state, "state", shape=(params.species_count,))
-    return _step_columns(vec[:, np.newaxis], params)[:, 0]
+    return _project(vec[:, np.newaxis], params, 1)[:, 0]
 
 
 def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
     """Project observed counts forward by running T steps in every parcel.
 
     Parcels do not interact: the projection of a grid equals the projection of
-    each parcel in isolation, reassembled.
+    each parcel in isolation, reassembled. A count that leaves the float range
+    or is clamped from positive to zero is refused, naming its step and parcel.
     """
     if observed.species_count != params.species_count:
         raise ValueError(
             f"grid has {observed.species_count} species but parameters cover "
             f"{params.species_count}"
         )
-    state = observed.matrix().astype(np.float64)
-    # An overflow is refused below, naming its step, so numpy need not warn of it.
+    initial = observed.matrix().astype(np.float64)
+    # Overflow is refused below, naming its step, so numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(params.T):
-            state = _step_columns(state, params)
-        if not np.isfinite(state).all():
+        state = _project(initial, params, params.T)
+        # A positive count reaches exactly zero only by the clamp, and then stays there.
+        bad = ~np.isfinite(state) | ((state == 0.0) & (initial > 0.0))
+        if bad.any():
             # Parcels evolve independently: re-running the first bad one alone finds its step.
-            parcel = int(np.isfinite(state).all(axis=0).argmin())
-            column = observed.matrix()[:, [parcel]].astype(np.float64)
+            parcel = int(bad.any(axis=0).argmax())
+            start = column = initial[:, [parcel]]
             for step in range(1, params.T + 1):
-                column = _step_columns(column, params)
+                column = _project(column, params, 1)
                 if not np.isfinite(column).all():
                     raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
-    values = state.reshape(observed.species_count, observed.n, observed.n)
-    return SimulatedGrid(n=observed.n, values=values)
+                if np.any((column == 0.0) & (start > 0.0)):
+                    raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
+    return SimulatedGrid(n=observed.n, values=state.reshape(-1, observed.n, observed.n))
 
 
 def round_counts(simulated: SimulatedGrid) -> CountsGrid:

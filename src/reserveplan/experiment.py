@@ -236,23 +236,27 @@ def similarity(a: ReserveSolution, b: ReserveSolution) -> int:
     return int(np.sum(a.x == b.x))
 
 
-def budget_sweep(scenario: Scenario) -> list[SweepRow]:
-    """Solve both models at every budget of a scenario.
-
-    The projection is budget-independent, so it runs once per scenario; each
-    model is then solved at every budget in one ``solve_sweep`` call, and each
-    budget records the agreement of the two solutions.
-    """
+def _model_grids(scenario: Scenario) -> tuple[CountsGrid, CountsGrid]:
+    """Observed counts and their rounded projection, which no budget or weight changes."""
     observed = scenario.observed()
-    projected = round_counts(simulate(observed, scenario.lv_params))
+    return observed, round_counts(simulate(observed, scenario.lv_params))
+
+
+def _sweep(scenario: Scenario, grids: tuple[CountsGrid, CountsGrid]) -> list[SweepRow]:
+    """Solve each grid at every budget in one ``solve_sweep`` call and record agreement."""
     sol_1, sol_2 = (
         solve_sweep(grid.matrix(), scenario.weights, scenario.costs, scenario.budgets)
-        for grid in (observed, projected)
+        for grid in grids
     )
     return [
         SweepRow(budget, similarity(a, b), a.objective, b.objective, a.x, b.x)
         for budget, a, b in zip(scenario.budgets, sol_1, sol_2)
     ]
+
+
+def budget_sweep(scenario: Scenario) -> list[SweepRow]:
+    """Solve both models at every budget of a scenario, projecting its counts once."""
+    return _sweep(scenario, _model_grids(scenario))
 
 
 def summarize_similarities(
@@ -286,7 +290,9 @@ def weighted_comparison(
 ) -> list[tuple[tuple[Fraction, ...], list[SweepRow]]]:
     """Run the same sweep once per weight set on otherwise identical inputs.
 
-    Every weight set is checked, as a scenario, before any sweep runs.
+    Every weight set is checked, as a scenario, before any sweep runs. Weights
+    do not enter the projection, so it runs once for all of them.
     """
     variants = [dataclasses.replace(scenario, weights=weights) for weights in weight_sets]
-    return [(variant.weights, budget_sweep(variant)) for variant in variants]
+    grids = _model_grids(scenario)
+    return [(variant.weights, _sweep(variant, grids)) for variant in variants]

@@ -56,6 +56,17 @@ class TestGenerate:
         assert (tmp_path / "a/suite.json").read_bytes() == (tmp_path / "b/suite.json").read_bytes()
         assert (tmp_path / "a/sc/case3.json").read_bytes() == (tmp_path / "b/sc/case3.json").read_bytes()
 
+    def test_scenario_dir_refused_before_any_output(self, tmp_path, capsys):
+        taken = tmp_path / "stats.csv"
+        taken.write_text("not a directory\n")
+        out = tmp_path / "suite.json"
+        argv = ["generate", "--seed", "0", "--pool-size", "8", "--grid", "4"]
+        code = main(argv + ["--out", str(out), "--scenario-dir", str(taken)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert taken.read_text() == "not a directory\n"
+
 
 class TestSweepAndReport:
     def test_sweep_emits_21_budget_rows(self, workspace, tmp_path):
@@ -436,6 +447,20 @@ class TestErrorHandling:
         code = main(argv + ["--round"] * rounded)
         assert code == 1
         assert "p.json: projected counts overflow at step 2 in parcel 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clamped_projection_exits_1_and_names_step(self, tmp_path, capsys):
+        counts = tmp_path / "c.json"
+        fileio.write_json(counts, {"n": 1, "species": 1, "counts": [[1]]})
+        params = tmp_path / "p.json"
+        fileio.write_json(params, {"r": [25.0], "alpha": [[0.0]], "beta": [0.1], "dt": 1.0, "T": 10})
+        out = tmp_path / "o.json"
+        code = main(["simulate", "--counts", str(counts), "--params", str(params), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {params}: projected counts clamped to zero at step 3 in parcel 0\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_rounded_projection_beyond_int64_exits_1_and_names_file(self, tmp_path, capsys):

@@ -145,15 +145,43 @@ class TestSimulate:
             assert got == pytest.approx(expected, rel=1e-3)
 
     def test_parcels_evolve_independently(self):
+        # 9 species: a pairwise-reduced species sum would differ between one column and many
         rng = np.random.default_rng(7)
-        grid = CountsGrid(n=4, counts=rng.integers(0, 12, size=(3, 4, 4)))
-        params = default_params(3, T=500)
-        whole = simulate(grid, params)
-        for row in range(4):
-            for col in range(4):
-                cell = CountsGrid(n=1, counts=grid.counts[:, row, col].reshape(3, 1, 1))
-                alone = simulate(cell, params)
-                assert np.array_equal(alone.values[:, 0, 0], whole.values[:, row, col])
+        for species in (3, 9):
+            grid = CountsGrid(n=4, counts=rng.integers(0, 12, size=(species, 4, 4)))
+            params = default_params(species, T=500)
+            whole = simulate(grid, params)
+            for row in range(4):
+                for col in range(4):
+                    counts = grid.counts[:, row, col].reshape(species, 1, 1)
+                    alone = simulate(CountsGrid(n=1, counts=counts), params)
+                    assert np.array_equal(alone.values[:, 0, 0], whole.values[:, row, col])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_steps_on_repeated_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        s, n = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        # a few distinct columns, each repeated across the grid
+        pool = rng.integers(0, 300, size=(s, int(rng.integers(1, 4))))
+        counts = pool[:, rng.integers(0, pool.shape[1], size=n * n)]
+        alpha = rng.uniform(0.0, 0.001, size=(s, s))
+        np.fill_diagonal(alpha, 0.0)
+        params = LVParams(
+            r=rng.uniform(0.0, 0.5, s), alpha=alpha, beta=rng.uniform(0.0005, 0.002, s),
+            dt=0.01, T=int(rng.integers(0, 40)),
+        )
+        # the module docstring's update, species summed in index order
+        state = counts.astype(float)
+        for _ in range(params.T):
+            pressure = np.zeros_like(state)
+            for j in range(s):
+                pressure = pressure + alpha[:, j, np.newaxis] * state[j]
+            r, beta = params.r[:, np.newaxis], params.beta[:, np.newaxis]
+            delta = params.dt * (r * state - state * pressure - beta * state * state)
+            state = np.maximum(0.0, state + delta)
+        got = simulate(CountsGrid(n=n, counts=counts.reshape(s, n, n)), params)
+        assert np.array_equal(got.matrix(), state)
 
     def test_two_species_constructed_equilibrium(self):
         # choose r so that (40, 60) solves r_i = beta_i*N_i + alpha_ij*N_j
@@ -178,6 +206,14 @@ class TestSimulate:
         grid = CountsGrid(n=2, counts=np.array([[[0, 100], [100, 0]]]))
         params = LVParams(r=[1e300], alpha=[[0.0]], beta=[0.0], dt=1.0, T=5)
         with pytest.raises(ValueError, match="overflow at step 2 in parcel 1$"):
+            simulate(grid, params)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clamp_names_the_step_and_the_first_clamped_parcel(self):
+        # r*dt = 25 overshoots: 1 -> 25.9 -> 606.3 -> negative, clamped at step 3.
+        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [0, 1]]]))
+        params = LVParams(r=[25.0], alpha=[[0.0]], beta=[0.1], dt=1.0, T=10)
+        with pytest.raises(ValueError, match="clamped to zero at step 3 in parcel 1$"):
             simulate(grid, params)
 
 

@@ -20,6 +20,7 @@ from reserveplan import (
     summarize,
     weighted_comparison,
 )
+from reserveplan import experiment
 from reserveplan.experiment import SweepRow
 
 from conftest import reference_pool
@@ -268,6 +269,28 @@ class TestWeightedComparison:
         scenario = default_scenarios(small_suite, seed=11)[0]
         with pytest.raises(ValueError):
             weighted_comparison(scenario, [(1, 1, 1)])
+
+    def test_projects_once_and_matches_per_weight_sweeps(self, small_suite, monkeypatch):
+        scenario = default_scenarios(small_suite, seed=11)[4]
+        weight_sets = [(1,) * 5, (5, 1, 1, 1, 1), (Fraction(1, 3), 2, 0, 1, 1)]
+        expected = [
+            budget_sweep(dataclasses.replace(scenario, weights=w)) for w in weight_sets
+        ]
+        calls = []
+        projection = experiment.simulate
+        monkeypatch.setattr(
+            experiment, "simulate", lambda *args: calls.append(args) or projection(*args)
+        )
+        results = weighted_comparison(scenario, weight_sets)
+        assert len(calls) == 1
+
+        def key(rows):
+            return [
+                (r.budget, r.similarity, r.objective_1, r.objective_2, r.x_1.tolist(), r.x_2.tolist())
+                for r in rows
+            ]
+
+        assert [key(rows) for _, rows in results] == [key(rows) for rows in expected]
 
     def test_scaled_weights_equal_unscaled(self, small_suite):
         scenario = default_scenarios(small_suite, seed=11)[0]
