@@ -63,27 +63,31 @@ def _mode(args, mode: str, needs: str | None = None, refuses: tuple = ()) -> Non
             args.parser.error(f"--{flag} does not apply to --{mode} input")
 
 
-def _budget(text: str) -> int:
-    """A nonnegative integer ``--budget``; argparse reports a refusal as a usage error."""
+def _natural(text: str) -> int:
+    """A nonnegative integer ``--budget`` or ``--seed``; argparse reports a refusal as a usage error."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
 
 
+def _weights(text: str) -> tuple:
+    """Comma-separated exact ``--weights``; argparse reports a refusal as a usage error."""
+    try:
+        return as_weights(text.split(","), "weights")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_generate(args) -> int:
     suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
-    scenarios = []
-    if args.scenario_dir:  # build and make room for every output before writing any
-        scenarios = default_scenarios(suite, seed=args.seed)
+    docs = {args.out: fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid)}
+    if args.scenario_dir:
         Path(args.scenario_dir).mkdir(parents=True, exist_ok=True)
-    fileio.write_json(
-        args.out,
-        fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid),
-    )
+        for i, scenario in enumerate(default_scenarios(suite, seed=args.seed), start=1):
+            docs[Path(args.scenario_dir) / f"case{i}.json"] = fileio.scenario_to_obj(scenario)
+    fileio.write_jsons(docs)  # all files or none
     print(f"wrote {args.out} ({len(suite)} species, pool {args.pool_size}, {args.grid}x{args.grid} grid)")
-    for i, scenario in enumerate(scenarios, start=1):
-        path = Path(args.scenario_dir) / f"case{i}.json"
-        fileio.write_json(path, fileio.scenario_to_obj(scenario))
+    for path in list(docs)[1:]:
         print(f"wrote {path}")
     return 0
 
@@ -113,13 +117,10 @@ def _cmd_solve(args) -> int:
     else:
         _mode(args, "counts", needs="budget")
         counts = _read(args.counts, fileio.counts_from_obj)
-        weights = (1,) * counts.species_count
-        if args.weights is not None:
-            weights = as_weights(args.weights.split(","), "--weights")
         with _blame(args.counts):
             problem = ReserveProblem(
                 values=counts.matrix(),
-                weights=weights,
+                weights=args.weights or (1,) * counts.species_count,
                 costs=np.ones(counts.parcel_count, dtype=np.int64),
                 budget=args.budget,
             )
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a landscape pool, species suite, and scenarios")
-    p.add_argument("--seed", type=int, required=True, help="base seed for all randomness")
+    p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
     p.add_argument("--out", required=True, help="suite JSON output path")
     p.add_argument("--pool-size", type=int, default=10_000, help="landscapes to generate")
     p.add_argument("--grid", type=int, default=10, help="landscape side length")
@@ -217,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--problem", help="problem JSON")
     mode.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
-    p.add_argument("--budget", type=_budget, help="budget for --counts input")
-    p.add_argument("--weights", help="comma-separated species weights, e.g. 9/10,1/10")
+    p.add_argument("--budget", type=_natural, help="budget for --counts input")
+    p.add_argument("--weights", type=_weights, help="comma-separated species weights, e.g. 9/10,1/10")
     p.add_argument("--out", required=True, help="solution JSON output path")
     p.set_defaults(func=_cmd_solve, parser=p)
 
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
     mode.add_argument("--counts", help="counts JSON annotating the first panel")
-    p.add_argument("--budget", type=_budget, help="budget for --scenario input")
+    p.add_argument("--budget", type=_natural, help="budget for --scenario input")
     p.add_argument("--solution", help="solution JSON for the first panel")
     p.add_argument("--counts2", help="counts JSON annotating the second panel")
     p.add_argument("--solution2", help="solution JSON for the second panel")

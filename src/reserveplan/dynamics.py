@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_numbers
+from ._checks import InvalidDimensionError, as_numbers
 from .landscape import CountsGrid
 
 __all__ = [
@@ -60,6 +60,8 @@ class LVParams:
     def __post_init__(self) -> None:
         r = as_numbers(self.r, "r", shape=(None,))
         s = len(r)
+        if s == 0:
+            raise InvalidDimensionError("r must hold at least one species")
         beta = as_numbers(self.beta, "beta", shape=(s,))
         alpha = as_numbers(self.alpha, "alpha", shape=(s, s))
         if np.any(np.diag(alpha) != 0.0):

@@ -182,8 +182,7 @@ def build_species_suite(
     scores = np.empty(pool_size)
     for r in range(MAX_SMOOTHING_ROUNDS + 1):
         idx = np.flatnonzero(rounds == r)
-        values = _generate_values(grid, r, [seed + i for i in idx.tolist()])
-        scores[idx] = _fragmentation_scores(values)
+        scores[idx] = _fragmentation_scores(_generate_values(grid, r, [seed + i for i in idx.tolist()]))
     most, least = _extreme_indices(scores, k=2)
     by_rank = {
         rank: generate_landscape(grid, int(rounds[i]), seed + int(i))

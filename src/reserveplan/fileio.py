@@ -16,11 +16,13 @@ Schemas (all JSON, grids row-major):
 
 Sweep CSVs carry columns budget,similarity,objective1,objective2; stats CSVs
 carry case,min,average,median. All text files end lines with LF and are
-written atomically (temp file + rename).
+written atomically (temp file + rename); ``write_jsons`` writes several files
+all or none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -28,7 +30,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +58,7 @@ __all__ = [
     "suite_from_obj",
     "read_json",
     "write_json",
+    "write_jsons",
     "sweep_rows_to_csv",
     "sweep_csv_to_rows",
     "stats_to_csv_row",
@@ -70,23 +73,37 @@ class SchemaError(ValueError):
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see partial output."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    try:  # mode 0o666 lets the umask set the permissions, as open() would
-        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-    except FileNotFoundError:
-        raise FileNotFoundError(
-            f"cannot write {path}: directory {path.parent} does not exist"
-        ) from None
+    _write_all({path: text})
+
+
+def _write_all(texts: Mapping[str | os.PathLike, str]) -> None:
+    """Write every (path, text) to a temp sibling, then rename each over its path.
+
+    A target that is a directory or lies in a missing directory, and any
+    failed write, is reported before the first rename, so no target changes.
+    """
+    temps = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError(f"cannot write {path}: it is a directory")
+            tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+            try:  # mode 0o666 lets the umask set the permissions, as open() would
+                fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            except FileNotFoundError:
+                raise FileNotFoundError(
+                    f"cannot write {path}: directory {path.parent} does not exist"
+                ) from None
+            temps.append((tmp, path))
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp, _ in temps:
+            with contextlib.suppress(OSError):  # renamed already, or never written
+                os.unlink(tmp)
         raise
 
 
@@ -326,8 +343,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def write_json(path: str | os.PathLike, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
+    write_text_atomic(path, _json_text(obj))
+
+
+def write_jsons(docs: Mapping[str | os.PathLike, object]) -> None:
+    """Write several JSON documents, all or none (see ``_write_all``)."""
+    _write_all({path: _json_text(obj) for path, obj in docs.items()})
 
 
 SWEEP_HEADER = ["budget", "similarity", "objective1", "objective2"]

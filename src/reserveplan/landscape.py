@@ -4,6 +4,12 @@ A landscape is an n x n grid of habitat values in [0, 1], where a higher value
 marks worse habitat. Individuals of a species are placed on a landscape by a
 seeded multinomial draw whose per-parcel intensity is proportional to habitat
 quality q = 1 - h.
+
+The starting uniforms of every grid, one landscape or a whole pool, come from
+one whole-array kernel, ``_pcg.uniform_grids``, which reproduces
+``np.random.default_rng(seed).random((n, n))`` bit for bit for each seed
+(pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``
+in tests/test_landscape.py).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import InvalidDimensionError, as_numbers
+from ._pcg import uniform_grids
 
 __all__ = [
     "InvalidDimensionError",
@@ -74,6 +81,8 @@ class CountsGrid:
         if n < 1:
             raise InvalidDimensionError(f"n must be >= 1, got {n}")
         counts = as_numbers(self.counts, "counts", integer=True, shape=(None, n, n))
+        if counts.shape[0] == 0:
+            raise InvalidDimensionError("counts must hold at least one species")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
 
@@ -123,9 +132,7 @@ def _generate_values(n: int, rounds: int, seeds: Sequence[int]) -> np.ndarray:
         raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
     if rounds < 0:
         raise ValueError(f"smoothing_rounds must be >= 0, got {rounds}")
-    h = np.empty((len(seeds), n, n))
-    for k, seed in enumerate(seeds):
-        np.random.default_rng(seed).random(out=h[k])
+    h = uniform_grids(seeds, n)
     for _ in range(rounds):
         h = _neighbor_mean(h)
     return _rescale_unit(h)

@@ -67,6 +67,16 @@ class TestGenerate:
         assert not out.exists()
         assert taken.read_text() == "not a directory\n"
 
+    def test_unwritable_scenario_file_leaves_no_output(self, tmp_path, capsys):
+        (tmp_path / "sc/case3.json").mkdir(parents=True)
+        out = tmp_path / "suite.json"
+        argv = ["generate", "--seed", "0", "--pool-size", "8", "--grid", "4", "--out", str(out)]
+        assert main(argv + ["--scenario-dir", str(tmp_path / "sc")]) == 1
+        assert "case3.json: it is a directory" in capsys.readouterr().err
+        assert not out.exists()
+        assert sorted(p.name for p in (tmp_path / "sc").iterdir()) == ["case3.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sc"]
+
 
 class TestSweepAndReport:
     def test_sweep_emits_21_budget_rows(self, workspace, tmp_path):
@@ -249,6 +259,17 @@ class TestErrorHandling:
             ["solve", "--problem", "a.json", "--weights", "1"], "--weights does not apply to --problem input"
         ),
         "solve-counts-no-budget": (["solve", "--counts", "c.json"], "--counts input needs --budget"),
+        "solve-infinite-weights": (
+            ["solve", "--counts", "c.json", "--budget", "1", "--weights", "1/0,1"],
+            "argument --weights: weights must be finite rational numbers",
+        ),
+        "solve-negative-weights": (
+            ["solve", "--counts", "c.json", "--budget", "1", "--weights", "1,-1"],
+            "argument --weights: weights must be nonnegative",
+        ),
+        "generate-negative-seed": (
+            ["generate", "--seed", "-1"], "argument --seed: must be a nonnegative integer, got '-1'"
+        ),
         "solve-negative-budget": (
             ["solve", "--counts", "c.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
         ),

@@ -14,6 +14,7 @@ from reserveplan import (
     generate_landscape,
     select_extremes,
 )
+from reserveplan._pcg import uniform_grids
 from reserveplan.landscape import _fragmentation_scores, _generate_values, _rescale_unit
 
 from conftest import reference_landscape_values
@@ -100,6 +101,39 @@ class TestGenerateLandscape:
             rough = fragmentation(generate_landscape(10, 0, seed))
             smooth = fragmentation(generate_landscape(10, 8, seed))
             assert rough > smooth
+
+
+class TestUniformGrids:
+    """The whole-array kernel equals one ``default_rng`` per seed, bit for bit."""
+
+    @staticmethod
+    def assert_matches_default_rng(seeds, n):
+        grids = uniform_grids(seeds, n)
+        assert grids.shape == (len(seeds), n, n)
+        for grid, seed in zip(grids, seeds):
+            assert grid.tobytes() == np.random.default_rng(seed).random((n, n)).tobytes()
+
+    def test_seeds_of_every_word_count_in_one_batch(self):
+        # 1 to 6 32-bit words: SeedSequence pads below 4 and mixes in words past 4
+        seeds = [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
+        self.assert_matches_default_rng(seeds, 5)
+
+    @pytest.mark.parametrize("seeds, n", [([8], 70), ([1, 2, 3], 40)], ids=["draw-chunks", "seed-chunks"])
+    def test_across_chunk_boundaries(self, seeds, n):
+        # 4900 draws span two draw chunks; 3 grids of 1600 draws span two seed chunks
+        self.assert_matches_default_rng(seeds, n)
+
+    def test_empty_batch_and_single_parcel(self):
+        assert uniform_grids([], 4).shape == (0, 4, 4)
+        self.assert_matches_default_rng([0, 5, 2**70], 1)
+
+    def test_numpy_integer_seed_gives_the_same_grid(self):
+        got = generate_landscape(6, 2, np.int64(7)).values
+        assert got.tobytes() == generate_landscape(6, 2, 7).values.tobytes()
+
+    def test_negative_seed_refused_naming_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+            generate_landscape(3, 0, -1)
 
 
 class TestFragmentation:

@@ -181,6 +181,19 @@ def test_zero_side_is_refused_naming_n(grid):
         grid(0, np.zeros((1, 0, 0)) if grid is CountsGrid else np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: CountsGrid(n=2, counts=np.zeros((0, 2, 2))), "counts"),
+        (lambda: LVParams(r=[], alpha=np.zeros((0, 0)), beta=[]), "r"),
+    ],
+    ids=["counts", "params"],
+)
+def test_zero_species_is_refused_naming_the_field(build, name):
+    with pytest.raises(InvalidDimensionError, match=rf"^{name} must hold at least one species$"):
+        build()
+
+
 def test_landscape_of_another_side_than_the_counts_is_refused_naming_it():
     obj = fileio.suite_to_obj([SPECIES], seed=0, pool_size=4, grid=N)
     obj["species"][0]["landscape"] = {"n": 4, "values": [0.5] * 16}
