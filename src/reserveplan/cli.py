@@ -22,6 +22,7 @@ from . import fileio
 from ._checks import as_weights
 from .dynamics import default_params, round_counts, simulate
 from .experiment import (
+    _model_grids,
     budget_sweep,
     build_species_suite,
     default_scenarios,
@@ -64,7 +65,7 @@ def _mode(args, mode: str, needs: str | None = None, refuses: tuple = ()) -> Non
 
 
 def _natural(text: str) -> int:
-    """A nonnegative integer ``--budget`` or ``--seed``; argparse reports a refusal as a usage error."""
+    """A nonnegative integer flag such as ``--seed``; argparse reports a refusal as a usage error."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
@@ -148,10 +149,8 @@ def _cmd_render(args) -> int:
         _mode(args, "scenario", needs="budget", refuses=("solution", "counts2", "solution2"))
         with _blame(args.scenario):
             scenario = _read(args.scenario, fileio.scenario_from_obj)
-            observed = scenario.observed()
-            projected = round_counts(simulate(observed, scenario.lv_params))
             panels = []
-            for label, grid in (("observed counts", observed), ("projected counts", projected)):
+            for label, grid in zip(("observed counts", "projected counts"), _model_grids(scenario)):
                 [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
                 panels.append(Panel(label, grid, solution))
     else:
@@ -200,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a landscape pool, species suite, and scenarios")
     p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
     p.add_argument("--out", required=True, help="suite JSON output path")
-    p.add_argument("--pool-size", type=int, default=10_000, help="landscapes to generate")
-    p.add_argument("--grid", type=int, default=10, help="landscape side length")
+    p.add_argument("--pool-size", type=_natural, default=10_000, help="landscapes to generate")
+    p.add_argument("--grid", type=_natural, default=10, help="landscape side length")
     p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
     p.set_defaults(func=_cmd_generate, parser=p)
 

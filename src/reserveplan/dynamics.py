@@ -80,24 +80,16 @@ class LVParams:
         return int(self.r.shape[0])
 
 
-def default_params(
-    species_count: int,
-    *,
-    r: float = DEFAULT_BIRTH_RATE,
-    alpha: float = DEFAULT_COMPETITION,
-    beta: float = DEFAULT_CROWDING,
-    dt: float = DEFAULT_DT,
-    T: int = DEFAULT_STEPS,
-) -> LVParams:
+def default_params(species_count: int, *, dt: float = DEFAULT_DT, T: int = DEFAULT_STEPS) -> LVParams:
     """Uniform parameters for a given species count: equal rates, symmetric competition."""
     if species_count < 1:
         raise ValueError(f"species_count must be >= 1, got {species_count}")
-    a = np.full((species_count, species_count), alpha, dtype=np.float64)
-    np.fill_diagonal(a, 0.0)
+    alpha = np.full((species_count, species_count), DEFAULT_COMPETITION)
+    np.fill_diagonal(alpha, 0.0)
     return LVParams(
-        r=np.full(species_count, r),
-        alpha=a,
-        beta=np.full(species_count, beta),
+        r=np.full(species_count, DEFAULT_BIRTH_RATE),
+        alpha=alpha,
+        beta=np.full(species_count, DEFAULT_CROWDING),
         dt=dt,
         T=T,
     )

@@ -6,8 +6,9 @@ seeded multinomial draw whose per-parcel intensity is proportional to habitat
 quality q = 1 - h.
 
 The starting uniforms of every grid, one landscape or a whole pool, come from
-one whole-array kernel, ``_pcg.uniform_grids``, which reproduces
-``np.random.default_rng(seed).random((n, n))`` bit for bit for each seed
+``_pcg.uniform_grids``, which hashes all seeds as numpy's ``SeedSequence``
+does in whole-array operations and lets numpy's own ``PCG64`` draw each grid,
+so it reproduces ``np.random.default_rng(seed).random((n, n))`` bit for bit
 (pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``
 in tests/test_landscape.py).
 """

@@ -31,7 +31,6 @@ __all__ = [
     "TableTooLargeError",
     "ReserveProblem",
     "ReserveSolution",
-    "parcel_score",
     "solve",
     "solve_sweep",
     "solve_topk",
@@ -147,14 +146,6 @@ def _build_solution(
     x[idx] = 1
     objective = Fraction(int(scores[idx].sum()), den)
     return ReserveSolution(x=x, objective=objective, spent=sum(problem.costs[idx].tolist()))
-
-
-def parcel_score(problem: ReserveProblem, p: int) -> Fraction:
-    """Weight-combined value of one parcel: sum_i w_i * values[i, p]."""
-    if not 0 <= p < problem.parcel_count:
-        raise IndexError(f"parcel index {p} out of range for {problem.parcel_count} parcels")
-    scores, den = _integer_scores(problem)
-    return Fraction(int(scores[p]), den)
 
 
 def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> list[ReserveSolution]:

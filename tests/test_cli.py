@@ -270,6 +270,13 @@ class TestErrorHandling:
         "generate-negative-seed": (
             ["generate", "--seed", "-1"], "argument --seed: must be a nonnegative integer, got '-1'"
         ),
+        "generate-pool-size-underscore": (
+            ["generate", "--seed", "0", "--pool-size", "1_0"],
+            "argument --pool-size: must be a nonnegative integer, got '1_0'",
+        ),
+        "generate-grid-plus": (
+            ["generate", "--seed", "0", "--grid", "+3"], "argument --grid: must be a nonnegative integer, got '+3'"
+        ),
         "solve-negative-budget": (
             ["solve", "--counts", "c.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
         ),

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,9 +122,9 @@ class TestUniformGrids:
         seeds = [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
         self.assert_matches_default_rng(seeds, 5)
 
-    @pytest.mark.parametrize("seeds, n", [([8], 70), ([1, 2, 3], 40)], ids=["draw-chunks", "seed-chunks"])
-    def test_across_chunk_boundaries(self, seeds, n):
-        # 4900 draws span two draw chunks; 3 grids of 1600 draws span two seed chunks
+    @pytest.mark.parametrize("seeds, n", [([8], 70), ([1, 2, 3], 40)], ids=["one-large-grid", "several-seeds"])
+    def test_larger_grids(self, seeds, n):
+        # one seed's 4900 draws, and 3 seeds' grids of 1600 draws written into one batch
         self.assert_matches_default_rng(seeds, n)
 
     def test_empty_batch_and_single_parcel(self):
@@ -134,6 +138,13 @@ class TestUniformGrids:
     def test_negative_seed_refused_naming_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
             generate_landscape(3, 0, -1)
+
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        # numpy.random is loaded on the first draw, so it adds nothing to the import time
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = f"import sys; sys.path.insert(0, {str(src)!r}); import reserveplan; print('numpy.random' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout == "False\n"
 
 
 class TestFragmentation:

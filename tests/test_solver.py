@@ -11,7 +11,6 @@ from reserveplan import (
     NonIntegerCostError,
     ReserveProblem,
     WrongSolverError,
-    parcel_score,
     solve_bruteforce,
     solve_dp,
     solve_topk,
@@ -44,11 +43,14 @@ small_problems = st.builds(
 
 
 class TestParcelScore:
+    """Per-parcel scores from ``_integer_scores``: numerators over one weight denominator."""
+
     def test_equal_weights_sum(self):
         p = ReserveProblem(
             values=np.array([[3], [4]]), weights=(1, 1), costs=[1], budget=1
         )
-        assert parcel_score(p, 0) == 7
+        scores, den = _integer_scores(p)
+        assert (scores.tolist(), den) == ([7], 1)
 
     def test_fractional_weights(self):
         p = ReserveProblem(
@@ -57,19 +59,21 @@ class TestParcelScore:
             costs=[1],
             budget=1,
         )
-        assert parcel_score(p, 0) == Fraction(10)
+        scores, den = _integer_scores(p)
+        assert Fraction(int(scores[0]), den) == Fraction(10)
 
     def test_zero_weights(self):
         p = ReserveProblem(
             values=np.array([[5, 2], [7, 9]]), weights=(0, 0), costs=[1, 1], budget=1
         )
-        assert parcel_score(p, 0) == 0
-        assert parcel_score(p, 1) == 0
+        scores, _ = _integer_scores(p)
+        assert scores.tolist() == [0, 0]
 
     def test_out_of_range(self):
         p = unit_problem([1, 2], budget=1)
+        scores, _ = _integer_scores(p)
         with pytest.raises(IndexError):
-            parcel_score(p, 2)
+            scores[2]
 
 
 class TestSolveTopk:
