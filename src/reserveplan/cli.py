@@ -66,7 +66,7 @@ def _mode(args, mode: str, needs: str | None = None, refuses: tuple = ()) -> Non
 
 def _natural(text: str) -> int:
     """A nonnegative integer flag such as ``--seed``; argparse reports a refusal as a usage error."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
 

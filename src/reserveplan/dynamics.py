@@ -118,29 +118,36 @@ class SimulatedGrid:
 def _project(state: np.ndarray, params: LVParams, steps: int) -> np.ndarray:
     """Advance a (species, parcels) state by ``steps`` steps, each distinct column once.
 
-    Distinct starting columns are stepped in place and scattered back. Species
-    pressure is summed in index order, never by a numpy reduction (which sums
-    pairwise on some shapes), so a column evolves alike alone or in a batch.
+    Distinct starting columns are stepped in place and scattered back. The
+    states are small, so per-call numpy cost dominates, and a call on
+    same-shape contiguous operands costs about half one that broadcasts a
+    column or a Python float: so ``r``, ``beta``, ``dt``, a zero, and
+    ``alphas[j]`` (``alpha[:, j]``) are built once at the state's shape. Each
+    step forms every ``alpha[i, j] * N_j`` in one broadcasting call and sums
+    over j in index order into ``products[0]``, never by a numpy reduction
+    (which sums pairwise on some shapes), so a column evolves alike alone or
+    in a batch.
     """
     unique, inverse = np.unique(state, axis=1, return_inverse=True)
     x = np.ascontiguousarray(unique, dtype=np.float64)
-    pressure, t1, t2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    pairs = list(zip(params.alpha.T[:, :, np.newaxis], x))  # (alpha[:, j], N_j) views
-    r, beta, dt = params.r[:, np.newaxis], params.beta[:, np.newaxis], params.dt
+    t1, t2, zero, dt = np.empty_like(x), np.empty_like(x), np.zeros_like(x), np.full_like(x, params.dt)
+    r, beta, alphas = (np.repeat(v[..., np.newaxis], x.shape[1], axis=-1)
+                       for v in (params.r, params.beta, params.alpha.T))
+    products, rows = np.empty_like(alphas), x[:, np.newaxis]
+    pressure, terms = products[0], list(products[1:])  # species 0's term, then the running sum
     for _ in range(steps):
-        pressure.fill(0.0)
-        for alpha_j, n_j in pairs:
-            np.multiply(alpha_j, n_j, out=t1)
-            np.add(pressure, t1, out=pressure)
-        np.multiply(r, x, out=t1)
-        np.multiply(x, pressure, out=pressure)
-        np.subtract(t1, pressure, out=t1)
-        np.multiply(beta, x, out=t2)
-        np.multiply(t2, x, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(dt, t1, out=t1)
-        np.add(x, t1, out=x)
-        np.maximum(0.0, x, out=x)
+        np.multiply(alphas, rows, products)
+        for term in terms:
+            np.add(pressure, term, pressure)
+        np.multiply(r, x, t1)
+        np.multiply(x, pressure, pressure)
+        np.subtract(t1, pressure, t1)
+        np.multiply(beta, x, t2)
+        np.multiply(t2, x, t2)
+        np.subtract(t1, t2, t1)
+        np.multiply(dt, t1, t1)
+        np.add(x, t1, x)
+        np.maximum(zero, x, out=x)
     return x[:, inverse]
 
 

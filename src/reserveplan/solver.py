@@ -154,8 +154,11 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
     With ``topk`` (unit costs) every optimum is a prefix of one score order.
     Otherwise one knapsack recursion up to the largest budget fills a boolean
     table: ``keep[j, b]`` says protecting parcel j attains the optimum over
-    parcels j.. at budget b. Each budget traces back through it, protecting
-    whenever ``keep`` allows.
+    parcels j.. at budget b. Each row is filled through one reused ``take``
+    buffer, the comparison writing straight into ``keep``. Each budget traces
+    back through it, protecting whenever ``keep`` allows: ``keep`` is read as
+    flat bytes at position ``j * width + b``, which moves by ``width`` per
+    parcel and back by the cost of each protected one.
     """
     scores, den = _integer_scores(problem)
     n = problem.parcel_count
@@ -171,21 +174,25 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
             f"budget {bmax} needs a {table_bytes:,}-byte knapsack table, "
             f"more than the {memory:,} bytes of physical memory"
         )
-    best = np.zeros(bmax + 1, dtype=scores.dtype)
-    keep = np.zeros((n, bmax + 1), dtype=bool)
+    width = bmax + 1
+    best, take = np.zeros(width, dtype=scores.dtype), np.empty(width, dtype=scores.dtype)
+    keep = np.zeros((n, width), dtype=bool)
     for j in range(n - 1, -1, -1):
         c, s = costs[j], scores[j]
         if c <= bmax:
-            take = best[: bmax + 1 - c] + s
-            keep[j, c:] = take >= best[c:]
-            np.maximum(best[c:], take, out=best[c:])
+            tail, t = best[c:], take[: width - c]
+            np.add(best[: width - c], s, t)
+            np.greater_equal(t, tail, keep[j, c:])
+            np.maximum(tail, t, out=tail)
+    flat = memoryview(keep).cast("B")  # keep[j, b] is flat[j * width + b]
     solutions = []
     for budget in budgets:
-        b, chosen = min(budget, bmax), []
+        at, chosen = min(budget, bmax), []
         for j in range(n):
-            if keep[j, b]:
+            if flat[at]:
                 chosen.append(j)
-                b -= costs[j]
+                at -= costs[j]
+            at += width
         solutions.append(_build_solution(problem, scores, den, chosen))
     return solutions
 

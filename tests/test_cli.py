@@ -277,6 +277,17 @@ class TestErrorHandling:
         "generate-grid-plus": (
             ["generate", "--seed", "0", "--grid", "+3"], "argument --grid: must be a nonnegative integer, got '+3'"
         ),
+        "generate-seed-arabic-indic": (
+            ["generate", "--seed", "\u0663"], "argument --seed: must be a nonnegative integer, got '\u0663'"
+        ),
+        "generate-pool-size-arabic-indic": (
+            ["generate", "--seed", "0", "--pool-size", "\u0661\u0660"],
+            "argument --pool-size: must be a nonnegative integer, got '\u0661\u0660'",
+        ),
+        "solve-budget-fullwidth": (
+            ["solve", "--counts", "c.json", "--budget", "\uff13"],
+            "argument --budget: must be a nonnegative integer, got '\uff13'",
+        ),
         "solve-negative-budget": (
             ["solve", "--counts", "c.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
         ),

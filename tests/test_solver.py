@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reserveplan import (
@@ -186,6 +186,29 @@ class TestSolveSweep:
             # the oracle reads the same scores, so check the objective apart from them
             exact = sum((w * int(row @ sol.x) for w, row in zip(p.weights, p.values)), Fraction(0))
             assert sol.objective == exact
+
+    @given(st.data(), st.booleans(), st.sampled_from([(1,), (Fraction(2**70, 3),)]))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_rows_match_bruteforce(self, data, past_total, weights):
+        # costs up to 300 make each keep row hundreds of bytes wide, so the
+        # traceback's flat position moves far past a byte's range per parcel
+        costs = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=14))
+        assume(max(costs) > 0)
+        n, total = len(costs), sum(costs)
+        values = np.array([data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))])
+        if past_total:
+            budgets = data.draw(st.lists(st.integers(0, total), max_size=4))
+            budgets.append(total + data.draw(st.integers(1, 500)))
+        else:  # the costliest parcel costs more than every budget
+            budgets = data.draw(st.lists(st.integers(0, max(costs) - 1), min_size=1, max_size=5))
+        sols = solve_sweep(values, weights, costs, budgets)
+        for budget, sol in zip(budgets, sols):
+            oracle = solve_bruteforce(
+                ReserveProblem(values=values, weights=weights, costs=costs, budget=budget)
+            )
+            assert sol.x.tolist() == oracle.x.tolist()
+            assert sol.objective == oracle.objective
+            assert sol.spent == oracle.spent
 
     def test_huge_weights_take_exact_path(self):
         values, weights, costs = np.array([[50, 49, 3, 7]]), (Fraction(2**70, 3),), [1, 2, 1, 3]
