@@ -115,18 +115,19 @@ class SimulatedGrid:
         return self.values.reshape(self.species_count, -1)
 
 
-def _project(state: np.ndarray, params: LVParams, steps: int) -> np.ndarray:
+def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.ndarray:
     """Advance a (species, parcels) state by ``steps`` steps, each distinct column once.
 
-    Distinct starting columns are stepped in place and scattered back. The
-    states are small, so per-call numpy cost dominates, and a call on
-    same-shape contiguous operands costs about half one that broadcasts a
-    column or a Python float: so ``r``, ``beta``, ``dt``, a zero, and
-    ``alphas[j]`` (``alpha[:, j]``) are built once at the state's shape. Each
-    step forms every ``alpha[i, j] * N_j`` in one broadcasting call and sums
-    over j in index order into ``products[0]``, never by a numpy reduction
-    (which sums pairwise on some shapes), so a column evolves alike alone or
-    in a batch.
+    Distinct starting columns are stepped in place and scattered back. A given
+    ``check(step, x)`` runs after every step; without one the steps run in one
+    loop with no per-step call. The states are small, so per-call numpy cost
+    dominates, and a call on same-shape contiguous operands costs about half
+    one that broadcasts a column or a Python float: so ``r``, ``beta``, ``dt``,
+    a zero, and ``alphas[j]`` (``alpha[:, j]``) are built once at the state's
+    shape. Each step forms every ``alpha[i, j] * N_j`` in one broadcasting call
+    and sums over j in index order into ``products[0]``, never by a numpy
+    reduction (which sums pairwise on some shapes), so a column evolves alike
+    alone or in a batch.
     """
     unique, inverse = np.unique(state, axis=1, return_inverse=True)
     x = np.ascontiguousarray(unique, dtype=np.float64)
@@ -135,19 +136,23 @@ def _project(state: np.ndarray, params: LVParams, steps: int) -> np.ndarray:
                        for v in (params.r, params.beta, params.alpha.T))
     products, rows = np.empty_like(alphas), x[:, np.newaxis]
     pressure, terms = products[0], list(products[1:])  # species 0's term, then the running sum
-    for _ in range(steps):
-        np.multiply(alphas, rows, products)
-        for term in terms:
-            np.add(pressure, term, pressure)
-        np.multiply(r, x, t1)
-        np.multiply(x, pressure, pressure)
-        np.subtract(t1, pressure, t1)
-        np.multiply(beta, x, t2)
-        np.multiply(t2, x, t2)
-        np.subtract(t1, t2, t1)
-        np.multiply(dt, t1, t1)
-        np.add(x, t1, x)
-        np.maximum(zero, x, out=x)
+    stride, stops = (1, steps) if check else (steps, 1)
+    for stop in range(1, stops + 1):
+        for _ in range(stride):
+            np.multiply(alphas, rows, products)
+            for term in terms:
+                np.add(pressure, term, pressure)
+            np.multiply(r, x, t1)
+            np.multiply(x, pressure, pressure)
+            np.subtract(t1, pressure, t1)
+            np.multiply(beta, x, t2)
+            np.multiply(t2, x, t2)
+            np.subtract(t1, t2, t1)
+            np.multiply(dt, t1, t1)
+            np.add(x, t1, x)
+            np.maximum(zero, x, out=x)
+        if check:
+            check(stop, x)
     return x[:, inverse]
 
 
@@ -178,13 +183,13 @@ def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
         if bad.any():
             # Parcels evolve independently: re-running the first bad one alone finds its step.
             parcel = int(bad.any(axis=0).argmax())
-            start = column = initial[:, [parcel]]
-            for step in range(1, params.T + 1):
-                column = _project(column, params, 1)
+            start = initial[:, [parcel]]
+            def check(step: int, column: np.ndarray) -> None:
                 if not np.isfinite(column).all():
                     raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
                 if np.any((column == 0.0) & (start > 0.0)):
                     raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
+            _project(start, params, params.T, check)
     return SimulatedGrid(n=observed.n, values=state.reshape(-1, observed.n, observed.n))
 
 

@@ -7,9 +7,10 @@ integers, so optima and tie-breaks never depend on floating point. Every
 solver, the exhaustive oracle included, reads one exact integer score per
 parcel. Every exact solve, for one budget or a whole budget sweep, runs
 through ``solve_sweep``: a top-k order for unit costs, a knapsack table
-otherwise. It shares one tie-break with the oracle: among optimal selections,
-prefer the protection vector that protects the lower-indexed parcel at the
-first index where two optima differ.
+otherwise, its value rows in the narrowest of uint8/uint16/uint32 that holds
+the total score. It shares one tie-break with the oracle: among optimal
+selections, prefer the protection vector that protects the lower-indexed
+parcel at the first index where two optima differ.
 """
 
 from __future__ import annotations
@@ -155,30 +156,33 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
     Otherwise one knapsack recursion up to the largest budget fills a boolean
     table: ``keep[j, b]`` says protecting parcel j attains the optimum over
     parcels j.. at budget b. Each row is filled through one reused ``take``
-    buffer, the comparison writing straight into ``keep``. Each budget traces
-    back through it, protecting whenever ``keep`` allows: ``keep`` is read as
-    flat bytes at position ``j * width + b``, which moves by ``width`` per
-    parcel and back by the cost of each protected one.
+    buffer, the comparison writing straight into ``keep``. Every entry of
+    ``best`` and ``take`` is a subset sum of nonnegative scores, so both are the
+    narrowest unsigned type that holds the total score (else the scores' dtype).
+    Each budget traces back, protecting whenever ``keep`` allows: ``keep`` is
+    read as flat bytes at position ``j * width + b``, which moves by ``width``
+    per parcel and back by the cost of each protected one.
     """
     scores, den = _integer_scores(problem)
     n = problem.parcel_count
     if topk:
         order = np.argsort(-scores, kind="stable")  # ties keep index order
         return [_build_solution(problem, scores, den, order[:b]) for b in budgets]
-    costs = problem.costs.tolist()
+    costs, total = problem.costs.tolist(), int(scores.sum())
+    row = next((d for d in map(np.dtype, ("u1", "u2", "u4")) if total <= np.iinfo(d).max), scores.dtype)
     bmax = min(max(budgets, default=0), sum(costs))
-    table_bytes = (n + 8) * (bmax + 1)  # boolean keep rows plus one 8-byte value row
+    table_bytes = (n + 2 * row.itemsize) * (bmax + 1)  # boolean keep rows plus two value rows
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if table_bytes > memory:
         raise TableTooLargeError(
             f"budget {bmax} needs a {table_bytes:,}-byte knapsack table, "
             f"more than the {memory:,} bytes of physical memory"
         )
-    width = bmax + 1
-    best, take = np.zeros(width, dtype=scores.dtype), np.empty(width, dtype=scores.dtype)
+    width, row_scores = bmax + 1, scores.astype(row)
+    best, take = np.zeros(width, dtype=row), np.empty(width, dtype=row)
     keep = np.zeros((n, width), dtype=bool)
     for j in range(n - 1, -1, -1):
-        c, s = costs[j], scores[j]
+        c, s = costs[j], row_scores[j]
         if c <= bmax:
             tail, t = best[c:], take[: width - c]
             np.add(best[: width - c], s, t)
@@ -222,7 +226,7 @@ def solve_dp(problem: ReserveProblem) -> ReserveSolution:
     """Exact 0/1 knapsack over integer costs by dynamic programming.
 
     Prefers x_p = 1 at the lowest indices, so zero-cost parcels are always
-    protected. Memory: one value row and a boolean parcels-by-budget table.
+    protected. Memory: two value rows and a boolean parcels-by-budget table.
     """
     return _solve_budgets(problem, [problem.budget], topk=False)[0]
 

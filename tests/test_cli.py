@@ -434,7 +434,7 @@ class TestErrorHandling:
         code = main(["solve", "--problem", str(problem), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "wide.json: budget 1000000000000 needs a 10,000,000,000,010-byte knapsack table" in err
+        assert "wide.json: budget 1000000000000 needs a 4,000,000,000,004-byte knapsack table" in err
         assert not out.exists()
 
     def test_sweep_table_beyond_memory_exits_1_and_names_file(self, workspace, tmp_path, capsys):

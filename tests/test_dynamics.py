@@ -216,6 +216,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="clamped to zero at step 3 in parcel 1$"):
             simulate(grid, params)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_late_overflow_names_the_step_and_the_first_bad_parcel(self):
+        # 1.5**k passes the float maximum (~1.8e308) at k = 1751.
+        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [0, 1]]]))
+        params = LVParams(r=[0.5], alpha=[[0.0]], beta=[0.0], dt=1.0, T=2000)
+        with pytest.raises(ValueError, match="overflow at step 1751 in parcel 1$"):
+            simulate(grid, params)
+
 
 def projected(values: np.ndarray) -> SimulatedGrid:
     values = np.asarray(values, dtype=float)

@@ -10,6 +10,7 @@ from reserveplan import (
     EnumerationLimitError,
     NonIntegerCostError,
     ReserveProblem,
+    TableTooLargeError,
     WrongSolverError,
     solve_bruteforce,
     solve_dp,
@@ -161,6 +162,18 @@ class TestSolveDp:
         # the keep table of 5000 x 5001 booleans takes 25 MB
         assert peak < 50e6
 
+    def test_table_beyond_memory_is_refused_naming_budget_and_bytes(self, monkeypatch):
+        # total score 1000 needs uint16 value rows: (3 keep bytes + 2 * 2) per budget column
+        p = problem([500, 300, 200], costs=[2, 3, 4], budget=9)
+        table_bytes = (3 + 2 * 2) * 10
+        pages = {"SC_PAGE_SIZE": 1}
+        monkeypatch.setattr("reserveplan.solver.os.sysconf", pages.get)
+        pages["SC_PHYS_PAGES"] = table_bytes - 1
+        with pytest.raises(TableTooLargeError, match=f"^budget 9 needs a {table_bytes}-byte "):
+            solve_dp(p)
+        pages["SC_PHYS_PAGES"] = table_bytes
+        assert solve_dp(p).x.tolist() == [1, 1, 1]
+
 
 class TestSolveSweep:
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([2, 50]), st.data())
@@ -205,6 +218,25 @@ class TestSolveSweep:
         for budget, sol in zip(budgets, sols):
             oracle = solve_bruteforce(
                 ReserveProblem(values=values, weights=weights, costs=costs, budget=budget)
+            )
+            assert sol.x.tolist() == oracle.x.tolist()
+            assert sol.objective == oracle.objective
+            assert sol.spent == oracle.spent
+
+    @pytest.mark.parametrize("total", [255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_total_score_at_a_row_width_boundary_matches_bruteforce(self, total, seed):
+        # value rows narrower than the total score would wrap once a selection reaches it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 15))
+        cuts = np.sort(rng.integers(0, total + 1, size=n - 1))
+        values = np.diff(cuts, prepend=0, append=total).reshape(1, -1)
+        costs = rng.integers(0, 10, size=n)
+        assert int(values.sum()) == total
+        budgets = list(range(int(costs.sum()) + 1))
+        for budget, sol in zip(budgets, solve_sweep(values, (1,), costs, budgets)):
+            oracle = solve_bruteforce(
+                ReserveProblem(values=values, weights=(1,), costs=costs, budget=budget)
             )
             assert sol.x.tolist() == oracle.x.tolist()
             assert sol.objective == oracle.objective
