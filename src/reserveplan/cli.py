@@ -71,6 +71,13 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A positive integer flag such as ``--grid``; argparse reports a refusal as a usage error."""
+    if not (text.isascii() and text.isdecimal()) or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _weights(text: str) -> tuple:
     """Comma-separated exact ``--weights``; argparse reports a refusal as a usage error."""
     try:
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
     p.add_argument("--out", required=True, help="suite JSON output path")
     p.add_argument("--pool-size", type=_natural, default=10_000, help="landscapes to generate")
-    p.add_argument("--grid", type=_natural, default=10, help="landscape side length")
+    p.add_argument("--grid", type=_positive, default=10, help="landscape side length")
     p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
     p.set_defaults(func=_cmd_generate, parser=p)
 

@@ -10,7 +10,11 @@ The starting uniforms of every grid, one landscape or a whole pool, come from
 does in whole-array operations and lets numpy's own ``PCG64`` draw each grid,
 so it reproduces ``np.random.default_rng(seed).random((n, n))`` bit for bit
 (pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``
-in tests/test_landscape.py).
+in tests/test_landscape.py). Smoothing and rescaling run on an (n, n, m) copy
+with the grids on the last axis, so each shifted add is one contiguous run over
+all m grids, not one per grid row; each cell still adds the same values in the
+same order. Scoring stays on the (m, n, n) row-major batch: numpy's pairwise
+sums depend on memory layout, so a grid-last sum would move the scores' last bits.
 """
 
 from __future__ import annotations
@@ -133,36 +137,34 @@ def _generate_values(n: int, rounds: int, seeds: Sequence[int]) -> np.ndarray:
         raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
     if rounds < 0:
         raise ValueError(f"smoothing_rounds must be >= 0, got {rounds}")
-    h = uniform_grids(seeds, n)
-    for _ in range(rounds):
-        h = _neighbor_mean(h)
-    return _rescale_unit(h)
-
-
-def _neighbor_mean(h: np.ndarray) -> np.ndarray:
-    """One smoothing pass over the last two axes.
-
-    Each cell becomes the mean of itself and its in-grid orthogonal neighbours.
-    """
-    total = h.copy()
-    count = np.ones(h.shape[-2:])
-    total[..., 1:, :] += h[..., :-1, :]
-    count[1:, :] += 1.0
-    total[..., :-1, :] += h[..., 1:, :]
-    count[:-1, :] += 1.0
-    total[..., :, 1:] += h[..., :, :-1]
-    count[:, 1:] += 1.0
-    total[..., :, :-1] += h[..., :, 1:]
-    count[:, :-1] += 1.0
-    return np.divide(total, count, out=total)
+    draws = uniform_grids(seeds, n)
+    h = draws.transpose(1, 2, 0).copy()  # grid-last; copied even when m == 1 makes the view contiguous
+    total = draws.reshape(h.shape)  # the draw buffer, reused as scratch
+    along = np.add(np.arange(n) > 0, np.arange(n) < n - 1, dtype=float)  # in-grid neighbours on one axis
+    count = (1.0 + along[:, None] + along)[..., None]
+    for _ in range(rounds):  # each cell becomes the mean of itself and its in-grid orthogonal neighbours
+        np.copyto(total, h)
+        total[1:] += h[:-1]
+        total[:-1] += h[1:]
+        total[:, 1:] += h[:, :-1]
+        total[:, :-1] += h[:, 1:]
+        h, total = np.divide(total, count, out=total), h
+    out = total.reshape(draws.shape)
+    np.copyto(out, _rescale_unit(h).transpose(2, 0, 1))
+    return out
 
 
 def _rescale_unit(h: np.ndarray) -> np.ndarray:
-    """Affinely rescale each grid (last two axes) to span [0, 1]; constant grids pass through."""
-    lo = h.min(axis=(-2, -1), keepdims=True)
-    hi = h.max(axis=(-2, -1), keepdims=True)
+    """Affinely rescale, in place, each grid over the first two axes to span [0, 1].
+
+    Takes one (n, n) grid or an (n, n, m) grid-last stack; constant grids pass through.
+    """
+    lo = h.min(axis=(0, 1), keepdims=True)
+    hi = h.max(axis=(0, 1), keepdims=True)
     flat = hi == lo
-    return (h - np.where(flat, 0.0, lo)) / np.where(flat, 1.0, hi - lo)
+    h -= np.where(flat, 0.0, lo)
+    h /= np.where(flat, 1.0, hi - lo)
+    return h
 
 
 def fragmentation(landscape: Landscape) -> float:

@@ -275,7 +275,10 @@ class TestErrorHandling:
             "argument --pool-size: must be a nonnegative integer, got '1_0'",
         ),
         "generate-grid-plus": (
-            ["generate", "--seed", "0", "--grid", "+3"], "argument --grid: must be a nonnegative integer, got '+3'"
+            ["generate", "--seed", "0", "--grid", "+3"], "argument --grid: must be a positive integer, got '+3'"
+        ),
+        "generate-grid-zero": (
+            ["generate", "--seed", "0", "--grid", "0"], "argument --grid: must be a positive integer, got '0'"
         ),
         "generate-seed-arabic-indic": (
             ["generate", "--seed", "\u0663"], "argument --seed: must be a nonnegative integer, got '\u0663'"

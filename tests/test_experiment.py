@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,30 @@ class TestBuildSpeciesSuite:
             assert sp.landscape.seed == want.seed
             assert sp.landscape.smoothing_rounds == want.smoothing_rounds
             assert sp.landscape.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_picks_match_one_at_a_time_scoring(self, seed):
+        # every pool member generated and scored alone, so a grid paired with
+        # the wrong seed in the batched pool changes the picks
+        pool = reference_pool(seed, pool_size=60, grid=5)
+        scores = [fragmentation(land) for land in pool]
+        order = sorted(range(len(pool)), key=lambda i: (-scores[i], i))
+        ranks = ("highest", "2nd highest", "lowest", "2nd lowest")
+        expected = dict(zip(ranks, [pool[i] for i in order[:2] + order[::-1][:2]]))
+        for sp in build_species_suite(seed, pool_size=60, grid=5):
+            want = expected[sp.fragmentation_rank]
+            assert (sp.landscape.seed, sp.landscape.smoothing_rounds) == (want.seed, want.smoothing_rounds)
+            assert sp.landscape.values.tobytes() == want.values.tobytes()
+
+    def test_paper_size_pool_memory_peak(self):
+        # one smoothing-rounds group at a time: the whole 10k pool's values alone take 8 MB
+        tracemalloc.start()
+        try:
+            build_species_suite(seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6
 
     def test_paper_size_picks_are_pinned(self):
         # (seed, smoothing_rounds) of the seed-0, 10k-pool picks, recorded from

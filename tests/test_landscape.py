@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -74,7 +75,7 @@ class TestGenerateLandscape:
         assert rescaled[1, 1] == pytest.approx(0.25)
         # constant grids pass through untouched
         flat = np.full((3, 3), 0.4)
-        assert np.array_equal(_rescale_unit(flat), flat)
+        assert np.array_equal(_rescale_unit(flat.copy()), flat)
 
     def test_generated_grids_span_unit_interval(self):
         for seed in range(5):
@@ -89,12 +90,14 @@ class TestGenerateLandscape:
         assert got.tobytes() == reference_landscape_values(n, rounds, seed).tobytes()
 
     def test_batch_rows_match_single_landscapes(self):
-        seeds = [3, 40, 41, 999]
-        batch = _generate_values(6, 4, seeds)
-        assert batch.shape == (4, 6, 6)
-        for row, seed in zip(batch, seeds):
-            assert row.tobytes() == generate_landscape(6, 4, seed).values.tobytes()
-        assert _generate_values(6, 4, []).shape == (0, 6, 6)
+        # the batch smooths grid-last; each row must still equal the 2-D reference
+        for n, rounds, size in itertools.product([1, 2, 3, 7], range(9), [0, 1, 2, 9]):
+            seeds = [3 + 37 * i + 1000 * size for i in range(size)]
+            batch = _generate_values(n, rounds, seeds)
+            assert batch.shape == (size, n, n)
+            assert batch.flags.c_contiguous
+            for row, seed in zip(batch, seeds):
+                assert row.tobytes() == reference_landscape_values(n, rounds, seed).tobytes(), (n, rounds, seed)
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError, match="smoothing_rounds"):
