@@ -1,89 +1,15 @@
-"""Budget-constrained reserve selection on synthetic landscapes with species dynamics."""
+"""Budget-constrained reserve selection on synthetic landscapes with species dynamics.
 
-from .dynamics import (
-    LVParams,
-    SimulatedGrid,
-    default_params,
-    lv_step,
-    round_counts,
-    simulate,
-)
-from .experiment import (
-    CASE_GROUPS,
-    DEFAULT_BUDGETS,
-    SUITE_LAYOUT,
-    Scenario,
-    SimilarityStats,
-    SpeciesSpec,
-    SweepRow,
-    budget_sweep,
-    build_species_suite,
-    default_scenarios,
-    similarity,
-    summarize,
-    weighted_comparison,
-)
-from .landscape import (
-    CountsGrid,
-    DegenerateIntensityError,
-    InsufficientCandidatesError,
-    InvalidDimensionError,
-    Landscape,
-    distribute_population,
-    fragmentation,
-    generate_landscape,
-    select_extremes,
-)
-from .solver import (
-    EnumerationLimitError,
-    NonIntegerCostError,
-    ReserveProblem,
-    ReserveSolution,
-    TableTooLargeError,
-    WrongSolverError,
-    solve_bruteforce,
-    solve_dp,
-    solve_topk,
-)
+The package exports the public names of ``dynamics``, ``experiment``,
+``landscape`` and ``solver``, as each module's ``__all__`` declares them.
+"""
+
+from . import dynamics, experiment, landscape, solver
+from .dynamics import *  # noqa: F403
+from .experiment import *  # noqa: F403
+from .landscape import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_GROUPS",
-    "DEFAULT_BUDGETS",
-    "SUITE_LAYOUT",
-    "CountsGrid",
-    "DegenerateIntensityError",
-    "EnumerationLimitError",
-    "InsufficientCandidatesError",
-    "InvalidDimensionError",
-    "LVParams",
-    "Landscape",
-    "NonIntegerCostError",
-    "ReserveProblem",
-    "ReserveSolution",
-    "Scenario",
-    "SimilarityStats",
-    "SimulatedGrid",
-    "SpeciesSpec",
-    "SweepRow",
-    "TableTooLargeError",
-    "WrongSolverError",
-    "budget_sweep",
-    "build_species_suite",
-    "default_params",
-    "default_scenarios",
-    "distribute_population",
-    "fragmentation",
-    "generate_landscape",
-    "lv_step",
-    "round_counts",
-    "select_extremes",
-    "similarity",
-    "simulate",
-    "solve_bruteforce",
-    "solve_dp",
-    "solve_topk",
-    "summarize",
-    "weighted_comparison",
-]
+__all__ = [*dynamics.__all__, *experiment.__all__, *landscape.__all__, *solver.__all__]

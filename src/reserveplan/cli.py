@@ -71,6 +71,13 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _budget(text: str) -> int:
+    """A ``--budget``: a nonnegative integer within int64, like every budget."""
+    if (value := _natural(text)) >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be at most {2**63 - 1}, got {text!r}")
+    return value
+
+
 def _positive(text: str) -> int:
     """A positive integer flag such as ``--grid``; argparse reports a refusal as a usage error."""
     if not (text.isascii() and text.isdecimal()) or int(text) == 0:
@@ -112,7 +119,7 @@ def _cmd_simulate(args) -> int:
             params = _read(args.params, fileio.params_from_obj)
     with _blame(args.params or args.scenario or args.counts):
         projected = simulate(observed, params)
-        obj = fileio.counts_to_obj(round_counts(projected) if args.round else projected)
+        obj = fileio.counts_to_obj(round_counts(projected).counts if args.round else projected)
     fileio.write_json(args.out, obj)
     print(f"wrote {args.out} ({params.T} steps of {params.dt:g})")
     return 0
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--problem", help="problem JSON")
     mode.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
-    p.add_argument("--budget", type=_natural, help="budget for --counts input")
+    p.add_argument("--budget", type=_budget, help="budget for --counts input")
     p.add_argument("--weights", type=_weights, help="comma-separated species weights, e.g. 9/10,1/10")
     p.add_argument("--out", required=True, help="solution JSON output path")
     p.set_defaults(func=_cmd_solve, parser=p)
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
     mode.add_argument("--counts", help="counts JSON annotating the first panel")
-    p.add_argument("--budget", type=_natural, help="budget for --scenario input")
+    p.add_argument("--budget", type=_budget, help="budget for --scenario input")
     p.add_argument("--solution", help="solution JSON for the first panel")
     p.add_argument("--counts2", help="counts JSON annotating the second panel")
     p.add_argument("--solution2", help="solution JSON for the second panel")

@@ -14,6 +14,8 @@ Each distinct starting column is stepped once and shared by every parcel that
 starts there, so wide grids of mostly distinct columns gain only from the lean
 step. A positive count clamped to zero (a step-size artefact: the continuous
 model never reaches zero) or an overflow is refused, naming step and parcel.
+``simulate`` returns the projected counts as a plain (species, n, n) float64
+array, and ``round_counts`` turns that array into an integer ``CountsGrid``.
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ import numpy as np
 from ._checks import InvalidDimensionError, as_numbers
 from .landscape import CountsGrid
 
-__all__ = [
-    "LVParams",
-    "SimulatedGrid",
-    "default_params",
-    "lv_step",
-    "simulate",
-    "round_counts",
-]
+__all__ = ["LVParams", "default_params", "simulate", "round_counts"]
 
 DEFAULT_BIRTH_RATE = 0.1
 DEFAULT_COMPETITION = 0.0005
@@ -80,7 +75,7 @@ class LVParams:
         return int(self.r.shape[0])
 
 
-def default_params(species_count: int, *, dt: float = DEFAULT_DT, T: int = DEFAULT_STEPS) -> LVParams:
+def default_params(species_count: int) -> LVParams:
     """Uniform parameters for a given species count: equal rates, symmetric competition."""
     if species_count < 1:
         raise ValueError(f"species_count must be >= 1, got {species_count}")
@@ -90,29 +85,7 @@ def default_params(species_count: int, *, dt: float = DEFAULT_DT, T: int = DEFAU
         r=np.full(species_count, DEFAULT_BIRTH_RATE),
         alpha=alpha,
         beta=np.full(species_count, DEFAULT_CROWDING),
-        dt=dt,
-        T=T,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class SimulatedGrid:
-    """Real-valued projected counts on an n x n grid."""
-
-    n: int
-    values: np.ndarray  # shape (species, n, n), nonnegative floats
-
-    def __post_init__(self) -> None:
-        values = as_numbers(self.values, "projected values", shape=(None, self.n, self.n))
-        object.__setattr__(self, "values", values)
-
-    @property
-    def species_count(self) -> int:
-        return int(self.values.shape[0])
-
-    def matrix(self) -> np.ndarray:
-        """Values flattened to (species, parcels) with parcels in row-major order."""
-        return self.values.reshape(self.species_count, -1)
 
 
 def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.ndarray:
@@ -156,14 +129,8 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     return x[:, inverse]
 
 
-def lv_step(state, params: LVParams) -> np.ndarray:
-    """One update step for the per-species counts of a single parcel."""
-    vec = as_numbers(state, "state", shape=(params.species_count,))
-    return _project(vec[:, np.newaxis], params, 1)[:, 0]
-
-
-def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
-    """Project observed counts forward by running T steps in every parcel.
+def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
+    """Project observed counts forward by T steps: a (species, n, n) float64 array.
 
     Parcels do not interact: the projection of a grid equals the projection of
     each parcel in isolation, reassembled. A count that leaves the float range
@@ -190,9 +157,9 @@ def simulate(observed: CountsGrid, params: LVParams) -> SimulatedGrid:
                 if np.any((column == 0.0) & (start > 0.0)):
                     raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
             _project(start, params, params.T, check)
-    return SimulatedGrid(n=observed.n, values=state.reshape(-1, observed.n, observed.n))
+    return state.reshape(-1, observed.n, observed.n)
 
 
-def round_counts(simulated: SimulatedGrid) -> CountsGrid:
-    """Round projected counts half-up to the nearest integer."""
-    return CountsGrid(n=simulated.n, counts=np.floor(simulated.values + 0.5))
+def round_counts(projected: np.ndarray) -> CountsGrid:
+    """Round a (species, n, n) array of projected counts half-up to the nearest integer."""
+    return CountsGrid(n=projected.shape[-1], counts=np.floor(projected + 0.5))

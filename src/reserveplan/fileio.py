@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import LVParams, SimulatedGrid
+from .dynamics import LVParams
 from .experiment import Scenario, SimilarityStats, SpeciesSpec, SweepRow
 from .landscape import CountsGrid, Landscape
 from .solver import ReserveProblem, ReserveSolution
@@ -172,8 +172,10 @@ def landscape_from_obj(obj, where: str = "landscape") -> Landscape:
 
 # --- counts / projected counts ------------------------------------------------
 
-def counts_to_obj(grid: CountsGrid | SimulatedGrid) -> dict:
-    return {"n": grid.n, "species": grid.species_count, "counts": grid.matrix().tolist()}
+def counts_to_obj(counts: np.ndarray) -> dict:
+    """A (species, n, n) array of integer or projected counts as a counts document."""
+    species, n, _ = counts.shape
+    return {"n": n, "species": species, "counts": counts.reshape(species, -1).tolist()}
 
 
 def counts_from_obj(obj, where: str = "counts") -> CountsGrid:
@@ -246,7 +248,7 @@ def solution_to_obj(solution: ReserveSolution) -> dict:
 def solution_from_obj(obj, where: str = "solution") -> ReserveSolution:
     return _build(
         ReserveSolution,
-        f"{where}.x",
+        where,
         x=_field(obj, "x", where, 1, integer=True),
         objective=_fraction(_field(obj, "objective", where, 1, integer=True), f"{where}.objective"),
         spent=_field(obj, "spent", where, 0, integer=True),
@@ -261,7 +263,7 @@ def _species_to_obj(spec: SpeciesSpec) -> dict:
         "fragmentation_rank": spec.fragmentation_rank,
         "total": spec.total,
         "landscape": landscape_to_obj(spec.landscape),
-        "counts": counts_to_obj(spec.counts),
+        "counts": counts_to_obj(spec.counts.counts),
     }
 
 
@@ -390,22 +392,24 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
+        line = f"{where}.line{lineno}"
         if len(record) != len(SWEEP_HEADER):
-            raise _fail(f"{where}.line{lineno}", f"expected {len(SWEEP_HEADER)} columns")
+            raise _fail(line, f"expected {len(SWEEP_HEADER)} columns")
+        for field, text in zip(SWEEP_HEADER[:2], record):
+            if not (text.isascii() and text.isdecimal()):  # int() also takes '-5', '+4', '1_0'
+                raise _fail(line, f"{field} must be a nonnegative integer, got {text!r}")
         try:
-            rows.append(
-                {
-                    "budget": int(record[0]),
-                    "similarity": int(record[1]),
-                    "objective1": Fraction(record[2]),
-                    "objective2": Fraction(record[3]),
-                }
-            )
+            objectives = [Fraction(text) for text in record[2:]]
         except (ValueError, ZeroDivisionError) as exc:
-            raise _fail(f"{where}.line{lineno}", str(exc)) from exc
-        budget = rows[-1]["budget"]
+            raise _fail(line, str(exc)) from exc
+        for field, value in zip(SWEEP_HEADER[2:], objectives):
+            if value < 0:
+                raise _fail(line, f"{field} must be nonnegative, got {value}")
+        budget = int(record[0])
+        rows.append({"budget": budget, "similarity": int(record[1]),
+                     "objective1": objectives[0], "objective2": objectives[1]})
         if budget in lines:
-            raise _fail(f"{where}.line{lineno}", f"budget {budget} repeats line {lines[budget]}")
+            raise _fail(line, f"budget {budget} repeats line {lines[budget]}")
         lines[budget] = lineno
     if not rows:
         raise _fail(where, "no data rows")

@@ -108,7 +108,7 @@ class ReserveProblem:
 
 @dataclass(frozen=True, eq=False)
 class ReserveSolution:
-    """Binary protection vector with its exact objective and spent cost."""
+    """Binary protection vector with its exact objective and spent cost, both nonnegative."""
 
     x: np.ndarray
     objective: Fraction
@@ -116,7 +116,10 @@ class ReserveSolution:
 
     def __post_init__(self) -> None:
         x = as_numbers(self.x, "x", integer=True, hi=1, shape=(None,))
+        [objective] = as_weights([self.objective], "objective")  # an exact nonnegative rational
         object.__setattr__(self, "x", x.astype(np.int8))
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "spent", int(as_numbers(self.spent, "spent", integer=True, shape=())))
 
     @property
     def parcel_count(self) -> int:

@@ -143,7 +143,7 @@ class TestSimulateSolveRenderChain:
 
         observed = tmp_path / "observed.json"
         obs_grid = fileio.scenario_from_obj(fileio.read_json(scenario)).observed()
-        fileio.write_json(observed, fileio.counts_to_obj(obs_grid))
+        fileio.write_json(observed, fileio.counts_to_obj(obs_grid.counts))
 
         sol1, sol2 = tmp_path / "sol1.json", tmp_path / "sol2.json"
         assert main(["solve", "--counts", str(observed), "--budget", "55", "--out", str(sol1)]) == 0
@@ -294,6 +294,10 @@ class TestErrorHandling:
         "solve-negative-budget": (
             ["solve", "--counts", "c.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
         ),
+        "solve-budget-beyond-int64": (
+            ["solve", "--counts", "c.json", "--budget", str(2**63)],
+            f"argument --budget: must be at most {2**63 - 1}, got '{2**63}'",
+        ),
         "render-no-mode": (["render", "--budget", "3"], "one of the arguments --scenario --counts is required"),
         "render-two-modes": (["render", "--scenario", "a.json", "--counts", "b.json"], "not allowed with"),
         "render-scenario-no-budget": (["render", "--scenario", "a.json"], "--scenario input needs --budget"),
@@ -307,6 +311,10 @@ class TestErrorHandling:
         ),
         "render-negative-budget": (
             ["render", "--scenario", "a.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
+        ),
+        "render-budget-beyond-int64": (
+            ["render", "--scenario", "a.json", "--budget", "99999999999999999999"],
+            f"argument --budget: must be at most {2**63 - 1}, got '99999999999999999999'",
         ),
         "render-counts-budget": (
             ["render", "--counts", "c.json", "--solution", "s.json", "--budget", "3"],
@@ -424,6 +432,14 @@ class TestErrorHandling:
         out = tmp_path / "stats.csv"
         assert main(["report", str(sweep), "--out", str(out)]) == 1
         assert "dup.csv: sweep.line4: budget 5 repeats line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_negative_budget_exits_1_and_names_file_and_line(self, tmp_path, capsys):
+        sweep = tmp_path / "a.csv"
+        sweep.write_text("budget,similarity,objective1,objective2\n0,100,0,0\n-5,90,1,1\n10,100,2,2\n")
+        out = tmp_path / "stats.csv"
+        assert main(["report", str(sweep), "--out", str(out)]) == 1
+        assert "a.csv: sweep.line3: budget must be a nonnegative integer, got '-5'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_knapsack_table_beyond_memory_exits_1_and_names_file(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import stat
 from fractions import Fraction
 
@@ -47,7 +49,7 @@ class TestLandscapeSchema:
 class TestCountsSchema:
     def test_round_trip(self):
         grid = CountsGrid(n=3, counts=np.arange(18).reshape(2, 3, 3))
-        back = fileio.counts_from_obj(fileio.counts_to_obj(grid))
+        back = fileio.counts_from_obj(fileio.counts_to_obj(grid.counts))
         assert back.species_count == 2
         assert np.array_equal(back.counts, grid.counts)
 
@@ -58,15 +60,15 @@ class TestCountsSchema:
 
     def test_projected_counts_keep_fractions(self):
         grid = CountsGrid(n=2, counts=np.ones((1, 2, 2), dtype=np.int64))
-        projected = simulate(grid, default_params(1, T=3))
+        projected = simulate(grid, dataclasses.replace(default_params(1), T=3))
         obj = fileio.counts_to_obj(projected)
         assert obj["n"] == 2 and obj["species"] == 1
-        assert obj["counts"][0] == pytest.approx(list(projected.matrix()[0]))
+        assert obj["counts"][0] == pytest.approx(list(projected.ravel()))
 
 
 class TestParamsSchema:
     def test_round_trip(self):
-        params = default_params(3, T=123, dt=0.5)
+        params = dataclasses.replace(default_params(3), T=123, dt=0.5)
         back = fileio.params_from_obj(fileio.params_to_obj(params))
         assert np.array_equal(back.r, params.r)
         assert np.array_equal(back.alpha, params.alpha)
@@ -116,9 +118,21 @@ class TestProblemSolutionSchema:
         assert back.objective == Fraction(7, 2)
         assert back.spent == 2
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"x": [0, 1], "objective": [-3, 2], "spent": 7}, "solution: objective must be nonnegative"),
+            ({"x": [0, 1], "objective": [3, 2], "spent": -7}, "solution: spent must be nonnegative"),
+        ],
+        ids=["objective", "spent"],
+    )
+    def test_negative_objective_or_spend_rejected(self, obj, message):
+        with pytest.raises(SchemaError, match="^" + re.escape(message)):
+            fileio.solution_from_obj(obj)
+
     def test_non_binary_x_rejected(self):
         obj = {"x": [2, 0], "objective": [1, 1], "spent": 0}
-        with pytest.raises(SchemaError, match=r"solution\.x"):
+        with pytest.raises(SchemaError, match=r"^solution: x must lie in \[0, 1\]"):
             fileio.solution_from_obj(obj)
 
 
@@ -175,6 +189,26 @@ class TestCsv:
     def test_bad_cell_names_line(self):
         text = "budget,similarity,objective1,objective2\n5,x,1,1\n"
         with pytest.raises(SchemaError, match="line2"):
+            fileio.sweep_csv_to_rows(text)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("-5,90,1,1", "budget must be a nonnegative integer, got '-5'"),
+            ("+4,90,1,1", "budget must be a nonnegative integer, got '+4'"),
+            ("1_0,90,1,1", "budget must be a nonnegative integer, got '1_0'"),
+            ("\u0663,90,1,1", "budget must be a nonnegative integer, got '\u0663'"),
+            ("5,-1,1,1", "similarity must be a nonnegative integer, got '-1'"),
+            ("5,+90,1,1", "similarity must be a nonnegative integer, got '+90'"),
+            ("5,90,-1/2,1", "objective1 must be nonnegative, got -1/2"),
+            ("5,90,1,-3", "objective2 must be nonnegative, got -3"),
+        ],
+        ids=["budget-negative", "budget-plus", "budget-underscore", "budget-arabic-indic",
+             "similarity-negative", "similarity-plus", "objective1-negative", "objective2-negative"],
+    )
+    def test_inconsistent_row_names_its_line(self, row, message):
+        text = f"budget,similarity,objective1,objective2\n0,100,0,0\n{row}\n10,100,1,1\n"
+        with pytest.raises(SchemaError, match="^" + re.escape(f"sweep.line3: {message}") + "$"):
             fileio.sweep_csv_to_rows(text)
 
     def test_stats_row_formatting(self):

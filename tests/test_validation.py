@@ -18,10 +18,8 @@ from reserveplan import (
     ReserveProblem,
     ReserveSolution,
     Scenario,
-    SimulatedGrid,
     SpeciesSpec,
     default_params,
-    lv_step,
 )
 from reserveplan import fileio
 from reserveplan.fileio import SchemaError
@@ -73,6 +71,8 @@ FIELDS = {
         True,
     ),
     "solution.x": (lambda v: ReserveSolution(x=v, objective=Fraction(1), spent=1), [1, 0, 1], True),
+    "solution.objective": (lambda v: ReserveSolution(x=[1, 0, 1], objective=v, spent=1), Fraction(7, 2), False),
+    "solution.spent": (lambda v: ReserveSolution(x=[1, 0, 1], objective=Fraction(1), spent=v), 2, True),
     "landscape.n": (lambda v: Landscape(n=v, values=np.full((N, N), 0.5)), N, True),
     "landscape.values": (lambda v: Landscape(n=N, values=v), [[0.0, 0.25], [0.5, 1.0]], False),
     "counts.n": (lambda v: CountsGrid(n=v, counts=COUNTS), N, True),
@@ -86,12 +86,6 @@ FIELDS = {
     "params.beta": (lambda v: LVParams(r=PARAMS.r, alpha=PARAMS.alpha, beta=v), [0.1, 0.2], False),
     "params.dt": (lambda v: LVParams(r=PARAMS.r, alpha=PARAMS.alpha, beta=PARAMS.beta, dt=v), 0.5, False),
     "params.T": (lambda v: LVParams(r=PARAMS.r, alpha=PARAMS.alpha, beta=PARAMS.beta, T=v), 10, True),
-    "projected.values": (
-        lambda v: SimulatedGrid(n=N, values=v),
-        [[[0.0, 1.5], [2.0, 3.0]]],
-        False,
-    ),
-    "lv_step.state": (lambda v: lv_step(v, PARAMS), [1.0, 2.0], False),
     "scenario.budgets": (lambda v: _scenario(budgets=v), [0, 2, 4], True),
     "scenario.costs": (lambda v: _scenario(costs=v), [1, 1, 2, 3], True),
     "scenario.weights": (lambda v: _scenario(weights=v), ["9/10"], False),
@@ -132,6 +126,20 @@ def test_negative_weight_is_refused_naming_the_field(field):
         build([-1, *valid[1:]])
 
 
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_negative_number_is_refused_naming_the_field(field):
+    build, valid, _ = FIELDS[field]
+    if isinstance(valid, list):
+        value = np.asarray(valid, dtype=object)
+        value.flat[-1] = -1
+        value = value.tolist()
+    else:
+        value = -1
+    name = field.split(".")[1]
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        build(value)
+
+
 # (field, a value of the wrong shape): a list for every scalar, a wrong length or rank for every array
 WRONG_SHAPES = [
     ("landscape.n", [N, 3]),
@@ -144,6 +152,7 @@ WRONG_SHAPES = [
     ("problem.costs", [1, 2]),
     ("problem.costs", [[1, 2, 3]]),
     ("solution.x", [[1, 0, 1]]),
+    ("solution.spent", [1, 2]),
     ("landscape.values", [[0.0, 0.25, 0.5], [0.5, 1.0, 1.0]]),
     ("landscape.values", [0.0, 0.25, 0.5, 1.0]),
     ("counts.counts", COUNTS[0].tolist()),
@@ -154,9 +163,6 @@ WRONG_SHAPES = [
     ("params.alpha", [0.0, 0.5]),
     ("params.beta", [0.1, 0.2, 0.3]),
     ("params.beta", 0.1),
-    ("projected.values", [[0.0, 1.5], [2.0, 3.0]]),
-    ("lv_step.state", [1.0, 2.0, 3.0]),
-    ("lv_step.state", 1.0),
     ("scenario.budgets", [[0, 2, 4]]),
     ("scenario.costs", [1, 1, 1]),
     ("sweep.budgets", [[1, 2]]),
