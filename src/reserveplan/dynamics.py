@@ -12,8 +12,13 @@ self-limitation, giving each species the single-species fixed point r_i / beta_i
 
 Each distinct starting column is stepped once and shared by every parcel that
 starts there, so wide grids of mostly distinct columns gain only from the lean
-step. A positive count clamped to zero (a step-size artefact: the continuous
-model never reaches zero) or an overflow is refused, naming step and parcel.
+step. With two species the zero diagonal makes each pressure one product,
+``alpha[i, 1 - i] * N_(1-i)``, formed for both species in one multiply;
+dropping the ``0 * N_i`` terms leaves every count bit-identical (see
+``_project``). A positive count clamped to zero (a step-size artefact: the
+continuous model never reaches zero) or an overflow is refused, naming step
+and parcel, and so is a schedule past ``MAX_CELL_STEPS`` steps x species x
+distinct columns, naming T, before any step runs.
 ``simulate`` returns the projected counts as a plain (species, n, n) float64
 array, and ``round_counts`` turns that array into an integer ``CountsGrid``.
 """
@@ -34,6 +39,10 @@ DEFAULT_COMPETITION = 0.0005
 DEFAULT_CROWDING = 0.001
 DEFAULT_DT = 0.01
 DEFAULT_STEPS = 2000
+# Steps x species x distinct columns a projection may run: 30x a 60,000-step
+# projection of 5 species on a 100x100 grid (3e9), and about 20 minutes at the
+# ~10 ns per cell-step of a wide state.
+MAX_CELL_STEPS = 10**11
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,34 +105,49 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     loop with no per-step call. The states are small, so per-call numpy cost
     dominates, and a call on same-shape contiguous operands costs about half
     one that broadcasts a column or a Python float: so ``r``, ``beta``, ``dt``,
-    a zero, and ``alphas[j]`` (``alpha[:, j]``) are built once at the state's
-    shape. Each step forms every ``alpha[i, j] * N_j`` in one broadcasting call
-    and sums over j in index order into ``products[0]``, never by a numpy
-    reduction (which sums pairwise on some shapes), so a column evolves alike
-    alone or in a batch.
+    a zero and the interaction rates are built once at the state's shape, and
+    the ufuncs are bound to locals. Each step forms every ``alpha[i, j] * N_j``
+    in one broadcasting call and sums over j in index order into
+    ``products[0]``, never by a numpy reduction (which sums pairwise on some
+    shapes), so a column evolves alike alone or in a batch. With two species
+    that one call, ``[alpha[0, 1], alpha[1, 0]] * N[::-1]``, is the whole
+    pressure. The dropped diagonal terms ``0 * N_i`` are zeros: adding one
+    changes at most the sign of a zero sum, so at most the sign of a zero
+    update, and ``N + (-0.0)`` is ``N``. The counts are bit-identical, and a
+    count that overflows turns non-finite at the same step.
     """
     unique, inverse = np.unique(state, axis=1, return_inverse=True)
     x = np.ascontiguousarray(unique, dtype=np.float64)
+    if steps * x.size > MAX_CELL_STEPS:
+        raise ValueError(
+            f"T={steps} steps on {x.shape[0]} species x {x.shape[1]} distinct columns "
+            f"is {steps * x.size:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
+        )
     t1, t2, zero, dt = np.empty_like(x), np.empty_like(x), np.zeros_like(x), np.full_like(x, params.dt)
+    if len(x) == 2:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i)
+        rates, rows = params.alpha[[0, 1], [1, 0]][np.newaxis], x[np.newaxis, ::-1]
+    else:  # alpha.T[j] = alpha[:, j], times N_j
+        rates, rows = params.alpha.T, x[:, np.newaxis]
     r, beta, alphas = (np.repeat(v[..., np.newaxis], x.shape[1], axis=-1)
-                       for v in (params.r, params.beta, params.alpha.T))
-    products, rows = np.empty_like(alphas), x[:, np.newaxis]
-    pressure, terms = products[0], list(products[1:])  # species 0's term, then the running sum
+                       for v in (params.r, params.beta, rates))
+    products = np.empty_like(alphas)
+    pressure, terms = products[0], list(products[1:])  # the first term, then the running sum
+    multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
     stride, stops = (1, steps) if check else (steps, 1)
     for stop in range(1, stops + 1):
         for _ in range(stride):
-            np.multiply(alphas, rows, products)
+            multiply(alphas, rows, products)
             for term in terms:
-                np.add(pressure, term, pressure)
-            np.multiply(r, x, t1)
-            np.multiply(x, pressure, pressure)
-            np.subtract(t1, pressure, t1)
-            np.multiply(beta, x, t2)
-            np.multiply(t2, x, t2)
-            np.subtract(t1, t2, t1)
-            np.multiply(dt, t1, t1)
-            np.add(x, t1, x)
-            np.maximum(zero, x, out=x)
+                add(pressure, term, pressure)
+            multiply(r, x, t1)
+            multiply(x, pressure, pressure)
+            subtract(t1, pressure, t1)
+            multiply(beta, x, t2)
+            multiply(t2, x, t2)
+            subtract(t1, t2, t1)
+            multiply(dt, t1, t1)
+            add(x, t1, x)
+            maximum(zero, x, out=x)
         if check:
             check(stop, x)
     return x[:, inverse]
@@ -135,6 +159,8 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     Parcels do not interact: the projection of a grid equals the projection of
     each parcel in isolation, reassembled. A count that leaves the float range
     or is clamped from positive to zero is refused, naming its step and parcel.
+    A schedule past ``MAX_CELL_STEPS`` (T x species x distinct columns) is
+    refused before the first step, naming T.
     """
     if observed.species_count != params.species_count:
         raise ValueError(

@@ -142,20 +142,22 @@ def _integer_scores(problem: ReserveProblem) -> tuple[np.ndarray, int]:
     return scores.astype(np.int64 if scores.sum() < _INT64_SAFE else object), den
 
 
-def _build_solution(
-    problem: ReserveProblem, scores: np.ndarray, den: int, chosen: Sequence[int]
-) -> ReserveSolution:
-    idx = np.asarray(chosen, dtype=np.intp)
-    x = np.zeros(problem.parcel_count, dtype=np.int8)
-    x[idx] = 1
-    objective = Fraction(int(scores[idx].sum()), den)
-    return ReserveSolution(x=x, objective=objective, spent=sum(problem.costs[idx].tolist()))
+def _solution(x: np.ndarray, objective: Fraction, spent: int) -> ReserveSolution:
+    """A solver-built solution: int8 ``x``, exact objective and spend, valid by construction.
+
+    Skips ``ReserveSolution``'s checks, which guard values from outside.
+    """
+    solution = object.__new__(ReserveSolution)
+    solution.__dict__.update(x=x, objective=objective, spent=spent)
+    return solution
 
 
 def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> list[ReserveSolution]:
     """The one exact kernel: the optimal selection of ``problem`` at each budget.
 
-    With ``topk`` (unit costs) every optimum is a prefix of one score order.
+    With ``topk`` (unit costs) every optimum is a prefix of one score order:
+    budget b protects the parcels ranked below b, all budgets in one
+    comparison, with the prefix sum of the first b sorted scores as objective.
     Otherwise one knapsack recursion up to the largest budget fills a boolean
     table: ``keep[j, b]`` says protecting parcel j attains the optimum over
     parcels j.. at budget b. Each row is filled through one reused ``take``
@@ -164,13 +166,20 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
     narrowest unsigned type that holds the total score (else the scores' dtype).
     Each budget traces back, protecting whenever ``keep`` allows: ``keep`` is
     read as flat bytes at position ``j * width + b``, which moves by ``width``
-    per parcel and back by the cost of each protected one.
+    per parcel and back by the cost of each protected one, so where it ends
+    gives the spend; the objective is ``best[b]``. Solutions skip the public
+    constructor's checks (``_solution``).
     """
     scores, den = _integer_scores(problem)
     n = problem.parcel_count
     if topk:
         order = np.argsort(-scores, kind="stable")  # ties keep index order
-        return [_build_solution(problem, scores, den, order[:b]) for b in budgets]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
+        taken = [min(b, n) for b in budgets]  # parcels protected, each costing 1
+        xs = (rank < np.array(taken, dtype=np.intp)[:, np.newaxis]).astype(np.int8)
+        prefix = [0, *np.cumsum(scores[order]).tolist()]  # exact: int64 below 2**62, else object
+        return [_solution(x, Fraction(prefix[k], den), k) for x, k in zip(xs, taken)]
     costs, total = problem.costs.tolist(), int(scores.sum())
     row = next((d for d in map(np.dtype, ("u1", "u2", "u4")) if total <= np.iinfo(d).max), scores.dtype)
     bmax = min(max(budgets, default=0), sum(costs))
@@ -192,15 +201,18 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
             np.greater_equal(t, tail, keep[j, c:])
             np.maximum(tail, t, out=tail)
     flat = memoryview(keep).cast("B")  # keep[j, b] is flat[j * width + b]
+    xs = np.zeros((len(budgets), n), dtype=np.int8)
     solutions = []
-    for budget in budgets:
-        at, chosen = min(budget, bmax), []
+    for x, budget in zip(xs, budgets):
+        start = at = min(budget, bmax)
+        chosen = []
         for j in range(n):
             if flat[at]:
                 chosen.append(j)
                 at -= costs[j]
             at += width
-        solutions.append(_build_solution(problem, scores, den, chosen))
+        x[chosen] = 1
+        solutions.append(_solution(x, Fraction(int(best[start]), den), start + n * width - at))
     return solutions
 
 
@@ -265,5 +277,6 @@ def solve_bruteforce(problem: ReserveProblem) -> ReserveSolution:
     for j in range(n):
         reversed_key |= ((candidates >> j) & 1) << (n - 1 - j)
     winner = int(candidates[int(np.argmax(reversed_key))])
-    chosen = [j for j in range(n) if (winner >> j) & 1]
-    return _build_solution(problem, scores, den, chosen)
+    x = ((winner >> np.arange(n)) & 1).astype(np.int8)
+    objective = Fraction(int(scores[x == 1].sum()), den)
+    return _solution(x, objective, sum(problem.costs[x == 1].tolist()))

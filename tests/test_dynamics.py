@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reserveplan import CountsGrid, LVParams, default_params, round_counts, simulate
+from reserveplan import CountsGrid, LVParams, default_params, dynamics, round_counts, simulate
 from reserveplan.dynamics import _project
 from conftest import logistic_closed_form
 
@@ -18,6 +18,28 @@ def single_species(r=0.1, beta=0.001, dt=0.01, T=2000) -> LVParams:
 def step(state, params: LVParams) -> np.ndarray:
     """One update step of a single parcel's per-species counts, clamp included."""
     return _project(np.asarray(state, float)[:, None], params, 1)[:, 0]
+
+
+def scalar_step(state, params: LVParams) -> list[float]:
+    """The module docstring's update in Python floats, pressure summed over j in order."""
+    s, after = len(state), []
+    for i in range(s):
+        pressure = 0.0
+        for j in range(s):
+            pressure += float(params.alpha[i, j]) * state[j]
+        n, r, beta = state[i], float(params.r[i]), float(params.beta[i])
+        after.append(max(0.0, n + params.dt * (r * n - n * pressure - beta * n * n)))
+    return after
+
+
+def first_step(start, params: LVParams, bad) -> int:
+    """The first step at which ``bad(state)`` holds, stepping one parcel by ``scalar_step``."""
+    state = [float(v) for v in start]
+    for k in range(1, params.T + 1):
+        state = scalar_step(state, params)
+        if bad(state):
+            return k
+    raise AssertionError("the reference never turned bad")
 
 
 class TestParams:
@@ -68,14 +90,7 @@ class TestStep:
             r=rng.uniform(0.0, 1.0, s), alpha=alpha, beta=rng.uniform(0.0, 0.01, s), dt=0.05
         )
         state = rng.uniform(0.0, 300.0, s).tolist()
-        expected = []
-        for i in range(s):
-            pressure = 0.0
-            for j in range(s):
-                pressure += float(alpha[i, j]) * state[j]
-            n, r, beta = state[i], float(params.r[i]), float(params.beta[i])
-            expected.append(max(0.0, n + params.dt * (r * n - n * pressure - beta * n * n)))
-        assert step(state, params).tolist() == expected
+        assert step(state, params).tolist() == scalar_step(state, params)
 
     def test_logistic_fixed_point_is_bit_stable(self):
         # dyadic rates make r*N and beta*N^2 exact: fixed point 32 = 0.25 / 2^-7
@@ -136,9 +151,10 @@ class TestSimulate:
             assert got == pytest.approx(expected, rel=1e-3)
 
     def test_parcels_evolve_independently(self):
-        # 9 species: a pairwise-reduced species sum would differ between one column and many
+        # 9 species: a pairwise-reduced species sum would differ between one column and many;
+        # 2 species take the one-multiply pressure operands, 1 species a zero pressure
         rng = np.random.default_rng(7)
-        for species in (3, 9):
+        for species in (1, 2, 3, 9):
             grid = CountsGrid(n=4, counts=rng.integers(0, 12, size=(species, 4, 4)))
             params = dataclasses.replace(default_params(species), T=500)
             whole = simulate(grid, params)
@@ -214,6 +230,61 @@ class TestSimulate:
         params = LVParams(r=[0.5], alpha=[[0.0]], beta=[0.0], dt=1.0, T=2000)
         with pytest.raises(ValueError, match="overflow at step 1751 in parcel 1$"):
             simulate(grid, params)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_species_overflow_names_the_step_and_the_first_bad_parcel(self):
+        # Species 0 grows 1.5x a step and species 1 1.4x; near the float maximum the
+        # pressure of species 1 slows species 0 enough to delay its overflow one step
+        # (1,752, not 1,751). Parcel 2 starts larger and overflows first, at 1,740, but
+        # parcel 1 is the first bad parcel.
+        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [100, 0]], [[0, 3], [50, 0]]]))
+        params = LVParams(
+            r=[0.5, 0.4], alpha=[[0.0, 1e-257], [3e-310, 0.0]], beta=[0.0, 0.0], dt=1.0, T=2000
+        )
+        overflowed = lambda state: not all(math.isfinite(v) for v in state)
+        expected = first_step([1, 3], params, overflowed)
+        assert first_step([100, 50], params, overflowed) < expected < params.T
+        with pytest.raises(ValueError, match=f"overflow at step {expected} in parcel 1$"):
+            simulate(grid, params)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_species_clamp_names_the_step_and_the_first_clamped_parcel(self):
+        # Species 1 climbs towards 200 and crushes species 0 once 0.01 * N_1 passes ~1.1;
+        # parcel 2 starts with more of species 1 and is clamped first.
+        grid = CountsGrid(n=2, counts=np.array([[[0, 10], [10, 0]], [[0, 20], [60, 5]]]))
+        params = LVParams(
+            r=[0.1, 0.1], alpha=[[0.0, 0.01], [0.0001, 0.0]], beta=[0.001, 0.0005], dt=1.0, T=500
+        )
+        clamped = lambda state: state[0] == 0.0
+        expected = first_step([10, 20], params, clamped)
+        assert first_step([10, 60], params, clamped) < expected < params.T
+        with pytest.raises(ValueError, match=f"clamped to zero at step {expected} in parcel 1$"):
+            simulate(grid, params)
+
+    def test_cell_step_cap_is_far_above_a_60000_step_projection_of_5_species_on_100x100(self):
+        assert dynamics.MAX_CELL_STEPS >= 30 * 60_000 * 5 * 100 * 100
+
+    def test_schedule_past_the_cell_step_cap_is_refused_naming_T(self, monkeypatch):
+        # 3 distinct columns of 2 species (parcel 3 repeats parcel 0): 6 cell-steps per step
+        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]]))
+        monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
+        at_cap = simulate(grid, dataclasses.replace(default_params(2), T=10))
+        assert np.array_equal(at_cap[:, 0, 0], at_cap[:, 1, 1])
+        with pytest.raises(
+            ValueError,
+            match="^T=11 steps on 2 species x 3 distinct columns is 66 cell-steps, past the cap of 60$",
+        ):
+            simulate(grid, dataclasses.replace(default_params(2), T=11))
+
+    def test_cell_step_cap_is_refused_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
+        state = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        steps_run = []
+        with pytest.raises(ValueError, match="^T=11 steps "):
+            _project(state, default_params(2), 11, lambda k, x: steps_run.append(k))
+        assert steps_run == []
+        _project(state, default_params(2), 10, lambda k, x: steps_run.append(k))
+        assert steps_run == list(range(1, 11))
 
 
 def projected(values) -> np.ndarray:

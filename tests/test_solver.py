@@ -10,13 +10,17 @@ from reserveplan import (
     EnumerationLimitError,
     NonIntegerCostError,
     ReserveProblem,
+    ReserveSolution,
     TableTooLargeError,
     WrongSolverError,
+    build_species_suite,
+    default_scenarios,
     solve_bruteforce,
     solve_dp,
     solve_topk,
 )
-from reserveplan.solver import _integer_scores, solve_sweep
+from reserveplan.experiment import _model_grids
+from reserveplan.solver import _integer_scores, _solve_budgets, solve_sweep
 from conftest import random_problem
 
 
@@ -35,6 +39,17 @@ def problem(scores, costs, budget) -> ReserveProblem:
     return ReserveProblem(
         values=values, weights=(Fraction(1),), costs=np.asarray(costs), budget=budget
     )
+
+
+def assert_as_if_public(sol: ReserveSolution) -> None:
+    """``sol`` equals the public constructor's solution on its fields, in values and types."""
+    public = ReserveSolution(x=sol.x, objective=sol.objective, spent=sol.spent)
+    assert type(sol) is ReserveSolution
+    assert sol.x.dtype == public.x.dtype == np.int8
+    assert sol.x.shape == public.x.shape and sol.x.tolist() == public.x.tolist()
+    assert type(sol.objective) is type(public.objective) is Fraction
+    assert sol.objective == public.objective
+    assert type(sol.spent) is type(public.spent) is int and sol.spent == public.spent
 
 
 small_problems = st.builds(
@@ -271,6 +286,39 @@ class TestSolveSweep:
             )
             assert sol.x.tolist() == oracle.x.tolist()
             assert sol.objective == oracle.objective
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solutions_equal_the_public_constructor(self, seed, unit_costs, huge, data):
+        # both paths, on int64 scores and (with huge weights) on object-dtype scores
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, max_parcels=12, max_value=2, unit_costs=unit_costs)
+        weights = tuple(w * Fraction(2**70, 3) for w in p.weights) if huge else p.weights
+        total = int(p.costs.sum())
+        budgets = data.draw(
+            st.lists(st.one_of(st.integers(0, total), st.sampled_from([0, total + 7])), max_size=8)
+        )
+        for budget, sol in zip(budgets, solve_sweep(p.values, weights, p.costs, budgets)):
+            oracle = solve_bruteforce(
+                ReserveProblem(values=p.values, weights=weights, costs=p.costs, budget=budget)
+            )
+            assert_as_if_public(sol)
+            assert_as_if_public(oracle)
+            assert sol.x.tolist() == oracle.x.tolist()
+            assert (sol.objective, sol.spent) == (oracle.objective, oracle.spent)
+
+    def test_seed0_sweeps_equal_the_public_constructor_on_both_paths(self):
+        # the six seed-0 cases have unit costs; the knapsack path is forced on the same data
+        for scenario in default_scenarios(build_species_suite(seed=0), seed=0):
+            for grid in _model_grids(scenario):
+                values, budgets = grid.matrix(), list(scenario.budgets)
+                sols = solve_sweep(values, scenario.weights, scenario.costs, budgets)
+                problem = ReserveProblem(values, scenario.weights, scenario.costs, max(budgets))
+                for sol, dp in zip(sols, _solve_budgets(problem, budgets, topk=False), strict=True):
+                    assert_as_if_public(sol)
+                    assert_as_if_public(dp)
+                    assert sol.x.tolist() == dp.x.tolist()
+                    assert (sol.objective, sol.spent) == (dp.objective, dp.spent)
 
     def test_every_budget_is_checked(self):
         for budgets in ([3, 1.5], [2, -1]):
