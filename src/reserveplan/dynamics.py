@@ -12,13 +12,13 @@ self-limitation, giving each species the single-species fixed point r_i / beta_i
 
 Each distinct starting column is stepped once and shared by every parcel that
 starts there, so wide grids of mostly distinct columns gain only from the lean
-step. With two species the zero diagonal makes each pressure one product,
-``alpha[i, 1 - i] * N_(1-i)``, formed for both species in one multiply;
-dropping the ``0 * N_i`` terms leaves every count bit-identical (see
-``_project``). A positive count clamped to zero (a step-size artefact: the
-continuous model never reaches zero) or an overflow is refused, naming step
-and parcel, and so is a schedule past ``MAX_CELL_STEPS`` steps x species x
-distinct columns, naming T, before any step runs.
+step: the state is held twice, as ``[x; x]``, so that every step is 9 numpy
+calls on contiguous operands with two species, 8 + S with S others, and counts
+stay bit-identical to the update above (see ``_project``). A positive count
+clamped to zero (a step-size artefact: the continuous model never reaches zero)
+or an overflow is refused, naming step and parcel, and so is a schedule past
+``MAX_CELL_STEPS`` steps x species x distinct columns, naming T, before any
+step runs.
 ``simulate`` returns the projected counts as a plain (species, n, n) float64
 array, and ``round_counts`` turns that array into an integer ``CountsGrid``.
 """
@@ -102,36 +102,39 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
 
     Distinct starting columns are stepped in place and scattered back. A given
     ``check(step, x)`` runs after every step; without one the steps run in one
-    loop with no per-step call. The states are small, so per-call numpy cost
-    dominates, and a call on same-shape contiguous operands costs about half
-    one that broadcasts a column or a Python float: so ``r``, ``beta``, ``dt``,
-    a zero and the interaction rates are built once at the state's shape, and
-    the ufuncs are bound to locals. Each step forms every ``alpha[i, j] * N_j``
-    in one broadcasting call and sums over j in index order into
-    ``products[0]``, never by a numpy reduction (which sums pairwise on some
-    shapes), so a column evolves alike alone or in a batch. With two species
-    that one call, ``[alpha[0, 1], alpha[1, 0]] * N[::-1]``, is the whole
-    pressure. The dropped diagonal terms ``0 * N_i`` are zeros: adding one
-    changes at most the sign of a zero sum, so at most the sign of a zero
-    update, and ``N + (-0.0)`` is ``N``. The counts are bit-identical, and a
-    count that overflows turns non-finite at the same step.
+    loop with no per-step call. Per-call numpy cost dominates on these small
+    states, and a broadcast or reversed-view operand costs ~3x a contiguous
+    one, so every operand is built once at the state's shape, and the state
+    lives in ``xx = [x; x]``, recopied once a step, beside scratch
+    ``q = [r*x | beta*x | products]``. A step forms every ``alpha[i, j] * N_j``
+    in one call and sums over j in index order into the pressure
+    ``products[0]`` (a numpy reduction sums pairwise on some shapes, so a
+    column would not evolve alike alone and in a batch). With two species that
+    call, ``[alpha[0, 1], alpha[1, 0]] * xx[1:3]``, is the whole pressure: a
+    dropped ``0 * N_i`` could change only the sign of a zero update, and
+    ``N + (-0.0)`` is ``N``. ``[r; beta] * xx`` then forms r*x and beta*x, and
+    ``q[S:3S] * xx`` beta*x*x and pressure*x (equal to x*pressure), so counts
+    are bit-identical and one that overflows turns non-finite at the same step.
     """
     unique, inverse = np.unique(state, axis=1, return_inverse=True)
-    x = np.ascontiguousarray(unique, dtype=np.float64)
-    if steps * x.size > MAX_CELL_STEPS:
+    s, width = unique.shape
+    if steps * unique.size > MAX_CELL_STEPS:
         raise ValueError(
-            f"T={steps} steps on {x.shape[0]} species x {x.shape[1]} distinct columns "
-            f"is {steps * x.size:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
+            f"T={steps} steps on {s} species x {width} distinct columns "
+            f"is {steps * unique.size:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
         )
-    t1, t2, zero, dt = np.empty_like(x), np.empty_like(x), np.zeros_like(x), np.full_like(x, params.dt)
-    if len(x) == 2:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i)
-        rates, rows = params.alpha[[0, 1], [1, 0]][np.newaxis], x[np.newaxis, ::-1]
+    xx = np.ascontiguousarray(np.concatenate([unique, unique]), dtype=np.float64)
+    x, copy = xx[:s], xx[s:]
+    if s == 2:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i), and xx[1:3] is [N_1; N_0]
+        rates, rows = params.alpha[[0, 1], [1, 0]][np.newaxis], xx[np.newaxis, 1:3]
     else:  # alpha.T[j] = alpha[:, j], times N_j
         rates, rows = params.alpha.T, x[:, np.newaxis]
-    r, beta, alphas = (np.repeat(v[..., np.newaxis], x.shape[1], axis=-1)
-                       for v in (params.r, params.beta, rates))
-    products = np.empty_like(alphas)
-    pressure, terms = products[0], list(products[1:])  # the first term, then the running sum
+    rb, dt, zero, alphas = (np.repeat(v[..., np.newaxis], width, axis=-1) for v in (
+        np.concatenate([params.r, params.beta]), np.full(s, params.dt), np.zeros(s), rates))
+    q = np.empty((2 * s + alphas.size // width, width))
+    rx, bxx, linear, quadratic = q[:s], q[s:2 * s], q[:2 * s], q[s:3 * s]
+    products = q[2 * s:].reshape(alphas.shape)
+    pressure, terms = products[0], list(products[1:])
     multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
     stride, stops = (1, steps) if check else (steps, 1)
     for stop in range(1, stops + 1):
@@ -139,15 +142,14 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
             multiply(alphas, rows, products)
             for term in terms:
                 add(pressure, term, pressure)
-            multiply(r, x, t1)
-            multiply(x, pressure, pressure)
-            subtract(t1, pressure, t1)
-            multiply(beta, x, t2)
-            multiply(t2, x, t2)
-            subtract(t1, t2, t1)
-            multiply(dt, t1, t1)
-            add(x, t1, x)
+            multiply(rb, xx, linear)
+            multiply(quadratic, xx, quadratic)
+            subtract(rx, pressure, rx)
+            subtract(rx, bxx, rx)
+            multiply(dt, rx, rx)
+            add(x, rx, x)
             maximum(zero, x, out=x)
+            copy[...] = x
         if check:
             check(stop, x)
     return x[:, inverse]
@@ -158,7 +160,8 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
 
     Parcels do not interact: the projection of a grid equals the projection of
     each parcel in isolation, reassembled. A count that leaves the float range
-    or is clamped from positive to zero is refused, naming its step and parcel.
+    or is clamped from positive to zero is refused, naming its step and parcel
+    (or the parcel alone, should its re-run not repeat the fault).
     A schedule past ``MAX_CELL_STEPS`` (T x species x distinct columns) is
     refused before the first step, naming T.
     """
@@ -183,6 +186,7 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
                 if np.any((column == 0.0) & (start > 0.0)):
                     raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
             _project(start, params, params.T, check)
+            raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
     return state.reshape(-1, observed.n, observed.n)
 
 

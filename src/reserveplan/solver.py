@@ -4,11 +4,11 @@ A problem scores each parcel as the weight-combined species value it holds;
 protecting a parcel spends its cost against the budget. Weights are ingested
 as exact rationals and all objective arithmetic clears denominators into
 integers, so optima and tie-breaks never depend on floating point. Every
-solver, the exhaustive oracle included, reads one exact integer score per
-parcel. Every exact solve, for one budget or a whole budget sweep, runs
-through ``solve_sweep``: a top-k order for unit costs, a knapsack table
-otherwise, its value rows in the narrowest of uint8/uint16/uint32 that holds
-the total score. It shares one tie-break with the oracle: among optimal
+solver reads one exact integer score per parcel. Every exact solve, for one
+budget or a whole budget sweep, runs through ``solve_sweep``: a top-k order
+for unit costs, a knapsack table otherwise, its value rows in the narrowest
+of uint8/uint16/uint32 that holds the total score. It shares one tie-break
+with the exhaustive test oracle (``tests/bruteforce.py``): among optimal
 selections, prefer the protection vector that protects the lower-indexed
 parcel at the first index where two optima differ.
 """
@@ -28,7 +28,6 @@ from ._checks import InvalidDimensionError, as_numbers, as_weights
 __all__ = [
     "WrongSolverError",
     "NonIntegerCostError",
-    "EnumerationLimitError",
     "TableTooLargeError",
     "ReserveProblem",
     "ReserveSolution",
@@ -36,13 +35,9 @@ __all__ = [
     "solve_sweep",
     "solve_topk",
     "solve_dp",
-    "solve_bruteforce",
 ]
 
 _INT64_SAFE = 2**62
-
-BRUTEFORCE_LIMIT = 20
-
 
 class WrongSolverError(ValueError):
     """The chosen solver does not apply to this problem's cost structure."""
@@ -50,10 +45,6 @@ class WrongSolverError(ValueError):
 
 class NonIntegerCostError(ValueError):
     """Costs or budget are not integers; rescale the currency unit first."""
-
-
-class EnumerationLimitError(ValueError):
-    """Problem is too large for exhaustive enumeration."""
 
 
 class TableTooLargeError(ValueError):
@@ -250,33 +241,3 @@ def solve(problem: ReserveProblem) -> ReserveSolution:
     """``solve_sweep`` at the problem's one budget."""
     [solution] = solve_sweep(problem.values, problem.weights, problem.costs, [problem.budget])
     return solution
-
-
-def solve_bruteforce(problem: ReserveProblem) -> ReserveSolution:
-    """Testing oracle: enumerate every subset of parcels (refuses > 20 parcels)."""
-    n = problem.parcel_count
-    if n > BRUTEFORCE_LIMIT:
-        raise EnumerationLimitError(
-            f"refusing to enumerate 2^{n} subsets; limit is {BRUTEFORCE_LIMIT} parcels"
-        )
-    scores, den = _integer_scores(problem)
-    total = 1 << n
-    masks = np.arange(total, dtype=np.uint32)
-    subset_score = np.zeros(total, dtype=scores.dtype)
-    subset_cost = np.zeros(total, dtype=np.int64)
-    for j in range(n):
-        picked = ((masks >> j) & 1).astype(bool)
-        subset_score[picked] += scores[j]
-        subset_cost[picked] += int(problem.costs[j])
-    feasible = subset_cost <= problem.budget
-    best_score = subset_score[feasible].max()
-    candidates = masks[feasible & (subset_score == best_score)]
-    # Prefer protecting lower indices first: compare indicator vectors with
-    # parcel 0 as the most significant bit.
-    reversed_key = np.zeros(candidates.shape[0], dtype=np.uint32)
-    for j in range(n):
-        reversed_key |= ((candidates >> j) & 1) << (n - 1 - j)
-    winner = int(candidates[int(np.argmax(reversed_key))])
-    x = ((winner >> np.arange(n)) & 1).astype(np.int8)
-    objective = Fraction(int(scores[x == 1].sum()), den)
-    return _solution(x, objective, sum(problem.costs[x == 1].tolist()))

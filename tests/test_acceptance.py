@@ -31,7 +31,6 @@ from reserveplan import (
     round_counts,
     similarity,
     simulate,
-    solve_bruteforce,
     solve_dp,
     solve_topk,
     summarize,
@@ -41,6 +40,7 @@ from reserveplan import fileio
 from reserveplan.dynamics import _project, default_params
 from reserveplan.render import Panel, RenderSpec, caption_text
 from reserveplan.solver import solve
+from bruteforce import solve_bruteforce
 from conftest import logistic_closed_form, random_problem
 
 PIPELINE_SEED = 0

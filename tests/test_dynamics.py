@@ -190,6 +190,38 @@ class TestSimulate:
         got = simulate(CountsGrid(n=n, counts=counts.reshape(s, n, n)), params)
         assert np.array_equal(got.reshape(s, -1), state)
 
+    @pytest.mark.parametrize("species", [1, 2, 3, 5])
+    def test_check_hook_leaves_the_counts_bit_identical(self, species):
+        rng = np.random.default_rng(species)
+        alpha = rng.uniform(0.0, 0.002, size=(species, species))
+        np.fill_diagonal(alpha, 0.0)
+        params = LVParams(
+            r=rng.uniform(0.05, 0.5, species), alpha=alpha,
+            beta=rng.uniform(0.0005, 0.002, species), dt=0.1, T=60,
+        )
+        pool = rng.integers(0, 300, size=(species, 4)).astype(float)
+        state = pool[:, rng.integers(0, 4, size=11)]
+        checked = _project(state, params, params.T, check=lambda *_: None)
+        assert checked.tobytes() == _project(state, params, params.T).tobytes()
+
+    def test_two_species_steps_match_the_scalar_reference_on_repeated_columns(self):
+        # Asymmetric r, beta and alpha, so swapping any pair, or pairing a species with
+        # its own count, changes the first step; a stale copy of the state changes the second.
+        params = LVParams(
+            r=[0.3, 0.1], alpha=[[0.0, 0.004], [0.0007, 0.0]], beta=[0.002, 0.0005], dt=0.5, T=6
+        )
+        state = np.array([[10.0, 30.0, 10.0, 200.0, 30.0], [40.0, 5.0, 40.0, 3.0, 5.0]])
+        columns = np.unique(state, axis=1).T.tolist()  # the order the check hook sees
+        reference = [columns]
+        for _ in range(params.T):
+            reference.append([scalar_step(column, params) for column in reference[-1]])
+        seen = []
+        got = _project(state, params, params.T, lambda k, x: seen.append((k, x.T.tolist())))
+        assert seen == list(enumerate(reference[1:], start=1))
+        final = dict(zip(map(tuple, columns), reference[-1]))
+        assert got.T.tolist() == [final[tuple(c)] for c in state.T.tolist()]
+        assert np.array_equal(got, _project(state, params, params.T))
+
     def test_two_species_constructed_equilibrium(self):
         # choose r so that (40, 60) solves r_i = beta_i*N_i + alpha_ij*N_j
         beta = np.array([0.001, 0.001])
@@ -260,6 +292,22 @@ class TestSimulate:
         assert first_step([10, 60], params, clamped) < expected < params.T
         with pytest.raises(ValueError, match=f"clamped to zero at step {expected} in parcel 1$"):
             simulate(grid, params)
+
+    def test_refusal_names_the_parcel_when_its_rerun_names_no_step(self, monkeypatch):
+        # The step comes from re-running the bad parcel alone; should that re-run stay
+        # finite and unclamped, the batch's bad counts are still refused.
+        real, calls = _project, []
+        def batch_goes_bad(state, params, steps, check=None):
+            calls.append(check is not None)
+            out = real(state, params, steps, check)
+            if check is None:
+                out[0, 2] = np.nan
+            return out
+        monkeypatch.setattr(dynamics, "_project", batch_goes_bad)
+        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]]))
+        with pytest.raises(ValueError, match="^projected counts overflow or clamp to zero in parcel 2$"):
+            simulate(grid, dataclasses.replace(default_params(2), T=5))
+        assert calls == [False, True]
 
     def test_cell_step_cap_is_far_above_a_60000_step_projection_of_5_species_on_100x100(self):
         assert dynamics.MAX_CELL_STEPS >= 30 * 60_000 * 5 * 100 * 100

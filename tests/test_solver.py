@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reserveplan import (
-    EnumerationLimitError,
     NonIntegerCostError,
     ReserveProblem,
     ReserveSolution,
@@ -15,12 +14,12 @@ from reserveplan import (
     WrongSolverError,
     build_species_suite,
     default_scenarios,
-    solve_bruteforce,
     solve_dp,
     solve_topk,
 )
 from reserveplan.experiment import _model_grids
 from reserveplan.solver import _integer_scores, _solve_budgets, solve_sweep
+from bruteforce import EnumerationLimitError, solve_bruteforce
 from conftest import random_problem
 
 
