@@ -19,12 +19,21 @@ clamped to zero (a step-size artefact: the continuous model never reaches zero)
 or an overflow is refused, naming step and parcel, and so is a schedule past
 ``MAX_CELL_STEPS`` steps x species x distinct columns, naming T, before any
 step runs.
+
+Projected columns are also kept across calls, for the life of the process, in
+a memo keyed by the parameter values and the starting column: the same small
+count vectors recur across reserve cases and seeds, and ``simulate`` steps
+only the columns its memo does not hold. This is exact, because every step is
+elementwise per column, so a column projects to the same bits alone or in any
+batch. The memo holds at most ``MEMO_BYTES``; a call whose new columns would
+not fit returns them unstored, and a refused projection stores nothing.
 ``simulate`` returns the projected counts as a plain (species, n, n) float64
 array, and ``round_counts`` turns that array into an integer ``CountsGrid``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +52,25 @@ DEFAULT_STEPS = 2000
 # projection of 5 species on a 100x100 grid (3e9), and about 20 minutes at the
 # ~10 ns per cell-step of a wide state.
 MAX_CELL_STEPS = 10**11
+# Bytes the column memo may hold: ~95,000 five-species columns of 176 bytes, the
+# distinct columns of nine 100x100 grids.
+MEMO_BYTES = 16 * 2**20
+# A stored column's cost is _COLUMN_BYTES + 16 x species: its start and its projection
+# as bytes objects plus its dict slot (tracemalloc of such a dict, 1 to 9 species).
+_COLUMN_BYTES = 96
+
+# parameter values -> starting column bytes -> projected column bytes
+_memo: dict[tuple, dict[bytes, bytes]] = {}
+_memo_bytes = 0
+_memo_lock = threading.Lock()
+
+
+def _clear_memo() -> None:
+    """Forget every projected column."""
+    global _memo_bytes
+    with _memo_lock:
+        _memo.clear()
+        _memo_bytes = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +125,15 @@ def default_params(species_count: int) -> LVParams:
     )
 
 
+def _check_schedule(steps: int, species: int, columns: int) -> None:
+    cell_steps = steps * species * columns
+    if cell_steps > MAX_CELL_STEPS:
+        raise ValueError(
+            f"T={steps} steps on {species} species x {columns} distinct columns "
+            f"is {cell_steps:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
+        )
+
+
 def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.ndarray:
     """Advance a (species, parcels) state by ``steps`` steps, each distinct column once.
 
@@ -118,11 +155,7 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     """
     unique, inverse = np.unique(state, axis=1, return_inverse=True)
     s, width = unique.shape
-    if steps * unique.size > MAX_CELL_STEPS:
-        raise ValueError(
-            f"T={steps} steps on {s} species x {width} distinct columns "
-            f"is {steps * unique.size:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
-        )
+    _check_schedule(steps, s, width)
     xx = np.ascontiguousarray(np.concatenate([unique, unique]), dtype=np.float64)
     x, copy = xx[:s], xx[s:]
     if s == 2:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i), and xx[1:3] is [N_1; N_0]
@@ -155,6 +188,11 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     return x[:, inverse]
 
 
+def _columns(matrix: np.ndarray) -> list[bytes]:
+    """The columns of a (species, k) float64 array, as one bytes object each."""
+    return np.ascontiguousarray(matrix.T).view(f"V{8 * len(matrix)}").ravel().tolist()
+
+
 def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     """Project observed counts forward by T steps: a (species, n, n) float64 array.
 
@@ -163,17 +201,39 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     or is clamped from positive to zero is refused, naming its step and parcel
     (or the parcel alone, should its re-run not repeat the fault).
     A schedule past ``MAX_CELL_STEPS`` (T x species x distinct columns) is
-    refused before the first step, naming T.
+    refused before the first step, naming T, whatever the memo holds.
+
+    Distinct starting columns already projected under equal parameter values
+    (``r``, ``alpha``, ``beta``, ``dt`` and ``T``, compared bit for bit) are
+    read from the module's memo; only the others are stepped, by ``_project``.
+    That is exact: each step is elementwise per column, so a column's bits do
+    not depend on the batch it is stepped in. New columns are stored once the
+    whole call has passed the overflow and clamp check, and only while the
+    memo stays within ``MEMO_BYTES``. The result is always a fresh array.
     """
+    global _memo_bytes
     if observed.species_count != params.species_count:
         raise ValueError(
             f"grid has {observed.species_count} species but parameters cover "
             f"{params.species_count}"
         )
     initial = observed.matrix().astype(np.float64)
+    s = initial.shape[0]
+    # Dedup by each column's bytes: counts are integers, so equal bytes mean equal values.
+    parcels, index = _columns(initial), {}
+    inverse = np.fromiter((index.setdefault(c, len(index)) for c in parcels), np.intp, len(parcels))
+    _check_schedule(params.T, s, len(index))
+    key = (params.r.tobytes(), params.alpha.tobytes(), params.beta.tobytes(), params.dt, params.T)
+    starts, known = list(index), _memo.get(key, {})
+    ends = [known.get(start) for start in starts]
+    new = [i for i, end in enumerate(ends) if end is None]
     # Overflow is refused below, naming its step, so numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        state = _project(initial, params, params.T)
+        if new:
+            columns = np.frombuffer(b"".join([starts[i] for i in new]), np.float64).reshape(-1, s)
+            for i, end in zip(new, _columns(_project(columns.T, params, params.T))):
+                ends[i] = end
+        state = np.frombuffer(b"".join(ends), np.float64).reshape(-1, s).T.take(inverse, axis=1)
         # A positive count reaches exactly zero only by the clamp, and then stays there.
         bad = ~np.isfinite(state) | ((state == 0.0) & (initial > 0.0))
         if bad.any():
@@ -187,6 +247,11 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
                     raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
             _project(start, params, params.T, check)
             raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
+    cost = len(new) * (_COLUMN_BYTES + 16 * s)
+    with _memo_lock:
+        if new and _memo_bytes + cost <= MEMO_BYTES:
+            _memo.setdefault(key, {}).update((starts[i], ends[i]) for i in new)
+            _memo_bytes += cost
     return state.reshape(-1, observed.n, observed.n)
 
 

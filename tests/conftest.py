@@ -1,5 +1,6 @@
 """Shared helpers: random problem instances, the exact logistic solution, a
-per-landscape reference generator and a small reusable species suite."""
+per-landscape reference generator and a small reusable species suite. Every
+test starts with an empty projection memo."""
 
 from __future__ import annotations
 
@@ -9,8 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reserveplan import Landscape, ReserveProblem, build_species_suite
+from reserveplan import Landscape, ReserveProblem, build_species_suite, dynamics
 from reserveplan.experiment import MAX_SMOOTHING_ROUNDS
+
+
+@pytest.fixture(autouse=True)
+def cold_projection_memo():
+    """Each test starts from an empty projection memo, whatever ran before it."""
+    dynamics._clear_memo()
 
 
 def random_problem(

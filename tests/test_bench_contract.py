@@ -3,7 +3,8 @@
 bench/ is only read here. Its tracer must find every function it wraps, undo
 every swap it makes, and meter real calls; its workloads must build and pass
 their own checks at a tiny size, and their seed-0 reference units at full size
-must write exactly the bytes pinned in bench/pinned.json.
+must write exactly the bytes pinned in bench/pinned.json, with the projection
+memo cold and again once another seed's unit has warmed it.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from reserveplan import dynamics, experiment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -52,7 +55,31 @@ def test_tiny_workload_runs_and_checks_under_the_tracer(name, tmp_path):
 @pytest.mark.parametrize("name", ["paper", "knapsack"])
 def test_reference_unit_matches_pinned_digests(name, tmp_path):
     workload = workloads.workloads()[name]
-    inputs = workload.make_inputs(0)
-    out = workload.run_unit(inputs, tmp_path)
     pinned = json.loads((BENCH / "pinned.json").read_text())[name]
-    assert workload.digests(inputs, out, tmp_path) == pinned
+    for seed, where in ((0, "cold"), (1, "other"), (0, "warm")):
+        inputs = workload.make_inputs(seed)
+        (tmp_path / where).mkdir()
+        out = workload.run_unit(inputs, tmp_path / where)
+        if seed == 0:
+            assert workload.digests(inputs, out, tmp_path / where) == pinned, where
+
+
+def test_warm_memo_projects_the_seed0_scenarios_as_the_kernel(monkeypatch):
+    paper = workloads.workloads()["paper"].make_inputs(0)
+    suite = experiment.build_species_suite(paper.seed, paper.pool_size, paper.grid)
+    cases = experiment.default_scenarios(suite, seed=0)
+    knapsack = workloads.workloads()["knapsack"].make_inputs(0)
+    kernel, stepped = dynamics._project, []
+    monkeypatch.setattr(dynamics, "_project", lambda *a: stepped.append(1) or kernel(*a))
+
+    def project(scenarios) -> int:
+        for label, scenario in scenarios:
+            observed, params = scenario.observed(), scenario.lv_params
+            got = dynamics.simulate(observed, params).tobytes()
+            assert got == kernel(observed.matrix().astype(float), params, params.T).tobytes(), label
+        return len(stepped)
+
+    cold = [*enumerate(cases, start=1), ("knapsack", knapsack)]
+    cold_calls = project(cold)
+    assert 0 < cold_calls <= 7  # each cold call steps its new columns at most once
+    assert project([*reversed(cold[:-1]), cold[-1]]) == cold_calls  # every column known

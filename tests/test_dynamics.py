@@ -335,6 +335,84 @@ class TestSimulate:
         assert steps_run == list(range(1, 11))
 
 
+class TestMemo:
+    """Projected columns kept across ``simulate`` calls: exact, keyed by value, bounded."""
+
+    @staticmethod
+    def kernel(grid: CountsGrid, params: LVParams) -> bytes:
+        return _project(grid.matrix().astype(float), params, params.T).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refusals_repeat_with_the_same_message(self):
+        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [0, 1]]]))
+        overflow = LVParams(r=[0.5], alpha=[[0.0]], beta=[0.0], dt=1.0, T=2000)
+        clamp = LVParams(r=[25.0], alpha=[[0.0]], beta=[0.1], dt=1.0, T=10)
+        for params, message in ((overflow, "overflow at step 1751"), (clamp, "clamped to zero at step 3")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"{message} in parcel 1$"):
+                    simulate(grid, params)
+        assert dynamics._memo == {} and dynamics._memo_bytes == 0
+
+    def test_a_one_ulp_or_one_step_change_of_any_parameter_projects_cold(self):
+        grid = CountsGrid(n=3, counts=np.random.default_rng(3).integers(0, 60, size=(3, 3, 3)))
+        base = default_params(3)
+        warm = simulate(grid, base).tobytes()
+        def bump(values, at):
+            values = values.copy()
+            values[at] = np.nextafter(values[at], np.inf)
+            return values
+        for params in (
+            dataclasses.replace(base, r=bump(base.r, 1)),
+            dataclasses.replace(base, alpha=bump(base.alpha, (0, 2))),
+            dataclasses.replace(base, beta=bump(base.beta, 2)),
+            dataclasses.replace(base, dt=float(np.nextafter(base.dt, 1.0))),
+            dataclasses.replace(base, T=base.T + 1),
+        ):
+            got = simulate(grid, params).tobytes()
+            assert got == self.kernel(grid, params) and got != warm
+        # equal values in a new LVParams share the memo
+        assert simulate(grid, default_params(3)).tobytes() == warm
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self):
+        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [1, 2]], [[3, 4], [3, 4]]]))
+        params = dataclasses.replace(default_params(2), T=50)
+        first = simulate(grid, params)
+        expected = first.tobytes()
+        first[...] = -1.0
+        second = simulate(grid, params)
+        assert second.tobytes() == expected == self.kernel(grid, params)
+        assert second.flags.writeable and not np.shares_memory(first, second)
+
+    def test_the_cell_step_cap_counts_known_columns_too(self, monkeypatch):
+        # The refusal must not depend on what earlier calls left in the memo.
+        monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
+        params = dataclasses.replace(default_params(2), T=10)
+        simulate(CountsGrid(n=2, counts=np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]])), params)
+        wider = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 9]], [[4, 5], [6, 9]]]))
+        with pytest.raises(ValueError, match="^T=10 steps on 2 species x 4 distinct columns is 80 "):
+            simulate(wider, params)
+
+    def test_a_wide_projection_stays_within_the_cap_and_equals_the_kernel(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        params = dataclasses.replace(default_params(5), T=3)
+        column = dynamics._COLUMN_BYTES + 16 * 5
+        monkeypatch.setattr(dynamics, "MEMO_BYTES", 3000 * column)
+        small = CountsGrid(n=40, counts=rng.integers(0, 1000, size=(5, 40, 40)))
+        wide = CountsGrid(n=100, counts=rng.integers(0, 1000, size=(5, 100, 100)))
+
+        def stored() -> int:
+            held = sum(len(columns) for columns in dynamics._memo.values())
+            assert dynamics._memo_bytes == held * column <= dynamics.MEMO_BYTES
+            return held
+
+        assert simulate(small, params).tobytes() == self.kernel(small, params)
+        assert stored() == 1600  # every small column is new and fits
+        for _ in range(2):  # ~10,000 new columns would pass the cap: returned, not stored
+            assert simulate(wide, params).tobytes() == self.kernel(wide, params)
+            assert stored() == 1600
+        assert simulate(small, params).tobytes() == self.kernel(small, params)
+
+
 def projected(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
