@@ -20,20 +20,22 @@ or an overflow is refused, naming step and parcel, and so is a schedule past
 ``MAX_CELL_STEPS`` steps x species x distinct columns, naming T, before any
 step runs.
 
-Projected columns are also kept across calls, for the life of the process, in
-a memo keyed by the parameter values and the starting column: the same small
-count vectors recur across reserve cases and seeds, and ``simulate`` steps
-only the columns its memo does not hold. This is exact, because every step is
-elementwise per column, so a column projects to the same bits alone or in any
-batch. The memo holds at most ``MEMO_BYTES``; a call whose new columns would
-not fit returns them unstored, and a refused projection stores nothing.
+Projected columns are also kept across calls in a memo keyed by the parameter
+values and the starting column, so a process that projects the same small
+count vectors again (reserve cases sharing species, runs over many seeds)
+steps only the columns its memo does not hold. This is exact, because every
+step is elementwise per column, so a column projects to the same bits alone or
+in any batch. The memo holds at most ``MEMO_BYTES``, parameter sets included;
+it is emptied when a call's new columns would not fit beside what it holds,
+and a refused projection stores nothing. A call whose columns are all new
+pays little for the memo: finding distinct columns by their bytes, which also
+gives the memo its keys, is faster than ``np.unique(axis=1)``.
 ``simulate`` returns the projected counts as a plain (species, n, n) float64
 array, and ``round_counts`` turns that array into an integer ``CountsGrid``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +54,41 @@ DEFAULT_STEPS = 2000
 # projection of 5 species on a 100x100 grid (3e9), and about 20 minutes at the
 # ~10 ns per cell-step of a wide state.
 MAX_CELL_STEPS = 10**11
-# Bytes the column memo may hold: ~95,000 five-species columns of 176 bytes, the
-# distinct columns of nine 100x100 grids.
+# Bytes the column memo may hold: ~80,000 five-species columns of 208 bytes, the
+# distinct columns of eight 100x100 grids.
 MEMO_BYTES = 16 * 2**20
-# A stored column's cost is _COLUMN_BYTES + 16 x species: its start and its projection
-# as bytes objects plus its dict slot (tracemalloc of such a dict, 1 to 9 species).
-_COLUMN_BYTES = 96
+# What the memo holds, at worst, by sys.getsizeof: a stored column (its start and its
+# projection as bytes objects, 33 + 8 x species each, and a dict slot of up to ~60
+# bytes just after the dict grows) costs _COLUMN_BYTES + 16 x species, and a parameter
+# set (its key tuple, dt, T, column dict and slot, up to ~620 bytes with the memo's
+# own dict) _KEY_BYTES + the bytes of r, alpha and beta.
+_COLUMN_BYTES = 128
+_KEY_BYTES = 640
 
-# parameter values -> starting column bytes -> projected column bytes
-_memo: dict[tuple, dict[bytes, bytes]] = {}
-_memo_bytes = 0
-_memo_lock = threading.Lock()
+
+class _ColumnMemo:
+    """Projected column bytes by parameter values and starting column bytes."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.columns: dict[tuple, dict[bytes, bytes]] = {}
+        self.bytes = 0
+
+    def store(self, key: tuple, new: dict[bytes, bytes], species: int) -> None:
+        """Add the ``new`` columns under ``key``, emptying the memo first if they would not fit."""
+        cost = len(new) * (_COLUMN_BYTES + 16 * species)
+        fresh = _KEY_BYTES + sum(map(len, key[:3]))
+        if cost + fresh > MEMO_BYTES:
+            return  # too many to hold even alone: keep what is held
+        if self.bytes + cost + (key not in self.columns) * fresh > MEMO_BYTES:
+            self.clear()
+        self.bytes += cost + (key not in self.columns) * fresh
+        self.columns.setdefault(key, {}).update(new)
 
 
-def _clear_memo() -> None:
-    """Forget every projected column."""
-    global _memo_bytes
-    with _memo_lock:
-        _memo.clear()
-        _memo_bytes = 0
+_memo = _ColumnMemo()
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,19 +143,10 @@ def default_params(species_count: int) -> LVParams:
     )
 
 
-def _check_schedule(steps: int, species: int, columns: int) -> None:
-    cell_steps = steps * species * columns
-    if cell_steps > MAX_CELL_STEPS:
-        raise ValueError(
-            f"T={steps} steps on {species} species x {columns} distinct columns "
-            f"is {cell_steps:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
-        )
-
-
 def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.ndarray:
-    """Advance a (species, parcels) state by ``steps`` steps, each distinct column once.
+    """Advance a (species, columns) state by ``steps`` steps: a (species, columns) array.
 
-    Distinct starting columns are stepped in place and scattered back. A given
+    Every column given is stepped; ``simulate`` passes each distinct one once. A given
     ``check(step, x)`` runs after every step; without one the steps run in one
     loop with no per-step call. Per-call numpy cost dominates on these small
     states, and a broadcast or reversed-view operand costs ~3x a contiguous
@@ -153,10 +162,8 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     ``q[S:3S] * xx`` beta*x*x and pressure*x (equal to x*pressure), so counts
     are bit-identical and one that overflows turns non-finite at the same step.
     """
-    unique, inverse = np.unique(state, axis=1, return_inverse=True)
-    s, width = unique.shape
-    _check_schedule(steps, s, width)
-    xx = np.ascontiguousarray(np.concatenate([unique, unique]), dtype=np.float64)
+    s, width = state.shape
+    xx = np.ascontiguousarray(np.concatenate([state, state]), dtype=np.float64)
     x, copy = xx[:s], xx[s:]
     if s == 2:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i), and xx[1:3] is [N_1; N_0]
         rates, rows = params.alpha[[0, 1], [1, 0]][np.newaxis], xx[np.newaxis, 1:3]
@@ -185,7 +192,7 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
             copy[...] = x
         if check:
             check(stop, x)
-    return x[:, inverse]
+    return x
 
 
 def _columns(matrix: np.ndarray) -> list[bytes]:
@@ -208,10 +215,11 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     read from the module's memo; only the others are stepped, by ``_project``.
     That is exact: each step is elementwise per column, so a column's bits do
     not depend on the batch it is stepped in. New columns are stored once the
-    whole call has passed the overflow and clamp check, and only while the
-    memo stays within ``MEMO_BYTES``. The result is always a fresh array.
+    whole call has passed the overflow and clamp check; if they would not fit
+    within ``MEMO_BYTES`` beside what the memo holds, it is emptied first, and
+    columns too many to fit alone are not stored. The result is always a fresh
+    array.
     """
-    global _memo_bytes
     if observed.species_count != params.species_count:
         raise ValueError(
             f"grid has {observed.species_count} species but parameters cover "
@@ -222,9 +230,14 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     # Dedup by each column's bytes: counts are integers, so equal bytes mean equal values.
     parcels, index = _columns(initial), {}
     inverse = np.fromiter((index.setdefault(c, len(index)) for c in parcels), np.intp, len(parcels))
-    _check_schedule(params.T, s, len(index))
+    cell_steps = params.T * s * len(index)
+    if cell_steps > MAX_CELL_STEPS:
+        raise ValueError(
+            f"T={params.T} steps on {s} species x {len(index)} distinct columns "
+            f"is {cell_steps:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
+        )
     key = (params.r.tobytes(), params.alpha.tobytes(), params.beta.tobytes(), params.dt, params.T)
-    starts, known = list(index), _memo.get(key, {})
+    starts, known = list(index), _memo.columns.get(key, {})
     ends = [known.get(start) for start in starts]
     new = [i for i, end in enumerate(ends) if end is None]
     # Overflow is refused below, naming its step, so numpy need not warn of it.
@@ -247,11 +260,8 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
                     raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
             _project(start, params, params.T, check)
             raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
-    cost = len(new) * (_COLUMN_BYTES + 16 * s)
-    with _memo_lock:
-        if new and _memo_bytes + cost <= MEMO_BYTES:
-            _memo.setdefault(key, {}).update((starts[i], ends[i]) for i in new)
-            _memo_bytes += cost
+    if new:
+        _memo.store(key, {starts[i]: ends[i] for i in new}, s)
     return state.reshape(-1, observed.n, observed.n)
 
 

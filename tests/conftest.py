@@ -16,8 +16,13 @@ from reserveplan.experiment import MAX_SMOOTHING_ROUNDS
 
 @pytest.fixture(autouse=True)
 def cold_projection_memo():
-    """Each test starts from an empty projection memo, whatever ran before it."""
-    dynamics._clear_memo()
+    """Each test starts from an empty projection memo, whatever ran before it.
+
+    ``simulate`` keeps projected columns for the life of the process, so a test
+    that counts kernel calls, bounds memory or times a projection would
+    otherwise depend on which tests ran before it in the same session.
+    """
+    dynamics._memo.clear()
 
 
 def random_problem(

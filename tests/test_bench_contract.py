@@ -4,7 +4,10 @@ bench/ is only read here. Its tracer must find every function it wraps, undo
 every swap it makes, and meter real calls; its workloads must build and pass
 their own checks at a tiny size, and their seed-0 reference units at full size
 must write exactly the bytes pinned in bench/pinned.json, with the projection
-memo cold and again once another seed's unit has warmed it.
+memo cold and again once another seed's unit has warmed it. Consecutive seeds'
+units, run in one process as the timed loop runs them, must project every grid
+as the kernel does when it steps all of the grid's parcels itself, since the
+workloads' own checks read their projections through the same memo.
 """
 
 import importlib.util
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from reserveplan import dynamics, experiment
+from reserveplan import cli, dynamics, experiment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -83,3 +86,33 @@ def test_warm_memo_projects_the_seed0_scenarios_as_the_kernel(monkeypatch):
     cold_calls = project(cold)
     assert 0 < cold_calls <= 7  # each cold call steps its new columns at most once
     assert project([*reversed(cold[:-1]), cold[-1]]) == cold_calls  # every column known
+
+
+@pytest.mark.parametrize("name, units", [("paper", 4), ("knapsack", 10)])
+def test_consecutive_units_project_as_the_kernel(name, units, tmp_path, monkeypatch):
+    workload = workloads.workloads()[name]
+    kernel, simulate = dynamics._project, dynamics.simulate
+    calls, stepped = [], [0]  # (distinct columns, columns stepped) per simulate call of a unit
+
+    def counted(state, *args):
+        stepped[0] += state.shape[1]
+        return kernel(state, *args)
+
+    def checked(observed, params):
+        before = stepped[0]
+        got = simulate(observed, params)
+        assert got.tobytes() == kernel(observed.matrix().astype(float), params, params.T).tobytes()
+        calls.append((len(set(map(tuple, observed.matrix().T.tolist()))), stepped[0] - before))
+        return got
+
+    monkeypatch.setattr(dynamics, "_project", counted)
+    for module in (experiment, cli):
+        monkeypatch.setattr(module, "simulate", checked)
+    for seed in range(units):
+        inputs = workload.make_inputs(seed)
+        (tmp_path / str(seed)).mkdir()
+        out = workload.run_unit(inputs, tmp_path / str(seed))
+        assert workload.check(inputs, out, tmp_path / str(seed)) == []
+    distinct, ran = (sum(column) for column in zip(*calls))
+    assert ran < distinct  # the memo answered some columns
+    assert any(ran == 0 for _, ran in calls)  # and some calls wholly

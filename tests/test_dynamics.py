@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,23 +205,25 @@ class TestSimulate:
         checked = _project(state, params, params.T, check=lambda *_: None)
         assert checked.tobytes() == _project(state, params, params.T).tobytes()
 
-    def test_two_species_steps_match_the_scalar_reference_on_repeated_columns(self):
+    def test_two_species_steps_match_the_scalar_reference_on_repeated_columns(self, monkeypatch):
         # Asymmetric r, beta and alpha, so swapping any pair, or pairing a species with
         # its own count, changes the first step; a stale copy of the state changes the second.
         params = LVParams(
             r=[0.3, 0.1], alpha=[[0.0, 0.004], [0.0007, 0.0]], beta=[0.002, 0.0005], dt=0.5, T=6
         )
-        state = np.array([[10.0, 30.0, 10.0, 200.0, 30.0], [40.0, 5.0, 40.0, 3.0, 5.0]])
-        columns = np.unique(state, axis=1).T.tolist()  # the order the check hook sees
-        reference = [columns]
+        state = np.array([[10.0, 30.0, 10.0, 200.0], [40.0, 5.0, 40.0, 3.0]])
+        reference = [state.T.tolist()]
         for _ in range(params.T):
             reference.append([scalar_step(column, params) for column in reference[-1]])
         seen = []
         got = _project(state, params, params.T, lambda k, x: seen.append((k, x.T.tolist())))
         assert seen == list(enumerate(reference[1:], start=1))
-        final = dict(zip(map(tuple, columns), reference[-1]))
-        assert got.T.tolist() == [final[tuple(c)] for c in state.T.tolist()]
-        assert np.array_equal(got, _project(state, params, params.T))
+        assert got.T.tolist() == reference[-1]
+        # simulate steps the three distinct columns once and hands parcel 2 the counts of parcel 0
+        widths = []
+        monkeypatch.setattr(dynamics, "_project", lambda x, *a: widths.append(x.shape[1]) or _project(x, *a))
+        projected = simulate(CountsGrid(n=2, counts=state.reshape(2, 2, 2).astype(int)), params)
+        assert projected.reshape(2, 4).T.tolist() == reference[-1] and widths == [3]
 
     def test_two_species_constructed_equilibrium(self):
         # choose r so that (40, 60) solves r_i = beta_i*N_i + alpha_ij*N_j
@@ -326,13 +329,14 @@ class TestSimulate:
 
     def test_cell_step_cap_is_refused_before_any_step(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
-        state = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        steps_run = []
+        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]]))
+        widths = []
+        monkeypatch.setattr(dynamics, "_project", lambda x, *a: widths.append(x.shape[1]) or _project(x, *a))
         with pytest.raises(ValueError, match="^T=11 steps "):
-            _project(state, default_params(2), 11, lambda k, x: steps_run.append(k))
-        assert steps_run == []
-        _project(state, default_params(2), 10, lambda k, x: steps_run.append(k))
-        assert steps_run == list(range(1, 11))
+            simulate(grid, dataclasses.replace(default_params(2), T=11))
+        assert widths == []
+        simulate(grid, dataclasses.replace(default_params(2), T=10))
+        assert widths == [3]
 
 
 class TestMemo:
@@ -341,6 +345,16 @@ class TestMemo:
     @staticmethod
     def kernel(grid: CountsGrid, params: LVParams) -> bytes:
         return _project(grid.matrix().astype(float), params, params.T).tobytes()
+
+    @staticmethod
+    def footprint() -> int:
+        """Bytes of every object the memo holds: dicts, keys and column bytes."""
+        columns = dynamics._memo.columns
+        size = sys.getsizeof(columns)
+        for key, held in columns.items():
+            size += sys.getsizeof(key) + sum(map(sys.getsizeof, key)) + sys.getsizeof(held)
+            size += sum(sys.getsizeof(start) + sys.getsizeof(end) for start, end in held.items())
+        return size
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refusals_repeat_with_the_same_message(self):
@@ -351,7 +365,7 @@ class TestMemo:
             for _ in range(2):
                 with pytest.raises(ValueError, match=f"{message} in parcel 1$"):
                     simulate(grid, params)
-        assert dynamics._memo == {} and dynamics._memo_bytes == 0
+        assert dynamics._memo.columns == {} and dynamics._memo.bytes == 0
 
     def test_a_one_ulp_or_one_step_change_of_any_parameter_projects_cold(self):
         grid = CountsGrid(n=3, counts=np.random.default_rng(3).integers(0, 60, size=(3, 3, 3)))
@@ -395,22 +409,41 @@ class TestMemo:
     def test_a_wide_projection_stays_within_the_cap_and_equals_the_kernel(self, monkeypatch):
         rng = np.random.default_rng(5)
         params = dataclasses.replace(default_params(5), T=3)
-        column = dynamics._COLUMN_BYTES + 16 * 5
-        monkeypatch.setattr(dynamics, "MEMO_BYTES", 3000 * column)
-        small = CountsGrid(n=40, counts=rng.integers(0, 1000, size=(5, 40, 40)))
+        column, key = dynamics._COLUMN_BYTES + 16 * 5, dynamics._KEY_BYTES + 8 * (5 + 25 + 5)
+        monkeypatch.setattr(dynamics, "MEMO_BYTES", key + 3000 * column)
+        small, other = (CountsGrid(n=40, counts=rng.integers(0, 1000, size=(5, 40, 40))) for _ in range(2))
         wide = CountsGrid(n=100, counts=rng.integers(0, 1000, size=(5, 100, 100)))
+        stepped = []
+        monkeypatch.setattr(dynamics, "_project", lambda x, *a: stepped.append(x.shape[1]) or _project(x, *a))
 
         def stored() -> int:
-            held = sum(len(columns) for columns in dynamics._memo.values())
-            assert dynamics._memo_bytes == held * column <= dynamics.MEMO_BYTES
+            held = sum(len(columns) for columns in dynamics._memo.columns.values())
+            assert self.footprint() <= dynamics._memo.bytes == key + held * column <= dynamics.MEMO_BYTES
             return held
 
         assert simulate(small, params).tobytes() == self.kernel(small, params)
         assert stored() == 1600  # every small column is new and fits
-        for _ in range(2):  # ~10,000 new columns would pass the cap: returned, not stored
+        for _ in range(2):  # ~10,000 new columns would not fit even alone: returned, not stored
             assert simulate(wide, params).tobytes() == self.kernel(wide, params)
             assert stored() == 1600
         assert simulate(small, params).tobytes() == self.kernel(small, params)
+        # 1,600 more do not fit beside the first: the memo is emptied and holds the new ones
+        assert simulate(other, params).tobytes() == self.kernel(other, params)
+        assert stored() == 1600
+        assert simulate(other, params).tobytes() == self.kernel(other, params)
+        assert stepped == [1600, 10_000, 10_000, 1600]
+
+    def test_many_parameter_sets_stay_within_the_cap_as_measured(self, monkeypatch):
+        # Each parameter set's key and column dict are charged, not only its columns.
+        monkeypatch.setattr(dynamics, "MEMO_BYTES", 40_000)
+        grid = CountsGrid(n=1, counts=np.array([[[7]], [[9]], [[3]], [[5]], [[1]]]))
+        base = dataclasses.replace(default_params(5), T=2)
+        sets = []
+        for k in range(300):  # ~40 sets fit, so the memo is emptied several times
+            simulate(grid, dataclasses.replace(base, dt=base.dt + k * 1e-9))
+            sets.append(len(dynamics._memo.columns))
+            assert self.footprint() <= dynamics._memo.bytes <= dynamics.MEMO_BYTES
+        assert max(sets) > 30 and sets.count(1) > 5
 
 
 def projected(values) -> np.ndarray:
