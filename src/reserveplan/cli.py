@@ -29,7 +29,7 @@ from .experiment import (
     summarize,
     summarize_similarities,
 )
-from .render import Panel, RenderSpec, caption_text, render_grid
+from .render import Panel, caption_text, render_grid
 from .solver import ReserveProblem, solve, solve_sweep
 
 __all__ = ["main", "build_parser"]
@@ -68,7 +68,12 @@ def _natural(text: str) -> int:
     """A nonnegative integer flag such as ``--seed``; argparse reports a refusal as a usage error."""
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() reads
+        raise argparse.ArgumentTypeError(
+            f"must have at most {sys.get_int_max_str_digits()} digits, got {len(text)}"
+        ) from None
 
 
 def _budget(text: str) -> int:
@@ -80,9 +85,9 @@ def _budget(text: str) -> int:
 
 def _positive(text: str) -> int:
     """A positive integer flag such as ``--grid``; argparse reports a refusal as a usage error."""
-    if not (text.isascii() and text.isdecimal()) or int(text) == 0:
+    if not (text.isascii() and text.isdecimal()) or (value := _natural(text)) == 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _weights(text: str) -> tuple:
@@ -94,7 +99,12 @@ def _weights(text: str) -> tuple:
 
 
 def _cmd_generate(args) -> int:
-    suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
+    try:
+        suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
+    except MemoryError:
+        raise CLIError(
+            f"--pool-size {args.pool_size} landscapes of --grid {args.grid} do not fit in memory"
+        ) from None
     docs = {args.out: fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid)}
     if args.scenario_dir:
         Path(args.scenario_dir).mkdir(parents=True, exist_ok=True)
@@ -178,9 +188,8 @@ def _cmd_render(args) -> int:
             with _blame(solution):
                 panels.append(Panel(Path(solution).stem, grid, _read(solution, fileio.solution_from_obj)))
     with _blame(args.counts2):  # only a second counts grid can differ from the first
-        spec = RenderSpec(panels=tuple(panels))
-    fileio.write_text_atomic(args.out, render_grid(spec))
-    caption = caption_text(spec)
+        caption = caption_text(panels)
+    fileio.write_text_atomic(args.out, render_grid(panels))
     print(f"wrote {args.out}" + (f": {caption}" if caption else ""))
     return 0
 
@@ -189,7 +198,8 @@ def _cmd_report(args) -> int:
     cases = []  # (label, budgets, similarities, stats) per sweep
     for path in args.sweeps:
         with _blame(path):
-            rows = sorted(fileio.sweep_csv_to_rows(Path(path).read_text()), key=lambda r: r["budget"])
+            text = Path(path).read_text(encoding="utf-8")
+            rows = sorted(fileio.sweep_csv_to_rows(text), key=lambda r: r["budget"])
             budgets, similarities = [r["budget"] for r in rows], [r["similarity"] for r in rows]
             stats = summarize_similarities(budgets, similarities)
             if args.plot_out and cases and budgets != cases[0][1]:

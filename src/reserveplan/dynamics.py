@@ -10,28 +10,9 @@ index order), after which each count is clamped at zero. The interaction
 matrix alpha has a zero diagonal; the crowding coefficients beta carry all
 self-limitation, giving each species the single-species fixed point r_i / beta_i.
 
-Each distinct starting column is stepped once and shared by every parcel that
-starts there, so wide grids of mostly distinct columns gain only from the lean
-step: the state is held twice, as ``[x; x]``, so that every step is 9 numpy
-calls on contiguous operands with two species, 8 + S with S others, and counts
-stay bit-identical to the update above (see ``_project``). A positive count
-clamped to zero (a step-size artefact: the continuous model never reaches zero)
-or an overflow is refused, naming step and parcel, and so is a schedule past
-``MAX_CELL_STEPS`` steps x species x distinct columns, naming T, before any
-step runs.
-
-Projected columns are also kept across calls in a memo keyed by the parameter
-values and the starting column, so a process that projects the same small
-count vectors again (reserve cases sharing species, runs over many seeds)
-steps only the columns its memo does not hold. This is exact, because every
-step is elementwise per column, so a column projects to the same bits alone or
-in any batch. The memo holds at most ``MEMO_BYTES``, parameter sets included;
-it is emptied when a call's new columns would not fit beside what it holds,
-and a refused projection stores nothing. A call whose columns are all new
-pays little for the memo: finding distinct columns by their bytes, which also
-gives the memo its keys, is faster than ``np.unique(axis=1)``.
-``simulate`` returns the projected counts as a plain (species, n, n) float64
+``simulate`` projects a ``CountsGrid`` to a plain (species, n, n) float64
 array, and ``round_counts`` turns that array into an integer ``CountsGrid``.
+``simulate`` states the refusals and the column memo; ``_project`` the step kernel.
 """
 
 from __future__ import annotations
@@ -267,4 +248,4 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
 
 def round_counts(projected: np.ndarray) -> CountsGrid:
     """Round a (species, n, n) array of projected counts half-up to the nearest integer."""
-    return CountsGrid(n=projected.shape[-1], counts=np.floor(projected + 0.5))
+    return CountsGrid(np.floor(projected + 0.5))

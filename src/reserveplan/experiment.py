@@ -116,7 +116,7 @@ class Scenario:
             raise ValueError("scenario needs at least one species")
         n = species[0].counts.n
         if any(sp.counts.n != n for sp in species):
-            raise ValueError("all species in a scenario must share the same grid size")
+            raise InvalidDimensionError("all species in a scenario must share the same grid size")
         weights = as_weights(self.weights, "weights")
         if len(weights) != len(species):
             raise ValueError(f"{len(weights)} weights for {len(species)} species")
@@ -134,13 +134,9 @@ class Scenario:
         object.__setattr__(self, "budgets", tuple(budgets.tolist()))
         object.__setattr__(self, "costs", costs)
 
-    @property
-    def parcel_count(self) -> int:
-        return self.species[0].counts.parcel_count
-
     def observed(self) -> CountsGrid:
         """Observed counts of the scenario's species, stacked in order."""
-        return CountsGrid.stack([sp.counts for sp in self.species])
+        return CountsGrid(np.concatenate([sp.counts.counts for sp in self.species]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,8 @@ import io
 import json
 import math
 import os
+import reprlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -96,7 +98,7 @@ def _write_all(texts: Mapping[str | os.PathLike, str]) -> None:
                     f"cannot write {path}: directory {path.parent} does not exist"
                 ) from None
             temps.append((tmp, path))
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
         for tmp, path in temps:
             os.replace(tmp, path)
@@ -167,7 +169,7 @@ def landscape_from_obj(obj, where: str = "landscape") -> Landscape:
     values = _field(obj, "values", where, 1)
     if n < 1 or len(values) != n * n:
         raise _fail(f"{where}.values", f"expected {n * n} values for n={n}, got {len(values)}")
-    return _build(Landscape, f"{where}.values", n=n, values=np.reshape(values, (n, n)))
+    return _build(Landscape, f"{where}.values", values=np.reshape(values, (n, n)))
 
 
 # --- counts / projected counts ------------------------------------------------
@@ -184,7 +186,7 @@ def counts_from_obj(obj, where: str = "counts") -> CountsGrid:
     rows = _field(obj, "counts", where, 2)
     if n < 1 or len(rows) != species or any(len(row) != n * n for row in rows):
         raise _fail(f"{where}.counts", f"expected {species} per-species arrays of {n * n} entries")
-    return _build(CountsGrid, f"{where}.counts", n=n, counts=np.reshape(rows, (species, n, n)))
+    return _build(CountsGrid, f"{where}.counts", counts=np.reshape(rows, (species, n, n)))
 
 
 # --- dynamics parameters ------------------------------------------------------
@@ -332,7 +334,7 @@ def read_json(path: str | os.PathLike):
     ``NaN`` and ``Infinity`` literals and numbers that overflow a float are refused.
     """
     try:
-        with open(path, "r") as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
@@ -395,19 +397,24 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
         line = f"{where}.line{lineno}"
         if len(record) != len(SWEEP_HEADER):
             raise _fail(line, f"expected {len(SWEEP_HEADER)} columns")
+        values = []
         for field, text in zip(SWEEP_HEADER[:2], record):
             if not (text.isascii() and text.isdecimal()):  # int() also takes '-5', '+4', '1_0'
                 raise _fail(line, f"{field} must be a nonnegative integer, got {text!r}")
-        try:
-            objectives = [Fraction(text) for text in record[2:]]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _fail(line, str(exc)) from exc
-        for field, value in zip(SWEEP_HEADER[2:], objectives):
-            if value < 0:
-                raise _fail(line, f"{field} must be nonnegative, got {value}")
-        budget = int(record[0])
-        rows.append({"budget": budget, "similarity": int(record[1]),
-                     "objective1": objectives[0], "objective2": objectives[1]})
+            try:
+                values.append(int(text))
+            except ValueError:  # more digits than int() reads
+                raise _fail(line, f"{field} must have at most {sys.get_int_max_str_digits()} digits, "
+                                  f"got {len(text)}") from None
+        for field, text in zip(SWEEP_HEADER[2:], record[2:]):
+            try:
+                values.append(Fraction(text))
+            except (ValueError, ZeroDivisionError):
+                raise _fail(line, f"{field} must be a rational number, got {reprlib.repr(text)}") from None
+            if values[-1] < 0:
+                raise _fail(line, f"{field} must be nonnegative, got {values[-1]}")
+        budget = values[0]
+        rows.append(dict(zip(SWEEP_HEADER, values)))
         if budget in lines:
             raise _fail(line, f"budget {budget} repeats line {lines[budget]}")
         lines[budget] = lineno

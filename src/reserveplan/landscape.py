@@ -48,48 +48,44 @@ class DegenerateIntensityError(ValueError):
     """Individuals were requested but every parcel has zero habitat quality."""
 
 
+def _require_square(a: np.ndarray, name: str) -> None:
+    """Refuse ``a`` unless its last two sides are equal and at least 1, naming ``name``."""
+    if a.shape[-1] == 0 or a.shape[-1] != a.shape[-2]:
+        raise InvalidDimensionError(f"{name} must be a nonempty square grid, got shape {a.shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class Landscape:
-    """Square grid of per-parcel habitat values in [0, 1] (higher = worse).
+    """Square grid of per-parcel habitat values in [0, 1] (higher = worse)."""
 
-    ``seed`` and ``smoothing_rounds`` record how the grid was generated; they
-    are absent (None) on landscapes loaded from files.
-    """
-
-    n: int
     values: np.ndarray
-    seed: int | None = None
-    smoothing_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        n = int(as_numbers(self.n, "n", integer=True, shape=()))
-        if n < 1:
-            raise InvalidDimensionError(f"n must be >= 1, got {n}")
-        values = as_numbers(self.values, "habitat values", hi=1.0, shape=(n, n))
-        object.__setattr__(self, "n", n)
+        values = as_numbers(self.values, "habitat values", hi=1.0, shape=(None, None))
+        _require_square(values, "habitat values")
         object.__setattr__(self, "values", values)
 
     @property
-    def parcel_count(self) -> int:
-        return self.n * self.n
+    def n(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class CountsGrid:
     """Per-species, per-parcel nonnegative integer counts on an n x n grid."""
 
-    n: int
     counts: np.ndarray  # shape (species, n, n)
 
     def __post_init__(self) -> None:
-        n = int(as_numbers(self.n, "n", integer=True, shape=()))
-        if n < 1:
-            raise InvalidDimensionError(f"n must be >= 1, got {n}")
-        counts = as_numbers(self.counts, "counts", integer=True, shape=(None, n, n))
+        counts = as_numbers(self.counts, "counts", integer=True, shape=(None, None, None))
+        _require_square(counts, "counts")
         if counts.shape[0] == 0:
             raise InvalidDimensionError("counts must hold at least one species")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
+
+    @property
+    def n(self) -> int:
+        return self.counts.shape[-1]
 
     @property
     def species_count(self) -> int:
@@ -107,16 +103,6 @@ class CountsGrid:
         """Total population of each species across all parcels."""
         return self.matrix().sum(axis=1)
 
-    @classmethod
-    def stack(cls, grids: Sequence["CountsGrid"]) -> "CountsGrid":
-        """Combine single- or multi-species grids of equal size into one grid."""
-        if not grids:
-            raise ValueError("need at least one grid to stack")
-        n = grids[0].n
-        if any(g.n != n for g in grids):
-            raise InvalidDimensionError("all stacked grids must share the same side length")
-        return cls(n=n, counts=np.concatenate([g.counts for g in grids], axis=0))
-
 
 def generate_landscape(n: int, smoothing_rounds: int, seed: int) -> Landscape:
     """Generate a seeded random landscape with a controllable fragmentation level.
@@ -128,7 +114,7 @@ def generate_landscape(n: int, smoothing_rounds: int, seed: int) -> Landscape:
     The output is a deterministic function of (n, smoothing_rounds, seed).
     """
     values = _generate_values(n, smoothing_rounds, [seed])[0]
-    return Landscape(n=n, values=values, seed=seed, smoothing_rounds=smoothing_rounds)
+    return Landscape(values)
 
 
 def _generate_values(n: int, rounds: int, seeds: Sequence[int]) -> np.ndarray:
@@ -227,7 +213,7 @@ def distribute_population(landscape: Landscape, total: int, seed: int) -> Counts
         raise ValueError(f"total population must be >= 0, got {total}")
     n = landscape.n
     if total == 0:
-        return CountsGrid(n=n, counts=np.zeros((1, n, n), dtype=np.int64))
+        return CountsGrid(np.zeros((1, n, n), dtype=np.int64))
     quality = 1.0 - landscape.values
     mass = quality.sum()
     if mass <= 0.0:
@@ -237,4 +223,4 @@ def distribute_population(landscape: Landscape, total: int, seed: int) -> Counts
     probs = (quality / mass).ravel()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(total, probs).reshape(n, n)
-    return CountsGrid(n=n, counts=counts[np.newaxis, :, :])
+    return CountsGrid(counts[np.newaxis, :, :])

@@ -9,13 +9,14 @@ the same protection status. Output bytes depend only on the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .experiment import similarity
 from .landscape import CountsGrid
 from .solver import ReserveSolution
 
-__all__ = ["PRESERVED_COLOR", "UNPRESERVED_COLOR", "Panel", "RenderSpec", "render_grid"]
+__all__ = ["PRESERVED_COLOR", "UNPRESERVED_COLOR", "Panel", "caption_text", "render_grid"]
 
 PRESERVED_COLOR = "#2e8b57"
 UNPRESERVED_COLOR = "#e8861e"
@@ -53,26 +54,15 @@ class Panel:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class RenderSpec:
-    """One or two panels, drawn side by side."""
-
-    panels: tuple[Panel, ...]
-
-    def __post_init__(self) -> None:
-        panels = tuple(self.panels)
-        if len(panels) not in (1, 2):
-            raise ValueError(f"render one or two panels, got {len(panels)}")
-        if len({p.counts.n for p in panels}) != 1:
-            raise ValueError("panels must share the same grid size")
-        object.__setattr__(self, "panels", panels)
-
-
-def caption_text(spec: RenderSpec) -> str | None:
-    """Agreement caption for a two-panel spec, None for a single panel."""
-    if len(spec.panels) != 2:
+def caption_text(panels: Sequence[Panel]) -> str | None:
+    """Agreement caption for two panels, None for one; refuses other counts or mixed grid sizes."""
+    if len(panels) not in (1, 2):
+        raise ValueError(f"render one or two panels, got {len(panels)}")
+    if len({p.counts.n for p in panels}) != 1:
+        raise ValueError("panels must share the same grid size")
+    if len(panels) == 1:
         return None
-    a, b = spec.panels
+    a, b = panels
     same = similarity(a.solution, b.solution)
     return f"{same}/{a.counts.parcel_count} parcels share the same protection status"
 
@@ -116,13 +106,13 @@ def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
     return parts
 
 
-def render_grid(spec: RenderSpec) -> str:
-    """Render a spec to a standalone SVG 1.1 document string."""
-    n = spec.panels[0].counts.n
+def render_grid(panels: Sequence[Panel]) -> str:
+    """Render one or two panels, side by side, to a standalone SVG 1.1 document string."""
+    caption = caption_text(panels)  # refuses the panels before anything is drawn
+    n = panels[0].counts.n
     panel_w = n * _CELL
     panel_h = n * _CELL
-    count = len(spec.panels)
-    caption = caption_text(spec)
+    count = len(panels)
     width = 2 * _MARGIN + count * panel_w + (count - 1) * _PANEL_GAP
     height = _MARGIN + _TITLE_H + panel_h + (_CAPTION_H if caption else 0.0) + _MARGIN
     parts = [
@@ -132,7 +122,7 @@ def render_grid(spec: RenderSpec) -> str:
         f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="#ffffff"/>',
     ]
     y0 = _MARGIN + _TITLE_H
-    for i, panel in enumerate(spec.panels):
+    for i, panel in enumerate(panels):
         x0 = _MARGIN + i * (panel_w + _PANEL_GAP)
         parts.extend(_panel_svg(panel, x0, y0))
     if caption:

@@ -89,10 +89,6 @@ class ReserveProblem:
         object.__setattr__(self, "budget", int(_as_costs(self.budget, "budget", ())))
 
     @property
-    def species_count(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
     def parcel_count(self) -> int:
         return int(self.values.shape[1])
 
@@ -115,9 +111,6 @@ class ReserveSolution:
     @property
     def parcel_count(self) -> int:
         return int(self.x.shape[0])
-
-    def protected_indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.x)]
 
 
 def _integer_scores(problem: ReserveProblem) -> tuple[np.ndarray, int]:

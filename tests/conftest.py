@@ -83,18 +83,18 @@ def reference_landscape_values(n: int, smoothing_rounds: int, seed: int) -> np.n
     return h if hi == lo else (h - lo) / (hi - lo)
 
 
+def pool_rounds(seed: int, pool_size: int) -> np.ndarray:
+    """The smoothing rounds ``build_species_suite`` draws for each pool member."""
+    return np.random.default_rng(seed).integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
+
+
 def reference_pool(seed: int, pool_size: int, grid: int) -> list[Landscape]:
-    """The landscape pool ``build_species_suite`` scores, built one Landscape at a time."""
-    rounds = np.random.default_rng(seed).integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
-    return [
-        Landscape(
-            n=grid,
-            values=reference_landscape_values(grid, int(r), seed + i),
-            seed=seed + i,
-            smoothing_rounds=int(r),
-        )
-        for i, r in enumerate(rounds)
-    ]
+    """The landscape pool ``build_species_suite`` scores, built one Landscape at a time.
+
+    Member i comes from seed ``seed + i`` with ``pool_rounds(seed, pool_size)[i]`` rounds.
+    """
+    rounds = pool_rounds(seed, pool_size)
+    return [Landscape(reference_landscape_values(grid, int(r), seed + i)) for i, r in enumerate(rounds)]
 
 
 @pytest.fixture(scope="session")

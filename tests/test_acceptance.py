@@ -38,7 +38,7 @@ from reserveplan import (
 )
 from reserveplan import fileio
 from reserveplan.dynamics import _project, default_params
-from reserveplan.render import Panel, RenderSpec, caption_text
+from reserveplan.render import Panel, caption_text
 from reserveplan.solver import solve
 from bruteforce import solve_bruteforce
 from conftest import logistic_closed_form, random_problem
@@ -121,7 +121,7 @@ def test_logistic_steady_state():
     params = LVParams(r=[r], alpha=[[0.0]], beta=[beta], dt=dt, T=steps)
     finals = {}
     for n0 in starts:
-        grid = CountsGrid(n=1, counts=np.array([[[n0]]]))
+        grid = CountsGrid(np.array([[[n0]]]))
         finals[n0] = float(simulate(grid, params)[0, 0, 0])
     ok = all(abs(v - fixed_point) <= 0.01 * fixed_point for v in finals.values())
     exact = {n0: logistic_closed_form(n0, r, beta, steps * dt) for n0 in starts}
@@ -161,14 +161,14 @@ def test_model_reduction_under_zero_dynamics():
     for case in default_scenarios(suite, seed=3):
         scenario = dataclasses.replace(case, lv_params=zero_params(len(case.species)))
         for row in budget_sweep(scenario):
-            if row.similarity != scenario.parcel_count or not np.array_equal(row.x_1, row.x_2):
+            if row.similarity != scenario.costs.size or not np.array_equal(row.x_1, row.x_2):
                 ok = False
     report("zero dynamics reduces both models to one", ok, "6 cases x 21 budgets, all identical")
     assert ok
 
 
 def test_population_placement_conservation_and_fit():
-    land = Landscape(n=10, values=np.full((10, 10), 0.3))
+    land = Landscape(np.full((10, 10), 0.3))
     replicates = 10_000
     total = 100
     pooled = np.zeros(100, dtype=np.int64)
@@ -277,21 +277,21 @@ def test_invariant_bundle():
             failures.append("weight scaling")
 
     # parcel independence and nonnegativity
-    grid = CountsGrid(n=3, counts=rng.integers(0, 15, size=(2, 3, 3)))
+    grid = CountsGrid(rng.integers(0, 15, size=(2, 3, 3)))
     params = dataclasses.replace(default_params(2), T=300)
     whole = simulate(grid, params)
     if np.any(whole < 0):
         failures.append("nonnegativity")
     for row in range(3):
         for col in range(3):
-            cell = CountsGrid(n=1, counts=grid.counts[:, row, col].reshape(2, 1, 1))
+            cell = CountsGrid(grid.counts[:, row, col].reshape(2, 1, 1))
             if not np.array_equal(
                 simulate(cell, params)[:, 0, 0], whole[:, row, col]
             ):
                 failures.append("parcel independence")
 
     # render caption consistency with recomputed similarity
-    counts = CountsGrid(n=4, counts=rng.integers(0, 9, size=(2, 4, 4)))
+    counts = CountsGrid(rng.integers(0, 9, size=(2, 4, 4)))
     projected = round_counts(simulate(counts, default_params(2)))
     sol_a = solve(
         ReserveProblem(values=counts.matrix(), weights=(1, 1), costs=np.ones(16, dtype=int), budget=7)
@@ -299,9 +299,9 @@ def test_invariant_bundle():
     sol_b = solve(
         ReserveProblem(values=projected.matrix(), weights=(1, 1), costs=np.ones(16, dtype=int), budget=7)
     )
-    spec = RenderSpec(panels=(Panel("a", counts, sol_a), Panel("b", projected, sol_b)))
+    panels = (Panel("a", counts, sol_a), Panel("b", projected, sol_b))
     expected = f"{similarity(sol_a, sol_b)}/16 parcels share the same protection status"
-    if caption_text(spec) != expected:
+    if caption_text(panels) != expected:
         failures.append("render caption")
 
     # JSON round-trips

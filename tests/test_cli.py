@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reserveplan import similarity
-from reserveplan import fileio
+from reserveplan import cli, fileio
 from reserveplan.cli import main
 
 
@@ -294,6 +298,14 @@ class TestErrorHandling:
         "solve-negative-budget": (
             ["solve", "--counts", "c.json", "--budget", "-3"], "argument --budget: must be a nonnegative integer"
         ),
+        "generate-seed-too-many-digits": (
+            ["generate", "--seed", "9" * 5000],
+            f"argument --seed: must have at most {sys.get_int_max_str_digits()} digits, got 5000\n",
+        ),
+        "solve-budget-too-many-digits": (
+            ["solve", "--counts", "c.json", "--budget", "9" * 5000],
+            f"argument --budget: must have at most {sys.get_int_max_str_digits()} digits, got 5000\n",
+        ),
         "solve-budget-beyond-int64": (
             ["solve", "--counts", "c.json", "--budget", str(2**63)],
             f"argument --budget: must be at most {2**63 - 1}, got '{2**63}'",
@@ -544,13 +556,66 @@ class TestErrorHandling:
         assert "big.json: counts.counts: counts must be integers within int64 range" in err
         assert not out.exists()
 
-    def test_allocation_failure_exits_1_without_traceback(self, tmp_path, capsys):
-        # A 10^7 x 10^7 float grid is ~728 TiB, beyond the user address space, so the
-        # allocation fails at once whatever the overcommit policy; no memory is touched.
+    def test_allocation_failure_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a pool too large to allocate: a real attempt could be accepted
+        # under memory overcommit and then exhaust the host.
+        def no_memory(seed, pool_size, grid):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "build_species_suite", no_memory)
         out = tmp_path / "g.json"
-        code = main(
-            ["generate", "--seed", "0", "--pool-size", "4", "--grid", "10000000", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert main(["generate", "--seed", "0", "--pool-size", "1000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --pool-size 1000000000000 landscapes of --grid 10 do not fit in memory\n"
         assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+# Runs each argument as one command line through main() and exits with the first that fails.
+COMMANDS = """import sys
+from reserveplan.cli import main
+for line in sys.argv[1:]:
+    if main(line.split()):
+        sys.exit(line)
+"""
+WALKTHROUGH = [  # the README's command-line walkthrough, on a 200-landscape pool
+    "generate --seed 0 --pool-size 200 --out suite.json --scenario-dir scenarios",
+    *(f"sweep --scenario scenarios/case{i}.json --out case{i}.csv" for i in range(1, 7)),
+    "report " + " ".join(f"case{i}.csv" for i in range(1, 7)) + " --out stats.csv --plot-out similarity.csv",
+    "render --scenario scenarios/case2.json --budget 55 --out case2-b55.svg",
+    "simulate --scenario scenarios/case1.json --round --out projected.json",
+    "solve --counts projected.json --budget 55 --weights 9/10,1/10 --out choice.json",
+    "render --counts projected.json --solution choice.json --out choice.svg",
+]
+
+
+def _python(args, cwd, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+    )
+
+
+class TestTextEncoding:
+    def test_files_are_utf8_whatever_the_locale(self, workspace, tmp_path):
+        obj = fileio.read_json(workspace / "scenarios/case1.json")
+        obj["species"][0]["id"] = "\u00c4sche"
+        (tmp_path / "case.json").write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+        (tmp_path / "half.csv").write_bytes("budget,similarity,objective1,objective2\n0,9,\u00bd,0\n".encode())
+        swept = _python(["-c", COMMANDS, "sweep --scenario case.json --out case.csv"], tmp_path, **ASCII_LOCALE)
+        assert swept.returncode == 0, swept.stderr
+        assert (tmp_path / "case.csv").read_text(encoding="utf-8").startswith("budget,similarity")
+        write_svg = "from reserveplan import fileio; fileio.write_text_atomic('label.svg', '\\u00c4sche')"
+        written = _python(["-c", write_svg], tmp_path, **ASCII_LOCALE)
+        assert written.returncode == 0, written.stderr
+        assert (tmp_path / "label.svg").read_bytes() == "\u00c4sche".encode("utf-8")
+        report = _python(["-c", COMMANDS, "report half.csv --out s.csv"], tmp_path, **ASCII_LOCALE)
+        assert report.returncode == 1
+        assert "half.csv: sweep.line2: objective1 must be a rational number" in report.stderr
+
+    def test_walkthrough_opens_no_text_file_in_the_locale_encoding(self, tmp_path):
+        flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        run = _python([*flags, "-c", COMMANDS, *WALKTHROUGH], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "choice.svg").is_file() and (tmp_path / "stats.csv").is_file()

@@ -128,7 +128,7 @@ class TestStep:
 class TestSimulate:
     def test_zero_dynamics_is_identity(self):
         rng = np.random.default_rng(1)
-        grid = CountsGrid(n=4, counts=rng.integers(0, 9, size=(2, 4, 4)))
+        grid = CountsGrid(rng.integers(0, 9, size=(2, 4, 4)))
         params = LVParams(
             r=[0.0, 0.0], alpha=np.zeros((2, 2)), beta=[0.0, 0.0], dt=0.01, T=2000
         )
@@ -137,7 +137,7 @@ class TestSimulate:
         assert np.array_equal(round_counts(result).counts, grid.counts)
 
     def test_zero_steps_is_identity(self):
-        grid = CountsGrid(n=2, counts=np.arange(4).reshape(1, 2, 2))
+        grid = CountsGrid(np.arange(4).reshape(1, 2, 2))
         result = simulate(grid, single_species(T=0))
         assert np.array_equal(result, grid.counts.astype(float))
 
@@ -146,7 +146,7 @@ class TestSimulate:
         params = single_species()
         horizon = params.dt * params.T
         for n0 in (1, 10, 50, 250):
-            grid = CountsGrid(n=1, counts=np.array([[[n0]]]))
+            grid = CountsGrid(np.array([[[n0]]]))
             got = simulate(grid, params)[0, 0, 0]
             expected = logistic_closed_form(float(n0), 0.1, 0.001, horizon)
             assert got == pytest.approx(expected, rel=1e-3)
@@ -156,13 +156,13 @@ class TestSimulate:
         # 2 species take the one-multiply pressure operands, 1 species a zero pressure
         rng = np.random.default_rng(7)
         for species in (1, 2, 3, 9):
-            grid = CountsGrid(n=4, counts=rng.integers(0, 12, size=(species, 4, 4)))
+            grid = CountsGrid(rng.integers(0, 12, size=(species, 4, 4)))
             params = dataclasses.replace(default_params(species), T=500)
             whole = simulate(grid, params)
             for row in range(4):
                 for col in range(4):
                     counts = grid.counts[:, row, col].reshape(species, 1, 1)
-                    alone = simulate(CountsGrid(n=1, counts=counts), params)
+                    alone = simulate(CountsGrid(counts), params)
                     assert np.array_equal(alone[:, 0, 0], whole[:, row, col])
 
     @given(st.integers(0, 2**32 - 1))
@@ -188,7 +188,7 @@ class TestSimulate:
             r, beta = params.r[:, np.newaxis], params.beta[:, np.newaxis]
             delta = params.dt * (r * state - state * pressure - beta * state * state)
             state = np.maximum(0.0, state + delta)
-        got = simulate(CountsGrid(n=n, counts=counts.reshape(s, n, n)), params)
+        got = simulate(CountsGrid(counts.reshape(s, n, n)), params)
         assert np.array_equal(got.reshape(s, -1), state)
 
     @pytest.mark.parametrize("species", [1, 2, 3, 5])
@@ -222,7 +222,7 @@ class TestSimulate:
         # simulate steps the three distinct columns once and hands parcel 2 the counts of parcel 0
         widths = []
         monkeypatch.setattr(dynamics, "_project", lambda x, *a: widths.append(x.shape[1]) or _project(x, *a))
-        projected = simulate(CountsGrid(n=2, counts=state.reshape(2, 2, 2).astype(int)), params)
+        projected = simulate(CountsGrid(state.reshape(2, 2, 2).astype(int)), params)
         assert projected.reshape(2, 4).T.tolist() == reference[-1] and widths == [3]
 
     def test_two_species_constructed_equilibrium(self):
@@ -238,14 +238,14 @@ class TestSimulate:
         assert np.all(np.abs(state - target) / target <= 0.02)
 
     def test_species_count_mismatch_rejected(self):
-        grid = CountsGrid(n=2, counts=np.zeros((2, 2, 2), dtype=int))
+        grid = CountsGrid(np.zeros((2, 2, 2), dtype=int))
         with pytest.raises(ValueError):
             simulate(grid, single_species())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_the_step_and_the_first_bad_parcel(self):
         # Parcel 0 stays empty; parcels 1 and 2 leave the float range at step 2.
-        grid = CountsGrid(n=2, counts=np.array([[[0, 100], [100, 0]]]))
+        grid = CountsGrid(np.array([[[0, 100], [100, 0]]]))
         params = LVParams(r=[1e300], alpha=[[0.0]], beta=[0.0], dt=1.0, T=5)
         with pytest.raises(ValueError, match="overflow at step 2 in parcel 1$"):
             simulate(grid, params)
@@ -253,7 +253,7 @@ class TestSimulate:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_clamp_names_the_step_and_the_first_clamped_parcel(self):
         # r*dt = 25 overshoots: 1 -> 25.9 -> 606.3 -> negative, clamped at step 3.
-        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [0, 1]]]))
+        grid = CountsGrid(np.array([[[0, 1], [0, 1]]]))
         params = LVParams(r=[25.0], alpha=[[0.0]], beta=[0.1], dt=1.0, T=10)
         with pytest.raises(ValueError, match="clamped to zero at step 3 in parcel 1$"):
             simulate(grid, params)
@@ -261,7 +261,7 @@ class TestSimulate:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_late_overflow_names_the_step_and_the_first_bad_parcel(self):
         # 1.5**k passes the float maximum (~1.8e308) at k = 1751.
-        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [0, 1]]]))
+        grid = CountsGrid(np.array([[[0, 1], [0, 1]]]))
         params = LVParams(r=[0.5], alpha=[[0.0]], beta=[0.0], dt=1.0, T=2000)
         with pytest.raises(ValueError, match="overflow at step 1751 in parcel 1$"):
             simulate(grid, params)
@@ -272,7 +272,7 @@ class TestSimulate:
         # pressure of species 1 slows species 0 enough to delay its overflow one step
         # (1,752, not 1,751). Parcel 2 starts larger and overflows first, at 1,740, but
         # parcel 1 is the first bad parcel.
-        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [100, 0]], [[0, 3], [50, 0]]]))
+        grid = CountsGrid(np.array([[[0, 1], [100, 0]], [[0, 3], [50, 0]]]))
         params = LVParams(
             r=[0.5, 0.4], alpha=[[0.0, 1e-257], [3e-310, 0.0]], beta=[0.0, 0.0], dt=1.0, T=2000
         )
@@ -286,7 +286,7 @@ class TestSimulate:
     def test_two_species_clamp_names_the_step_and_the_first_clamped_parcel(self):
         # Species 1 climbs towards 200 and crushes species 0 once 0.01 * N_1 passes ~1.1;
         # parcel 2 starts with more of species 1 and is clamped first.
-        grid = CountsGrid(n=2, counts=np.array([[[0, 10], [10, 0]], [[0, 20], [60, 5]]]))
+        grid = CountsGrid(np.array([[[0, 10], [10, 0]], [[0, 20], [60, 5]]]))
         params = LVParams(
             r=[0.1, 0.1], alpha=[[0.0, 0.01], [0.0001, 0.0]], beta=[0.001, 0.0005], dt=1.0, T=500
         )
@@ -307,7 +307,7 @@ class TestSimulate:
                 out[0, 2] = np.nan
             return out
         monkeypatch.setattr(dynamics, "_project", batch_goes_bad)
-        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]]))
+        grid = CountsGrid(np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]]))
         with pytest.raises(ValueError, match="^projected counts overflow or clamp to zero in parcel 2$"):
             simulate(grid, dataclasses.replace(default_params(2), T=5))
         assert calls == [False, True]
@@ -317,7 +317,7 @@ class TestSimulate:
 
     def test_schedule_past_the_cell_step_cap_is_refused_naming_T(self, monkeypatch):
         # 3 distinct columns of 2 species (parcel 3 repeats parcel 0): 6 cell-steps per step
-        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]]))
+        grid = CountsGrid(np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]]))
         monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
         at_cap = simulate(grid, dataclasses.replace(default_params(2), T=10))
         assert np.array_equal(at_cap[:, 0, 0], at_cap[:, 1, 1])
@@ -329,7 +329,7 @@ class TestSimulate:
 
     def test_cell_step_cap_is_refused_before_any_step(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
-        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]]))
+        grid = CountsGrid(np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]]))
         widths = []
         monkeypatch.setattr(dynamics, "_project", lambda x, *a: widths.append(x.shape[1]) or _project(x, *a))
         with pytest.raises(ValueError, match="^T=11 steps "):
@@ -358,7 +358,7 @@ class TestMemo:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refusals_repeat_with_the_same_message(self):
-        grid = CountsGrid(n=2, counts=np.array([[[0, 1], [0, 1]]]))
+        grid = CountsGrid(np.array([[[0, 1], [0, 1]]]))
         overflow = LVParams(r=[0.5], alpha=[[0.0]], beta=[0.0], dt=1.0, T=2000)
         clamp = LVParams(r=[25.0], alpha=[[0.0]], beta=[0.1], dt=1.0, T=10)
         for params, message in ((overflow, "overflow at step 1751"), (clamp, "clamped to zero at step 3")):
@@ -368,7 +368,7 @@ class TestMemo:
         assert dynamics._memo.columns == {} and dynamics._memo.bytes == 0
 
     def test_a_one_ulp_or_one_step_change_of_any_parameter_projects_cold(self):
-        grid = CountsGrid(n=3, counts=np.random.default_rng(3).integers(0, 60, size=(3, 3, 3)))
+        grid = CountsGrid(np.random.default_rng(3).integers(0, 60, size=(3, 3, 3)))
         base = default_params(3)
         warm = simulate(grid, base).tobytes()
         def bump(values, at):
@@ -388,7 +388,7 @@ class TestMemo:
         assert simulate(grid, default_params(3)).tobytes() == warm
 
     def test_mutating_a_result_leaves_the_next_call_alone(self):
-        grid = CountsGrid(n=2, counts=np.array([[[1, 2], [1, 2]], [[3, 4], [3, 4]]]))
+        grid = CountsGrid(np.array([[[1, 2], [1, 2]], [[3, 4], [3, 4]]]))
         params = dataclasses.replace(default_params(2), T=50)
         first = simulate(grid, params)
         expected = first.tobytes()
@@ -401,8 +401,8 @@ class TestMemo:
         # The refusal must not depend on what earlier calls left in the memo.
         monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)
         params = dataclasses.replace(default_params(2), T=10)
-        simulate(CountsGrid(n=2, counts=np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]])), params)
-        wider = CountsGrid(n=2, counts=np.array([[[1, 2], [3, 9]], [[4, 5], [6, 9]]]))
+        simulate(CountsGrid(np.array([[[1, 2], [3, 1]], [[4, 5], [6, 4]]])), params)
+        wider = CountsGrid(np.array([[[1, 2], [3, 9]], [[4, 5], [6, 9]]]))
         with pytest.raises(ValueError, match="^T=10 steps on 2 species x 4 distinct columns is 80 "):
             simulate(wider, params)
 
@@ -411,8 +411,8 @@ class TestMemo:
         params = dataclasses.replace(default_params(5), T=3)
         column, key = dynamics._COLUMN_BYTES + 16 * 5, dynamics._KEY_BYTES + 8 * (5 + 25 + 5)
         monkeypatch.setattr(dynamics, "MEMO_BYTES", key + 3000 * column)
-        small, other = (CountsGrid(n=40, counts=rng.integers(0, 1000, size=(5, 40, 40))) for _ in range(2))
-        wide = CountsGrid(n=100, counts=rng.integers(0, 1000, size=(5, 100, 100)))
+        small, other = (CountsGrid(rng.integers(0, 1000, size=(5, 40, 40))) for _ in range(2))
+        wide = CountsGrid(rng.integers(0, 1000, size=(5, 100, 100)))
         stepped = []
         monkeypatch.setattr(dynamics, "_project", lambda x, *a: stepped.append(x.shape[1]) or _project(x, *a))
 
@@ -436,7 +436,7 @@ class TestMemo:
     def test_many_parameter_sets_stay_within_the_cap_as_measured(self, monkeypatch):
         # Each parameter set's key and column dict are charged, not only its columns.
         monkeypatch.setattr(dynamics, "MEMO_BYTES", 40_000)
-        grid = CountsGrid(n=1, counts=np.array([[[7]], [[9]], [[3]], [[5]], [[1]]]))
+        grid = CountsGrid(np.array([[[7]], [[9]], [[3]], [[5]], [[1]]]))
         base = dataclasses.replace(default_params(5), T=2)
         sets = []
         for k in range(300):  # ~40 sets fit, so the memo is emptied several times

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from reserveplan import (
     CASE_GROUPS,
     SUITE_LAYOUT,
+    CountsGrid,
+    InvalidDimensionError,
+    Landscape,
     LVParams,
     ReserveSolution,
+    Scenario,
+    SpeciesSpec,
     budget_sweep,
     build_species_suite,
+    default_params,
     default_scenarios,
     fragmentation,
+    generate_landscape,
     select_extremes,
     similarity,
     summarize,
@@ -24,7 +31,9 @@ from reserveplan import (
 from reserveplan import experiment
 from reserveplan.experiment import SweepRow
 
-from conftest import reference_pool
+from conftest import pool_rounds, reference_pool
+
+RANKS = ("highest", "2nd highest", "lowest", "2nd lowest")
 
 
 def zero_params(species_count: int) -> LVParams:
@@ -94,27 +103,29 @@ class TestBuildSpeciesSuite:
     @example(seed=7, pool_size=40, grid=1)
     @settings(max_examples=60, deadline=None)
     def test_picks_match_extremes_of_reference_pool(self, seed, pool_size, grid):
-        most, least = select_extremes(reference_pool(seed, pool_size, grid), k=2)
-        expected = dict(zip(("highest", "2nd highest", "lowest", "2nd lowest"), most + least))
+        pool, rounds = reference_pool(seed, pool_size, grid), pool_rounds(seed, pool_size)
+        most, least = select_extremes(pool, k=2)
+        index = {id(land): i for i, land in enumerate(pool)}
+        expected = dict(zip(RANKS, [index[id(land)] for land in most + least]))
         for sp in build_species_suite(seed, pool_size=pool_size, grid=grid):
-            want = expected[sp.fragmentation_rank]
-            assert sp.landscape.seed == want.seed
-            assert sp.landscape.smoothing_rounds == want.smoothing_rounds
-            assert sp.landscape.values.tobytes() == want.values.tobytes()
+            i = expected[sp.fragmentation_rank]
+            generated = generate_landscape(grid, int(rounds[i]), seed + i)
+            assert sp.landscape.values.tobytes() == generated.values.tobytes()
+            assert sp.landscape.values.tobytes() == pool[i].values.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 5, 7])
     def test_picks_match_one_at_a_time_scoring(self, seed):
         # every pool member generated and scored alone, so a grid paired with
         # the wrong seed in the batched pool changes the picks
-        pool = reference_pool(seed, pool_size=60, grid=5)
+        pool, rounds = reference_pool(seed, pool_size=60, grid=5), pool_rounds(seed, 60)
         scores = [fragmentation(land) for land in pool]
         order = sorted(range(len(pool)), key=lambda i: (-scores[i], i))
-        ranks = ("highest", "2nd highest", "lowest", "2nd lowest")
-        expected = dict(zip(ranks, [pool[i] for i in order[:2] + order[::-1][:2]]))
+        expected = dict(zip(RANKS, order[:2] + order[::-1][:2]))
         for sp in build_species_suite(seed, pool_size=60, grid=5):
-            want = expected[sp.fragmentation_rank]
-            assert (sp.landscape.seed, sp.landscape.smoothing_rounds) == (want.seed, want.smoothing_rounds)
-            assert sp.landscape.values.tobytes() == want.values.tobytes()
+            i = expected[sp.fragmentation_rank]
+            generated = generate_landscape(5, int(rounds[i]), seed + i)
+            assert sp.landscape.values.tobytes() == generated.values.tobytes()
+            assert sp.landscape.values.tobytes() == pool[i].values.tobytes()
 
     def test_paper_size_pool_memory_peak(self):
         # one smoothing-rounds group at a time: the whole 10k pool's values alone take 8 MB
@@ -129,14 +140,12 @@ class TestBuildSpeciesSuite:
     def test_paper_size_picks_are_pinned(self):
         # (seed, smoothing_rounds) of the seed-0, 10k-pool picks, recorded from
         # the per-landscape pool before it was scored as arrays.
+        picks = {"highest": (139, 0), "2nd highest": (5647, 0), "lowest": (6799, 7), "2nd lowest": (6951, 8)}
         suite = build_species_suite(seed=0)
-        picks = {sp.fragmentation_rank: (sp.landscape.seed, sp.landscape.smoothing_rounds) for sp in suite}
-        assert picks == {
-            "highest": (139, 0),
-            "2nd highest": (5647, 0),
-            "lowest": (6799, 7),
-            "2nd lowest": (6951, 8),
-        }
+        assert {sp.fragmentation_rank for sp in suite} == set(picks)
+        for sp in suite:
+            seed, rounds = picks[sp.fragmentation_rank]
+            assert sp.landscape.values.tobytes() == generate_landscape(10, rounds, seed).values.tobytes()
 
 
 class TestDefaultScenarios:
@@ -187,7 +196,7 @@ class TestBudgetSweep:
         rows = budget_sweep(scenario)
         assert len(rows) == 21
         by_budget = {r.budget: r for r in rows}
-        parcels = scenario.parcel_count
+        parcels = scenario.costs.size
         assert by_budget[0].similarity == parcels
         assert np.all(by_budget[0].x_1 == 0) and np.all(by_budget[0].x_2 == 0)
         assert by_budget[100].similarity == parcels
@@ -199,7 +208,7 @@ class TestBudgetSweep:
                 scenario, lv_params=zero_params(len(scenario.species))
             )
             for r in budget_sweep(frozen):
-                assert r.similarity == scenario.parcel_count
+                assert r.similarity == scenario.costs.size
                 assert np.array_equal(r.x_1, r.x_2)
                 assert r.objective_1 == r.objective_2
 
@@ -288,7 +297,7 @@ class TestWeightedComparison:
         )
         for _, rows in results:
             assert rows[0].budget == 0
-            assert rows[0].similarity == scenario.parcel_count
+            assert rows[0].similarity == scenario.costs.size
 
     def test_weight_set_length_checked(self, small_suite):
         scenario = default_scenarios(small_suite, seed=11)[0]
@@ -325,7 +334,28 @@ class TestWeightedComparison:
         ]
 
 
+def _species(counts: np.ndarray) -> SpeciesSpec:
+    """A one-species spec of the given (1, n, n) counts on a uniform landscape."""
+    n = counts.shape[-1]
+    return SpeciesSpec(label="S", fragmentation_rank="highest", total=int(counts.sum()),
+                       landscape=Landscape(np.full((n, n), 0.5)), counts=CountsGrid(counts))
+
+
 class TestScenarioAssembly:
+    def test_observed_combines_species(self):
+        layers = [np.arange(4).reshape(1, 2, 2) + 4 * k for k in range(3)]
+        scenario = Scenario(species=tuple(map(_species, layers)), weights=(1, 1, 1), budgets=(0, 2),
+                            costs=np.ones(4, dtype=int), lv_params=default_params(3))
+        observed = scenario.observed()
+        assert observed.species_count == 3
+        assert np.array_equal(observed.counts, np.concatenate(layers))
+
+    def test_mixed_grid_sizes_rejected(self):
+        species = (_species(np.zeros((1, 2, 2), dtype=int)), _species(np.zeros((1, 3, 3), dtype=int)))
+        with pytest.raises(InvalidDimensionError, match="must share the same grid size"):
+            Scenario(species=species, weights=(1, 1), budgets=(0,), costs=np.ones(4, dtype=int),
+                     lv_params=default_params(2))
+
     def test_observed_stacks_in_order(self, small_suite):
         scenario = default_scenarios(small_suite, seed=11)[4]
         observed = scenario.observed()

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import stat
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,6 @@ class TestLandscapeSchema:
         back = fileio.landscape_from_obj(fileio.landscape_to_obj(land))
         assert back.n == 5
         assert np.array_equal(back.values, land.values)
-        assert back.seed is None  # provenance is not serialized
 
     def test_missing_field_named(self):
         with pytest.raises(SchemaError, match=r"landscape\.values"):
@@ -48,7 +48,7 @@ class TestLandscapeSchema:
 
 class TestCountsSchema:
     def test_round_trip(self):
-        grid = CountsGrid(n=3, counts=np.arange(18).reshape(2, 3, 3))
+        grid = CountsGrid(np.arange(18).reshape(2, 3, 3))
         back = fileio.counts_from_obj(fileio.counts_to_obj(grid.counts))
         assert back.species_count == 2
         assert np.array_equal(back.counts, grid.counts)
@@ -59,7 +59,7 @@ class TestCountsSchema:
             fileio.counts_from_obj(obj)
 
     def test_projected_counts_keep_fractions(self):
-        grid = CountsGrid(n=2, counts=np.ones((1, 2, 2), dtype=np.int64))
+        grid = CountsGrid(np.ones((1, 2, 2), dtype=np.int64))
         projected = simulate(grid, dataclasses.replace(default_params(1), T=3))
         obj = fileio.counts_to_obj(projected)
         assert obj["n"] == 2 and obj["species"] == 1
@@ -202,9 +202,12 @@ class TestCsv:
             ("5,+90,1,1", "similarity must be a nonnegative integer, got '+90'"),
             ("5,90,-1/2,1", "objective1 must be nonnegative, got -1/2"),
             ("5,90,1,-3", "objective2 must be nonnegative, got -3"),
+            ("9" * 5000 + ",90,1,1", f"budget must have at most {sys.get_int_max_str_digits()} digits, got 5000"),
+            ("5,90,1/0,1", "objective1 must be a rational number, got '1/0'"),
         ],
         ids=["budget-negative", "budget-plus", "budget-underscore", "budget-arabic-indic",
-             "similarity-negative", "similarity-plus", "objective1-negative", "objective2-negative"],
+             "similarity-negative", "similarity-plus", "objective1-negative", "objective2-negative",
+             "budget-too-many-digits", "objective1-zero-denominator"],
     )
     def test_inconsistent_row_names_its_line(self, row, message):
         text = f"budget,similarity,objective1,objective2\n0,100,0,0\n{row}\n10,100,1,1\n"

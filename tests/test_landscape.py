@@ -27,13 +27,13 @@ from conftest import reference_landscape_values
 
 def landscape_with_score(score: float) -> Landscape:
     # frag([[0, s], [s, 0]]) = s: all four adjacent pairs differ by s
-    return Landscape(n=2, values=np.array([[0.0, score], [score, 0.0]]))
+    return Landscape(np.array([[0.0, score], [score, 0.0]]))
 
 
 grids = st.integers(2, 6).flatmap(
     lambda n: st.lists(
         st.floats(0.0, 1.0, allow_nan=False), min_size=n * n, max_size=n * n
-    ).map(lambda vals: Landscape(n=n, values=np.asarray(vals).reshape(n, n)))
+    ).map(lambda vals: Landscape(np.asarray(vals).reshape(n, n)))
 )
 
 
@@ -152,20 +152,20 @@ class TestUniformGrids:
 
 class TestFragmentation:
     def test_constant_grid_scores_zero(self):
-        land = Landscape(n=3, values=np.full((3, 3), 0.7))
+        land = Landscape(np.full((3, 3), 0.7))
         assert fragmentation(land) == 0.0
 
     def test_checkerboard_scores_one(self):
-        land = Landscape(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        land = Landscape(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert fragmentation(land) == 1.0
 
     def test_matches_pairwise_enumeration(self):
-        land = Landscape(n=2, values=np.array([[0.0, 0.5], [0.5, 1.0]]))
+        land = Landscape(np.array([[0.0, 0.5], [0.5, 1.0]]))
         assert fragmentation(land) == pytest.approx(_enumerated(land))
         assert fragmentation(land) == pytest.approx(0.5)
 
     def test_single_parcel_scores_zero(self):
-        assert fragmentation(Landscape(n=1, values=np.array([[0.3]]))) == 0.0
+        assert fragmentation(Landscape(np.array([[0.3]]))) == 0.0
 
     def test_batch_scores(self):
         pool = [generate_landscape(5, r, 50 + r) for r in range(4)]
@@ -182,13 +182,13 @@ class TestFragmentation:
     @given(grids)
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_value_flip(self, land):
-        flipped = Landscape(n=land.n, values=1.0 - land.values)
+        flipped = Landscape(1.0 - land.values)
         assert fragmentation(flipped) == pytest.approx(fragmentation(land), abs=1e-12)
 
     @given(grids)
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_transpose(self, land):
-        swapped = Landscape(n=land.n, values=land.values.T)
+        swapped = Landscape(land.values.T)
         assert fragmentation(swapped) == pytest.approx(fragmentation(land), abs=1e-12)
 
 
@@ -233,13 +233,13 @@ class TestSelectExtremes:
 class TestLandscapeValidation:
     def test_nan_values_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Landscape(n=2, values=np.full((2, 2), np.nan))
+            Landscape(np.full((2, 2), np.nan))
 
     def test_single_nan_among_valid_values_rejected(self):
         values = np.full((3, 3), 0.5)
         values[2, 1] = np.nan
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Landscape(n=3, values=values)
+            Landscape(values)
 
 
 class TestDistributePopulation:
@@ -264,19 +264,19 @@ class TestDistributePopulation:
     def test_single_habitable_parcel_takes_everything(self):
         values = np.ones((3, 3))
         values[1, 2] = 0.4
-        land = Landscape(n=3, values=values)
+        land = Landscape(values)
         grid = distribute_population(land, 100, 8)
         assert grid.counts[0, 1, 2] == 100
         assert grid.totals()[0] == 100
 
     def test_degenerate_intensity_rejected(self):
-        land = Landscape(n=2, values=np.ones((2, 2)))
+        land = Landscape(np.ones((2, 2)))
         with pytest.raises(DegenerateIntensityError):
             distribute_population(land, 5, 0)
 
     def test_uniform_landscape_mean_close_to_expectation(self):
         # multinomial expectation per parcel is total / n^2 = 1.0
-        land = Landscape(n=10, values=np.full((10, 10), 0.3))
+        land = Landscape(np.full((10, 10), 0.3))
         totals = np.zeros((10, 10), dtype=np.int64)
         replicates = 10_000
         for seed in range(replicates):
@@ -287,7 +287,7 @@ class TestDistributePopulation:
     def test_mean_counts_follow_intensity_order(self):
         # distinct habitat values -> strictly ordered expected counts
         values = np.linspace(0.0, 0.8, 9).reshape(3, 3)
-        land = Landscape(n=3, values=values)
+        land = Landscape(values)
         totals = np.zeros(9, dtype=np.int64)
         replicates = 10_000
         for seed in range(replicates):
@@ -314,22 +314,8 @@ class TestDistributePopulation:
 class TestCountsGrid:
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
-            CountsGrid(n=1, counts=np.array([[[1.5]]]))
+            CountsGrid(np.array([[[1.5]]]))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            CountsGrid(n=1, counts=np.array([[[-1]]]))
-
-    def test_stack_combines_species(self):
-        a = CountsGrid(n=2, counts=np.arange(4).reshape(1, 2, 2))
-        b = CountsGrid(n=2, counts=np.arange(8).reshape(2, 2, 2))
-        stacked = CountsGrid.stack([a, b])
-        assert stacked.species_count == 3
-        assert np.array_equal(stacked.counts[0], a.counts[0])
-        assert np.array_equal(stacked.counts[1:], b.counts)
-
-    def test_stack_rejects_mixed_sizes(self):
-        a = CountsGrid(n=2, counts=np.zeros((1, 2, 2), dtype=int))
-        b = CountsGrid(n=3, counts=np.zeros((1, 3, 3), dtype=int))
-        with pytest.raises(InvalidDimensionError):
-            CountsGrid.stack([a, b])
+            CountsGrid(np.array([[[-1]]]))

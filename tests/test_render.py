@@ -9,7 +9,6 @@ from reserveplan.render import (
     PRESERVED_COLOR,
     UNPRESERVED_COLOR,
     Panel,
-    RenderSpec,
     caption_text,
     render_grid,
 )
@@ -17,7 +16,7 @@ from reserveplan.render import (
 
 def grid(n, species, seed=0) -> CountsGrid:
     rng = np.random.default_rng(seed)
-    return CountsGrid(n=n, counts=rng.integers(0, 9, size=(species, n, n)))
+    return CountsGrid(rng.integers(0, 9, size=(species, n, n)))
 
 
 def solution(bits) -> ReserveSolution:
@@ -37,14 +36,14 @@ def annotation_texts(svg: str) -> list[str]:
 class TestRenderGrid:
     def test_all_protected_is_all_green(self):
         g = grid(3, 1)
-        svg = render_grid(RenderSpec(panels=(Panel("a", g, solution([1] * 9)),)))
+        svg = render_grid((Panel("a", g, solution([1] * 9)),))
         fills = cell_fills(svg)
         assert len(fills) == 9
         assert set(fills) == {PRESERVED_COLOR}
 
     def test_single_unprotected_cell_with_label(self):
-        g = CountsGrid(n=1, counts=np.array([[[7]]]))
-        svg = render_grid(RenderSpec(panels=(Panel("solo", g, solution([0])),)))
+        g = CountsGrid(np.array([[[7]]]))
+        svg = render_grid((Panel("solo", g, solution([0])),))
         fills = cell_fills(svg)
         assert fills == [UNPRESERVED_COLOR]
         assert ">7</text>" in svg
@@ -53,9 +52,7 @@ class TestRenderGrid:
         a, b = grid(10, 2, seed=1), grid(10, 2, seed=2)
         sol_a = solution([1] * 55 + [0] * 45)
         sol_b = solution([0] * 45 + [1] * 55)
-        svg = render_grid(
-            RenderSpec(panels=(Panel("left", a, sol_a), Panel("right", b, sol_b)))
-        )
+        svg = render_grid((Panel("left", a, sol_a), Panel("right", b, sol_b)))
         fills = cell_fills(svg)
         assert len(fills) == 200  # two panels of 100 cells
         assert fills.count(PRESERVED_COLOR) == 110
@@ -66,27 +63,27 @@ class TestRenderGrid:
         a, b = grid(4, 2, seed=3), grid(4, 2, seed=4)
         sol_a = solution([1, 0] * 8)
         sol_b = solution([1, 1, 0, 0] * 4)
-        spec = RenderSpec(panels=(Panel("m1", a, sol_a), Panel("m2", b, sol_b)))
-        caption = caption_text(spec)
+        panels = (Panel("m1", a, sol_a), Panel("m2", b, sol_b))
+        caption = caption_text(panels)
         expected = similarity(sol_a, sol_b)
         assert caption == f"{expected}/16 parcels share the same protection status"
-        assert caption in render_grid(spec)
+        assert caption in render_grid(panels)
 
     def test_single_panel_has_no_caption(self):
         g = grid(2, 1)
-        spec = RenderSpec(panels=(Panel("one", g, solution([1, 0, 0, 1])),))
-        assert caption_text(spec) is None
-        assert "protection status" not in render_grid(spec)
+        panels = (Panel("one", g, solution([1, 0, 0, 1])),)
+        assert caption_text(panels) is None
+        assert "protection status" not in render_grid(panels)
 
     def test_five_species_uses_five_slots(self):
         g = grid(2, 5)
-        svg = render_grid(RenderSpec(panels=(Panel("five", g, solution([1, 0, 1, 0])),)))
+        svg = render_grid((Panel("five", g, solution([1, 0, 1, 0])),))
         assert len(annotation_texts(svg)) == 5 * 4
 
     def test_unsupported_species_count_falls_back_to_joined_label(self):
         for species in (3, 6):
             g = grid(2, species)
-            svg = render_grid(RenderSpec(panels=(Panel("x", g, solution([0, 0, 1, 1])),)))
+            svg = render_grid((Panel("x", g, solution([0, 0, 1, 1])),))
             labels = annotation_texts(svg)
             assert len(labels) == 4  # one joined annotation per cell
             assert all(label.count(",") == species - 1 for label in labels)
@@ -94,18 +91,20 @@ class TestRenderGrid:
     def test_byte_deterministic(self):
         a = grid(5, 2, seed=9)
         sol = solution([1, 0] * 12 + [1])
-        spec = RenderSpec(panels=(Panel("p", a, sol),))
-        assert render_grid(spec) == render_grid(spec)
+        panels = (Panel("p", a, sol),)
+        assert render_grid(panels) == render_grid(panels)
 
     def test_svg_document_shape(self):
         g = grid(2, 1)
-        svg = render_grid(RenderSpec(panels=(Panel("d", g, solution([1, 1, 0, 0])),)))
+        svg = render_grid((Panel("d", g, solution([1, 1, 0, 0])),))
         assert svg.startswith('<?xml version="1.0"')
         assert '<svg xmlns="http://www.w3.org/2000/svg" version="1.1"' in svg
         assert svg.rstrip().endswith("</svg>")
 
 
 class TestRenderSpecValidation:
+    """What may be rendered: one or two panels of one grid size, each solution covering its grid."""
+
     def test_solution_length_must_match_grid(self):
         with pytest.raises(ValueError):
             Panel("bad", grid(2, 1), solution([1, 0]))
@@ -113,13 +112,15 @@ class TestRenderSpecValidation:
     def test_panel_count_bounds(self):
         g = grid(2, 1)
         panel = Panel("p", g, solution([1, 0, 0, 1]))
-        with pytest.raises(ValueError):
-            RenderSpec(panels=())
-        with pytest.raises(ValueError):
-            RenderSpec(panels=(panel, panel, panel))
+        for draw in (render_grid, caption_text):
+            with pytest.raises(ValueError, match="^render one or two panels, got 0$"):
+                draw(())
+            with pytest.raises(ValueError, match="^render one or two panels, got 3$"):
+                draw((panel, panel, panel))
 
     def test_mixed_grid_sizes_rejected(self):
         p1 = Panel("a", grid(2, 1), solution([1, 0, 0, 1]))
         p2 = Panel("b", grid(3, 1), solution([1] * 9))
-        with pytest.raises(ValueError):
-            RenderSpec(panels=(p1, p2))
+        for draw in (render_grid, caption_text):
+            with pytest.raises(ValueError, match="^panels must share the same grid size$"):
+                draw((p1, p2))

@@ -277,7 +277,7 @@ class TestSolveSweep:
         assert _integer_scores(p)[0].dtype == object
         budgets = [0, 1, 2, 3, 4]
         sols = solve_sweep(values, weights, p.costs, budgets)
-        assert [sol.protected_indices() for sol in sols[:4]] == [[], [0], [0, 3], [0, 1, 3]]
+        assert [np.flatnonzero(sol.x).tolist() for sol in sols[:4]] == [[], [0], [0, 3], [0, 1, 3]]
         assert sols[3].objective == Fraction(2**70, 3) * 149 + Fraction(1, 7)
         for budget, sol in zip(budgets, sols):
             oracle = solve_bruteforce(

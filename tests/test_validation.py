@@ -27,12 +27,12 @@ from reserveplan.solver import solve_sweep
 
 N = 2
 COUNTS = np.arange(N * N).reshape(1, N, N)
-GRID = CountsGrid(n=N, counts=COUNTS)
+GRID = CountsGrid(COUNTS)
 SPECIES = SpeciesSpec(
     label="S0",
     fragmentation_rank="highest",
     total=int(COUNTS.sum()),
-    landscape=Landscape(n=N, values=np.full((N, N), 0.5)),
+    landscape=Landscape(np.full((N, N), 0.5)),
     counts=GRID,
 )
 PARAMS = default_params(2)
@@ -73,10 +73,8 @@ FIELDS = {
     "solution.x": (lambda v: ReserveSolution(x=v, objective=Fraction(1), spent=1), [1, 0, 1], True),
     "solution.objective": (lambda v: ReserveSolution(x=[1, 0, 1], objective=v, spent=1), Fraction(7, 2), False),
     "solution.spent": (lambda v: ReserveSolution(x=[1, 0, 1], objective=Fraction(1), spent=v), 2, True),
-    "landscape.n": (lambda v: Landscape(n=v, values=np.full((N, N), 0.5)), N, True),
-    "landscape.values": (lambda v: Landscape(n=N, values=v), [[0.0, 0.25], [0.5, 1.0]], False),
-    "counts.n": (lambda v: CountsGrid(n=v, counts=COUNTS), N, True),
-    "counts.counts": (lambda v: CountsGrid(n=N, counts=v), COUNTS.tolist(), True),
+    "landscape.values": (Landscape, [[0.0, 0.25], [0.5, 1.0]], False),
+    "counts.counts": (CountsGrid, COUNTS.tolist(), True),
     "params.r": (lambda v: LVParams(r=v, alpha=PARAMS.alpha, beta=PARAMS.beta), [0.1, 0.2], False),
     "params.alpha": (
         lambda v: LVParams(r=PARAMS.r, alpha=v, beta=PARAMS.beta),
@@ -142,8 +140,6 @@ def test_negative_number_is_refused_naming_the_field(field):
 
 # (field, a value of the wrong shape): a list for every scalar, a wrong length or rank for every array
 WRONG_SHAPES = [
-    ("landscape.n", [N, 3]),
-    ("counts.n", [N]),
     ("params.dt", [0.5, 0.5]),
     ("params.T", [10, 20]),
     ("problem.budget", [1, 2]),
@@ -166,6 +162,10 @@ WRONG_SHAPES = [
     ("scenario.budgets", [[0, 2, 4]]),
     ("scenario.costs", [1, 1, 1]),
     ("sweep.budgets", [[1, 2]]),
+    ("landscape.values", np.zeros((0, 0))),
+    ("landscape.values", [[0.0, 0.25]]),
+    ("counts.counts", np.zeros((1, 0, 0), dtype=int)),
+    ("counts.counts", [[[0, 1]], [[2, 3]]]),
 ]
 SHAPE_BUILDS = {
     **{field: build for field, (build, _, _) in FIELDS.items()},
@@ -182,15 +182,17 @@ def test_wrong_shape_is_refused_naming_the_field(field, value):
 
 
 @pytest.mark.parametrize("grid", [Landscape, CountsGrid])
-def test_zero_side_is_refused_naming_n(grid):
-    with pytest.raises(InvalidDimensionError, match=r"^n must be >= 1, got 0$"):
-        grid(0, np.zeros((1, 0, 0)) if grid is CountsGrid else np.zeros((0, 0)))
+def test_empty_grid_is_refused_naming_the_array(grid):
+    name, shape = ("habitat values", (0, 0)) if grid is Landscape else ("counts", (1, 0, 0))
+    message = f"{name} must be a nonempty square grid, got shape {shape}"
+    with pytest.raises(InvalidDimensionError, match=f"^{re.escape(message)}$"):
+        grid(np.zeros(shape))
 
 
 @pytest.mark.parametrize(
     "build, name",
     [
-        (lambda: CountsGrid(n=2, counts=np.zeros((0, 2, 2))), "counts"),
+        (lambda: CountsGrid(np.zeros((0, 2, 2))), "counts"),
         (lambda: LVParams(r=[], alpha=np.zeros((0, 0)), beta=[]), "r"),
     ],
     ids=["counts", "params"],
