@@ -1,14 +1,14 @@
-"""numpy's seeded uniform grids for many seeds, with the seed hashing shared across seeds.
+"""numpy's seeded uniform grids for many seeds, drawn through one reused generator.
 
 ``uniform_grids(seeds, n)[i]`` equals ``np.random.default_rng(seeds[i]).random((n, n))``
-exactly. Of the work per seed, only numpy's ``SeedSequence`` hashing runs in
-Python (about 10 µs a seed), so it is redone here as uint32 array operations
-on an (m, 4) pool for all seeds at once. Each seed's four hashed uint64 words
-then seed numpy's own ``PCG64``, whose C loop draws the grid.
+exactly. All seeds are hashed as uint32 arrays and seeded as 256-bit lanes of one Python
+int (numpy's uint64 ufunc loops would add resident pages); each seed's state is then loaded
+into one ``PCG64``, as building a generator per seed cost more than drawing its grid.
 """
 
 from __future__ import annotations
 
+import ctypes
 import operator
 from typing import Sequence
 
@@ -21,16 +21,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-
-
-class _HashedSeed:
-    """One row of ``_seed_states``, served as the answer to PCG64's ``generate_state(4, np.uint64)``."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+_order: list[int] = []  # which word of a _seeded row each PCG64 state word holds, found once
 
 
 def uniform_grids(seeds: Sequence[int], n: int) -> np.ndarray:
@@ -43,16 +35,44 @@ def uniform_grids(seeds: Sequence[int], n: int) -> np.ndarray:
         raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")
     # imported here: loading numpy.random adds ~14 ms to every import of the package
     from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_HashedSeed)  # so PCG64 takes it as given, not as a seed to hash
-    for grid, words in zip(out, _seed_states(seeds)):
-        Generator(PCG64(_HashedSeed(words))).random(out=grid)
+    bg = PCG64()
+    draw = Generator(bg).random
+    # the pcg64_state struct's first member points at the (state, inc) pair
+    pair = ctypes.c_void_p.from_address(bg.ctypes.state_address).value
+    words = memoryview((ctypes.c_uint8 * 32).from_address(pair)).cast("B")
+    _order[:] = _order or _word_order(bg, words)
+    rows = _seeded(_seed_states(seeds))[:, _order].astype(np.uint64).tobytes()
+    for k, grid in zip(range(0, len(rows), 32), out):
+        words[:] = rows[k : k + 32]
+        draw(out=grid)
     return out
 
 
+def _word_order(bg, words: memoryview) -> list[int]:
+    """Which word of a ``_seeded`` row each state word in ``words`` holds, read back from a state set
+    through ``bg.state``: native 128-bit ints of either byte order, or numpy's {high, low} struct."""
+    known = {"state": 2 << 64 | 1, "inc": 4 << 64 | 3}  # the row words 1, 2, 3, 4
+    bg.state = {"bit_generator": "PCG64", "state": known, "has_uint32": 0, "uinteger": 0}
+    seen = np.frombuffer(words, dtype=np.uint64).tolist()
+    if sorted(seen) != [1, 2, 3, 4]:
+        raise RuntimeError(f"numpy {np.__version__} lays out PCG64's state words in an unknown order")
+    return [w - 1 for w in seen]
+
+
+def _seeded(words: np.ndarray) -> np.ndarray:
+    """numpy's ``pcg64_set_seed`` for each ``_seed_states`` row, as (m, 4) little-endian uint64
+    words (state low, high, inc low, high). Row words 0-3 hold the seed, 4-7 the seq, high half first."""
+    m = len(words)
+    lanes = int.from_bytes(words[:, [2, 3, 0, 1, 6, 7, 4, 5]].astype("<u4").tobytes(), "little")
+    low = int.from_bytes((b"\xff" * 16 + bytes(16)) * m, "little")  # the low 128 bits of each lane
+    inc = (lanes >> 127 | int.from_bytes((b"\x01" + bytes(31)) * m, "little")) & low  # 2·seq + 1
+    state = ((lanes & low) + inc) * _PCG_MULT + inc & low
+    return np.frombuffer((state | inc << 128).to_bytes(32 * m, "little"), dtype="<u8").reshape(m, 4)
+
+
 def _seed_states(seeds: list[int]) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed, as an (m, 4) uint64 array.
+    """``SeedSequence(s).generate_state(8)`` for each seed, as an (m, 8) uint32 array.
 
     The pool words of all seeds form one (m, 4) array, and successive hashes
     into different pool words are applied to those columns at once.
@@ -74,9 +94,7 @@ def _seed_states(seeds: list[int]) -> np.ndarray:
         hashed = _hashmix(words[:, src, None], xor[t : t + _POOL], mul[t : t + _POOL])
         pool = np.where(has, _mix(pool, hashed), pool)
         t += _POOL
-    # eight hashed uint32 words, paired little-endian into four uint64 words
-    state = _hashmix(np.tile(pool, 2), *_hash_consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+    return _hashmix(np.tile(pool, 2), *_hash_consts(_INIT_B, _MULT_B, 8))
 
 
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -83,6 +83,13 @@ def _budget(text: str) -> int:
     return value
 
 
+def _pool_size(text: str) -> int:
+    """A ``--pool-size``: enough landscapes to keep two fragmentation extremes each way."""
+    if (value := _natural(text)) < 4:
+        raise argparse.ArgumentTypeError(f"must be at least 4 to pick two extremes each way, got {text!r}")
+    return value
+
+
 def _positive(text: str) -> int:
     """A positive integer flag such as ``--grid``; argparse reports a refusal as a usage error."""
     if not (text.isascii() and text.isdecimal()) or (value := _natural(text)) == 0:
@@ -100,6 +107,8 @@ def _weights(text: str) -> tuple:
 
 def _cmd_generate(args) -> int:
     try:
+        if args.pool_size * args.grid**2 * 8 > sys.maxsize:  # numpy refuses such arrays naming no flag
+            raise MemoryError
         suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
     except MemoryError:
         raise CLIError(
@@ -223,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a landscape pool, species suite, and scenarios")
     p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
     p.add_argument("--out", required=True, help="suite JSON output path")
-    p.add_argument("--pool-size", type=_natural, default=10_000, help="landscapes to generate")
+    p.add_argument("--pool-size", type=_pool_size, default=10_000, help="landscapes to generate")
     p.add_argument("--grid", type=_positive, default=10, help="landscape side length")
     p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
     p.set_defaults(func=_cmd_generate, parser=p)

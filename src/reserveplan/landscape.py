@@ -6,9 +6,10 @@ seeded multinomial draw whose per-parcel intensity is proportional to habitat
 quality q = 1 - h.
 
 The starting uniforms of every grid, one landscape or a whole pool, come from
-``_pcg.uniform_grids``, which hashes all seeds as numpy's ``SeedSequence``
-does in whole-array operations and lets numpy's own ``PCG64`` draw each grid,
-so it reproduces ``np.random.default_rng(seed).random((n, n))`` bit for bit
+``_pcg.uniform_grids``, which hashes and seeds all seeds as numpy does, in
+whole-array operations, and draws every grid through one numpy ``PCG64``
+loaded with each seed's state, so it reproduces
+``np.random.default_rng(seed).random((n, n))`` bit for bit
 (pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``
 in tests/test_landscape.py). Smoothing and rescaling run on an (n, n, m) copy
 with the grids on the last axis, so each shifted add is one contiguous run over

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reserveplan import similarity
-from reserveplan import cli, fileio
+from reserveplan import cli, default_params, fileio
 from reserveplan.cli import main
 
 
@@ -278,6 +278,10 @@ class TestErrorHandling:
             ["generate", "--seed", "0", "--pool-size", "1_0"],
             "argument --pool-size: must be a nonnegative integer, got '1_0'",
         ),
+        "generate-pool-size-below-four": (
+            ["generate", "--seed", "0", "--pool-size", "3"],
+            "argument --pool-size: must be at least 4 to pick two extremes each way, got '3'",
+        ),
         "generate-grid-plus": (
             ["generate", "--seed", "0", "--grid", "+3"], "argument --grid: must be a positive integer, got '+3'"
         ),
@@ -373,11 +377,14 @@ class TestErrorHandling:
         assert "bad.json" in capsys.readouterr().err
 
     def test_domain_errors_exit_1_with_message(self, tmp_path, capsys):
-        code = main(
-            ["generate", "--seed", "1", "--pool-size", "3", "--out", str(tmp_path / "s.json")]
-        )
+        counts, params = tmp_path / "c.json", tmp_path / "p.json"
+        fileio.write_json(counts, {"n": 1, "species": 1, "counts": [[5]]})
+        fileio.write_json(params, fileio.params_to_obj(default_params(2)))
+        out = tmp_path / "o.json"
+        code = main(["simulate", "--counts", str(counts), "--params", str(params), "--out", str(out)])
         assert code == 1
-        assert "pool_size" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {params}: grid has 1 species but parameters cover 2\n"
+        assert not out.exists()
 
     def test_weights_length_mismatch_reported(self, tmp_path, capsys):
         grid = tmp_path / "counts.json"
@@ -567,6 +574,15 @@ class TestErrorHandling:
         assert main(["generate", "--seed", "0", "--pool-size", "1000000000000", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: --pool-size 1000000000000 landscapes of --grid 10 do not fit in memory\n"
+        assert not out.exists()
+
+    def test_pool_past_the_address_space_names_its_flags(self, tmp_path, capsys):
+        # numpy refuses an array this large before allocating, so the real command is safe to run
+        out = tmp_path / "g.json"
+        argv = ["generate", "--seed", "0", "--pool-size", "4", "--grid", "10000000000", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --pool-size 4 landscapes of --grid 10000000000 do not fit in memory\n"
         assert not out.exists()
 
 

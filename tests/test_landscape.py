@@ -1,6 +1,8 @@
 import itertools
+import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,13 @@ from reserveplan import (
     InsufficientCandidatesError,
     InvalidDimensionError,
     Landscape,
+    build_species_suite,
     distribute_population,
     fragmentation,
     generate_landscape,
     select_extremes,
 )
-from reserveplan._pcg import uniform_grids
+from reserveplan._pcg import _word_order, uniform_grids
 from reserveplan.landscape import _fragmentation_scores, _generate_values, _rescale_unit
 
 from conftest import reference_landscape_values
@@ -125,7 +128,11 @@ class TestUniformGrids:
         seeds = [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
         self.assert_matches_default_rng(seeds, 5)
 
-    @pytest.mark.parametrize("seeds, n", [([8], 70), ([1, 2, 3], 40)], ids=["one-large-grid", "several-seeds"])
+    @pytest.mark.parametrize(
+        "seeds, n",
+        [([8], 70), ([1, 2, 3], 40), ([9], 300), (list(range(1111)), 3)],
+        ids=["one-large-grid", "several-seeds", "300x300", "1111-seeds"],
+    )
     def test_larger_grids(self, seeds, n):
         # one seed's 4900 draws, and 3 seeds' grids of 1600 draws written into one batch
         self.assert_matches_default_rng(seeds, n)
@@ -148,6 +155,63 @@ class TestUniformGrids:
         code = f"import sys; sys.path.insert(0, {str(src)!r}); import reserveplan; print('numpy.random' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert result.stdout == "False\n"
+
+    def test_callers_streams_are_untouched(self):
+        # the reused generator is the kernel's own: a caller's generator and numpy's
+        # legacy global stream draw the same numbers with or without kernel calls between
+        saved = np.random.get_state()
+        try:
+            runs = []
+            for interleave in (True, False):
+                np.random.seed(11)
+                mine = np.random.default_rng(5)
+                drawn = []
+                for seeds in ([0, 1], [2**64], [3, 4, 5]):
+                    drawn += [mine.random(3), np.random.random(3)]
+                    if interleave:
+                        uniform_grids(seeds, 4)
+                runs.append(np.concatenate(drawn).tobytes())
+        finally:
+            np.random.set_state(saved)
+        assert runs[0] == runs[1]
+
+    def test_concurrent_calls_match_serial(self):
+        batches = [list(range(k * 1000, (k + 1) * 1000)) for k in range(6)]
+        serial = [uniform_grids(seeds, 6).tobytes() for seeds in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = pool.map(uniform_grids, batches, [6] * len(batches), timeout=120)
+                threaded = [grids.tobytes() for grids in threaded]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_unknown_state_layout_refused_naming_numpy_version(self):
+        from numpy.random import PCG64
+
+        message = rf"^numpy {re.escape(np.__version__)} lays out PCG64's state words in an unknown order$"
+        with pytest.raises(RuntimeError, match=message):
+            _word_order(PCG64(), memoryview(bytearray(32)))
+
+    def test_one_generator_per_call_not_per_seed(self, monkeypatch):
+        # a pool ten times larger builds no more generators: only the number of calls counts
+        import numpy.random
+
+        made, real = [], numpy.random.PCG64
+
+        def counting_pcg64(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(numpy.random, "PCG64", counting_pcg64)
+        counts = []
+        for pool_size in (200, 2000):
+            made.clear()
+            build_species_suite(0, pool_size=pool_size, grid=4)
+            counts.append(len(made))
+        assert counts[0] == counts[1] > 0
 
 
 class TestFragmentation:
