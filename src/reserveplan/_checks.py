@@ -1,7 +1,8 @@
-"""The numeric checks behind every constructor that takes numbers: shapes, arrays and weights."""
+"""The numeric checks behind every constructor and reader: shapes, arrays, weights and integer text."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Integral, Real
 
@@ -75,3 +76,14 @@ def as_weights(value, name: str) -> tuple[Fraction, ...]:
     if any(w < 0 for w in weights):
         raise ValueError(f"{name} must be nonnegative")
     return weights
+
+
+def decimal_integer(text: str, kind: str = "nonnegative") -> int:
+    """``text`` as an integer if it is ASCII digits only: ``int()`` also takes signs, '_' and other digits."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"must be a {kind} integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() reads
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"must have at most {limit} digits, got {len(text)}") from None

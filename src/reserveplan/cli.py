@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from ._checks import as_weights
+from ._checks import as_weights, decimal_integer
 from .dynamics import default_params, round_counts, simulate
 from .experiment import (
     _model_grids,
@@ -64,16 +64,12 @@ def _mode(args, mode: str, needs: str | None = None, refuses: tuple = ()) -> Non
             args.parser.error(f"--{flag} does not apply to --{mode} input")
 
 
-def _natural(text: str) -> int:
-    """A nonnegative integer flag such as ``--seed``; argparse reports a refusal as a usage error."""
-    if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+def _natural(text: str, kind: str = "nonnegative") -> int:
+    """A ``kind`` integer flag such as ``--seed``; argparse reports a refusal as a usage error."""
     try:
-        return int(text)
-    except ValueError:  # more digits than int() reads
-        raise argparse.ArgumentTypeError(
-            f"must have at most {sys.get_int_max_str_digits()} digits, got {len(text)}"
-        ) from None
+        return decimal_integer(text, kind)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _budget(text: str) -> int:
@@ -92,7 +88,7 @@ def _pool_size(text: str) -> int:
 
 def _positive(text: str) -> int:
     """A positive integer flag such as ``--grid``; argparse reports a refusal as a usage error."""
-    if not (text.isascii() and text.isdecimal()) or (value := _natural(text)) == 0:
+    if (value := _natural(text, "positive")) == 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 

@@ -23,11 +23,11 @@ from .dynamics import LVParams, default_params, round_counts, simulate
 from .landscape import (
     CountsGrid,
     Landscape,
-    _extreme_indices,
-    _fragmentation_scores,
     _generate_values,
     distribute_population,
+    fragmentation,
     generate_landscape,
+    select_extremes,
 )
 # ``solve`` is unused here; bench/test_bench.py checks that the tracer wraps this name.
 from .solver import ReserveSolution, solve, solve_sweep  # noqa: F401
@@ -178,8 +178,8 @@ def build_species_suite(
     scores = np.empty(pool_size)
     for r in range(MAX_SMOOTHING_ROUNDS + 1):
         idx = np.flatnonzero(rounds == r)
-        scores[idx] = _fragmentation_scores(_generate_values(grid, r, [seed + i for i in idx.tolist()]))
-    most, least = _extreme_indices(scores, k=2)
+        scores[idx] = fragmentation(_generate_values(grid, r, [seed + i for i in idx.tolist()]))
+    most, least = select_extremes(scores, k=2)
     by_rank = {
         rank: generate_landscape(grid, int(rounds[i]), seed + int(i))
         for rank, i in zip(("highest", "2nd highest", "lowest", "2nd lowest"), [*most, *least])
@@ -225,9 +225,7 @@ def default_scenarios(suite: Sequence[SpeciesSpec], *, seed: int | None = None) 
 def similarity(a: ReserveSolution, b: ReserveSolution) -> int:
     """Number of parcels that receive the same protection decision in both solutions."""
     if a.parcel_count != b.parcel_count:
-        raise ValueError(
-            f"solutions cover {a.parcel_count} and {b.parcel_count} parcels"
-        )
+        raise ValueError(f"solutions cover {a.parcel_count} and {b.parcel_count} parcels")
     return int(np.sum(a.x == b.x))
 
 
@@ -254,9 +252,7 @@ def budget_sweep(scenario: Scenario) -> list[SweepRow]:
     return _sweep(scenario, _model_grids(scenario))
 
 
-def summarize_similarities(
-    budgets: Sequence[int], similarities: Sequence[int]
-) -> SimilarityStats:
+def summarize_similarities(budgets: Sequence[int], similarities: Sequence[int]) -> SimilarityStats:
     """Similarity statistics over interior budgets of aligned (budget, similarity) pairs."""
     if len(budgets) != len(similarities):
         raise ValueError(f"{len(budgets)} budgets for {len(similarities)} similarities")
@@ -275,9 +271,7 @@ def summarize(rows: Sequence[SweepRow]) -> SimilarityStats:
     is to protect nothing or everything, which both models always share. The
     median of an even count is the mean of the two middle values.
     """
-    return summarize_similarities(
-        [r.budget for r in rows], [r.similarity for r in rows]
-    )
+    return summarize_similarities([r.budget for r in rows], [r.similarity for r in rows])
 
 
 def weighted_comparison(

@@ -29,13 +29,13 @@ import json
 import math
 import os
 import reprlib
-import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._checks import decimal_integer
 from .dynamics import LVParams
 from .experiment import Scenario, SimilarityStats, SpeciesSpec, SweepRow
 from .landscape import CountsGrid, Landscape
@@ -331,11 +331,13 @@ def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
 def read_json(path: str | os.PathLike):
     """Parse a strict JSON file; schema errors downstream carry the file name via the CLI.
 
-    ``NaN`` and ``Infinity`` literals and numbers that overflow a float are refused.
+    ``NaN`` and ``Infinity`` literals, numbers that overflow a float and a key
+    repeated within one object are refused.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
+            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float,
+                             object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
@@ -345,6 +347,15 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise SchemaError(f"invalid JSON: non-finite number {text}")
     return value
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"invalid JSON: repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _json_text(obj) -> str:
@@ -399,13 +410,10 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
             raise _fail(line, f"expected {len(SWEEP_HEADER)} columns")
         values = []
         for field, text in zip(SWEEP_HEADER[:2], record):
-            if not (text.isascii() and text.isdecimal()):  # int() also takes '-5', '+4', '1_0'
-                raise _fail(line, f"{field} must be a nonnegative integer, got {text!r}")
             try:
-                values.append(int(text))
-            except ValueError:  # more digits than int() reads
-                raise _fail(line, f"{field} must have at most {sys.get_int_max_str_digits()} digits, "
-                                  f"got {len(text)}") from None
+                values.append(decimal_integer(text))
+            except ValueError as exc:
+                raise _fail(line, f"{field} {exc}") from None
         for field, text in zip(SWEEP_HEADER[2:], record[2:]):
             try:
                 values.append(Fraction(text))

@@ -6,16 +6,15 @@ seeded multinomial draw whose per-parcel intensity is proportional to habitat
 quality q = 1 - h.
 
 The starting uniforms of every grid, one landscape or a whole pool, come from
-``_pcg.uniform_grids``, which hashes and seeds all seeds as numpy does, in
-whole-array operations, and draws every grid through one numpy ``PCG64``
-loaded with each seed's state, so it reproduces
-``np.random.default_rng(seed).random((n, n))`` bit for bit
-(pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``
-in tests/test_landscape.py). Smoothing and rescaling run on an (n, n, m) copy
-with the grids on the last axis, so each shifted add is one contiguous run over
-all m grids, not one per grid row; each cell still adds the same values in the
-same order. Scoring stays on the (m, n, n) row-major batch: numpy's pairwise
-sums depend on memory layout, so a grid-last sum would move the scores' last bits.
+``_pcg.uniform_grids``, which reproduces ``np.random.default_rng(seed).random((n, n))``
+bit for bit (pinned by ``TestUniformGrids`` and
+``test_matches_per_landscape_reference`` in tests/test_landscape.py). Smoothing
+and rescaling run on an (n, n, m) copy with the grids on the last axis, so each
+shifted add is one contiguous run over all m grids; each cell still adds the
+same values in the same order. Scoring and selection work on whole arrays:
+``fragmentation`` scores an (m, n, n) row-major stack (numpy's pairwise sums
+depend on memory layout, so a grid-last sum would move the scores' last bits),
+and ``select_extremes`` picks pool indices from the (m,) scores.
 """
 
 from __future__ import annotations
@@ -49,8 +48,10 @@ class DegenerateIntensityError(ValueError):
     """Individuals were requested but every parcel has zero habitat quality."""
 
 
-def _require_square(a: np.ndarray, name: str) -> None:
-    """Refuse ``a`` unless its last two sides are equal and at least 1, naming ``name``."""
+def _require_square(a: np.ndarray, name: str, ndim: int) -> None:
+    """Refuse ``a`` unless it has ``ndim`` axes, the last two equal and at least 1 long, naming ``name``."""
+    if a.ndim != ndim:
+        raise InvalidDimensionError(f"{name} must have {ndim} axes, got shape {a.shape}")
     if a.shape[-1] == 0 or a.shape[-1] != a.shape[-2]:
         raise InvalidDimensionError(f"{name} must be a nonempty square grid, got shape {a.shape}")
 
@@ -63,7 +64,7 @@ class Landscape:
 
     def __post_init__(self) -> None:
         values = as_numbers(self.values, "habitat values", hi=1.0, shape=(None, None))
-        _require_square(values, "habitat values")
+        _require_square(values, "habitat values", 2)
         object.__setattr__(self, "values", values)
 
     @property
@@ -79,7 +80,7 @@ class CountsGrid:
 
     def __post_init__(self) -> None:
         counts = as_numbers(self.counts, "counts", integer=True, shape=(None, None, None))
-        _require_square(counts, "counts")
+        _require_square(counts, "counts", 3)
         if counts.shape[0] == 0:
             raise InvalidDimensionError("counts must hold at least one species")
         object.__setattr__(self, "counts", counts)
@@ -154,17 +155,15 @@ def _rescale_unit(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def fragmentation(landscape: Landscape) -> float:
-    """Mean absolute value difference over all orthogonally adjacent parcel pairs.
+def fragmentation(values: np.ndarray) -> np.ndarray:
+    """Mean absolute value difference over all orthogonally adjacent parcel pairs, per grid.
 
-    0 for a constant grid, 1 for a maximal-contrast checkerboard; 0 for a
-    single parcel, which has no adjacent pairs.
+    Scores each grid of an (m, n, n) stack, returning shape (m,): 0 for a
+    constant grid, 1 for a maximal-contrast checkerboard, and 0 for a single
+    parcel, which has no adjacent pairs. One grid is a stack of one.
     """
-    return float(_fragmentation_scores(landscape.values[np.newaxis])[0])
-
-
-def _fragmentation_scores(values: np.ndarray) -> np.ndarray:
-    """``fragmentation`` of each grid in a (m, n, n) batch, shape (m,)."""
+    values = np.asarray(values)
+    _require_square(values, "values", 3)
     m, n = values.shape[0], values.shape[-1]
     if n == 1 or m == 0:
         return np.zeros(m)
@@ -173,34 +172,22 @@ def _fragmentation_scores(values: np.ndarray) -> np.ndarray:
     return (down.sum(axis=1) + right.sum(axis=1)) / (2 * n * (n - 1))
 
 
-def _extreme_indices(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the k highest and the k lowest scores, each from the more extreme end.
+def select_extremes(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pool indices (most, least) of the k highest and the k lowest fragmentation scores.
 
-    The head and the reversed tail of the (-score, index) order.
-    """
-    order = np.argsort(-scores, kind="stable")
-    return order[:k], order[::-1][:k]
-
-
-def select_extremes(
-    landscapes: Sequence[Landscape], k: int
-) -> tuple[list[Landscape], list[Landscape]]:
-    """Pick the k most and k least fragmented landscapes from a pool.
-
-    Returns (most, least), each ordered from the more extreme to the less
-    extreme entry, so most[0] has the highest score and least[0] the lowest.
-    Among tied scores the earlier landscape counts as more fragmented, so it
-    wins the more extreme slot in most and the less extreme one in least; the
-    two groups are always disjoint.
+    Each runs from the more extreme end: most[0] indexes the highest score and
+    least[0] the lowest. A tie goes to the lower index as the more fragmented,
+    so it wins the more extreme slot in most and the less extreme one in least,
+    and the two groups are disjoint.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(landscapes) < 2 * k:
+    if len(scores) < 2 * k:
         raise InsufficientCandidatesError(
-            f"need at least {2 * k} landscapes to pick {k} of each extreme, got {len(landscapes)}"
+            f"need at least {2 * k} landscapes to pick {k} of each extreme, got {len(scores)}"
         )
-    most, least = _extreme_indices(np.array([fragmentation(l) for l in landscapes]), k)
-    return [landscapes[i] for i in most], [landscapes[i] for i in least]
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    return order[:k], order[::-1][:k]
 
 
 def distribute_population(landscape: Landscape, total: int, seed: int) -> CountsGrid:

@@ -53,6 +53,9 @@ def test_tiny_workload_runs_and_checks_under_the_tracer(name, tmp_path):
         assert tracer.restore() == []
     assert workload.check(inputs, out, tmp_path) == []
     assert tracer.counts[0]["dynamics.simulate.calls"] > 0
+    if name == "paper":  # the suite scores and selects its pool through the traced names
+        assert tracer.counts[0]["landscape.kept"] == 4
+        assert tracer.counts[0]["landscape.fragmentation.calls"] >= 1
 
 
 @pytest.mark.parametrize("name", ["paper", "knapsack"])

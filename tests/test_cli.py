@@ -423,6 +423,18 @@ class TestErrorHandling:
         assert number in err
         assert not out.exists()
 
+    def test_repeated_json_key_exits_1_and_names_file_and_key(self, workspace, tmp_path, capsys):
+        # a second "budgets" would otherwise replace the first without a word
+        text = (workspace / "scenarios/case1.json").read_text()
+        scenario = tmp_path / "twice.json"
+        scenario.write_text(text.replace('"budgets": [', '"budgets": [0, 1, 2],\n  "budgets": [', 1))
+        assert text.count('"budgets": [') == 1
+        out = tmp_path / "o.csv"
+        code = main(["sweep", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 1
+        assert "twice.json: invalid JSON: repeated key 'budgets'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_render_solution_for_another_grid_exits_1_and_names_it(self, tmp_path, capsys):
         counts, solution = tmp_path / "c.json", tmp_path / "s.json"
         fileio.write_json(counts, {"n": 2, "species": 1, "counts": [[1, 2, 3, 4]]})

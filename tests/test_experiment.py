@@ -75,7 +75,7 @@ class TestBuildSpeciesSuite:
         assert by_label["S1"].landscape is by_label["S3"].landscape
         assert by_label["S4"].landscape is by_label["S6"].landscape
         assert by_label["S5"].landscape is by_label["S7"].landscape
-        scores = {label: fragmentation(sp.landscape) for label, sp in by_label.items()}
+        scores = {label: fragmentation(sp.landscape.values[np.newaxis])[0] for label, sp in by_label.items()}
         assert scores["S0"] >= scores["S1"] >= scores["S5"] >= scores["S4"]
 
     def test_counts_conserve_population(self, small_suite):
@@ -104,9 +104,9 @@ class TestBuildSpeciesSuite:
     @settings(max_examples=60, deadline=None)
     def test_picks_match_extremes_of_reference_pool(self, seed, pool_size, grid):
         pool, rounds = reference_pool(seed, pool_size, grid), pool_rounds(seed, pool_size)
-        most, least = select_extremes(pool, k=2)
-        index = {id(land): i for i, land in enumerate(pool)}
-        expected = dict(zip(RANKS, [index[id(land)] for land in most + least]))
+        # each reference grid scored alone, as a stack of one
+        scores = np.concatenate([fragmentation(land.values[np.newaxis]) for land in pool])
+        expected = dict(zip(RANKS, np.concatenate(select_extremes(scores, k=2)).tolist()))
         for sp in build_species_suite(seed, pool_size=pool_size, grid=grid):
             i = expected[sp.fragmentation_rank]
             generated = generate_landscape(grid, int(rounds[i]), seed + i)
@@ -118,7 +118,7 @@ class TestBuildSpeciesSuite:
         # every pool member generated and scored alone, so a grid paired with
         # the wrong seed in the batched pool changes the picks
         pool, rounds = reference_pool(seed, pool_size=60, grid=5), pool_rounds(seed, 60)
-        scores = [fragmentation(land) for land in pool]
+        scores = [fragmentation(land.values[np.newaxis])[0] for land in pool]
         order = sorted(range(len(pool)), key=lambda i: (-scores[i], i))
         expected = dict(zip(RANKS, order[:2] + order[::-1][:2]))
         for sp in build_species_suite(seed, pool_size=60, grid=5):

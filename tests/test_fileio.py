@@ -254,3 +254,12 @@ class TestAtomicWrite:
         target.write_text("{nope")
         with pytest.raises(SchemaError, match="invalid JSON"):
             fileio.read_json(target)
+
+    @pytest.mark.parametrize(
+        "text", ['{"a": 1, "b": 2, "a": 3}', '{"x": [{"b": 1}, {"a": 1, "a": 1}]}'], ids=["top", "nested"]
+    )
+    def test_repeated_key_refused_naming_it(self, tmp_path, text):
+        target = tmp_path / "twice.json"
+        target.write_text(text)
+        with pytest.raises(SchemaError, match=r"^invalid JSON: repeated key 'a'$"):
+            fileio.read_json(target)

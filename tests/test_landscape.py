@@ -23,14 +23,14 @@ from reserveplan import (
     select_extremes,
 )
 from reserveplan._pcg import _word_order, uniform_grids
-from reserveplan.landscape import _fragmentation_scores, _generate_values, _rescale_unit
+from reserveplan.landscape import _generate_values, _rescale_unit
 
 from conftest import reference_landscape_values
 
 
-def landscape_with_score(score: float) -> Landscape:
-    # frag([[0, s], [s, 0]]) = s: all four adjacent pairs differ by s
-    return Landscape(np.array([[0.0, score], [score, 0.0]]))
+def score(land: Landscape) -> float:
+    """The fragmentation of one landscape, scored as a stack of one."""
+    return float(fragmentation(land.values[np.newaxis])[0])
 
 
 grids = st.integers(2, 6).flatmap(
@@ -108,8 +108,8 @@ class TestGenerateLandscape:
 
     def test_smoothing_lowers_fragmentation(self):
         for seed in range(20):
-            rough = fragmentation(generate_landscape(10, 0, seed))
-            smooth = fragmentation(generate_landscape(10, 8, seed))
+            rough = score(generate_landscape(10, 0, seed))
+            smooth = score(generate_landscape(10, 8, seed))
             assert rough > smooth
 
 
@@ -216,44 +216,58 @@ class TestUniformGrids:
 
 class TestFragmentation:
     def test_constant_grid_scores_zero(self):
-        land = Landscape(np.full((3, 3), 0.7))
-        assert fragmentation(land) == 0.0
+        assert fragmentation(np.full((1, 3, 3), 0.7)).tolist() == [0.0]
 
     def test_checkerboard_scores_one(self):
-        land = Landscape(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert fragmentation(land) == 1.0
+        assert fragmentation(np.array([[[0.0, 1.0], [1.0, 0.0]]])).tolist() == [1.0]
 
     def test_matches_pairwise_enumeration(self):
         land = Landscape(np.array([[0.0, 0.5], [0.5, 1.0]]))
-        assert fragmentation(land) == pytest.approx(_enumerated(land))
-        assert fragmentation(land) == pytest.approx(0.5)
+        assert score(land) == pytest.approx(_enumerated(land))
+        assert score(land) == pytest.approx(0.5)
 
     def test_single_parcel_scores_zero(self):
-        assert fragmentation(Landscape(np.array([[0.3]]))) == 0.0
+        assert fragmentation(np.array([[[0.3]]])).tolist() == [0.0]
 
     def test_batch_scores(self):
+        # a stack scores each grid as it scores alone
         pool = [generate_landscape(5, r, 50 + r) for r in range(4)]
-        scores = _fragmentation_scores(np.stack([l.values for l in pool]))
-        assert scores.tolist() == [fragmentation(l) for l in pool]
-        assert _fragmentation_scores(np.zeros((0, 5, 5))).shape == (0,)
-        assert _fragmentation_scores(np.full((3, 1, 1), 0.2)).tolist() == [0.0, 0.0, 0.0]
+        scores = fragmentation(np.stack([l.values for l in pool]))
+        assert scores.shape == (4,)
+        assert scores.tolist() == [score(l) for l in pool]
+        assert fragmentation(np.zeros((0, 5, 5))).shape == (0,)
+        assert fragmentation(np.full((3, 1, 1), 0.2)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((3, 3), "values must have 3 axes, got shape (3, 3)"),
+            ((), "values must have 3 axes, got shape ()"),
+            ((2, 3, 4), "values must be a nonempty square grid, got shape (2, 3, 4)"),
+            ((1, 0, 0), "values must be a nonempty square grid, got shape (1, 0, 0)"),
+        ],
+        ids=["one-grid", "scalar", "oblong", "empty-grids"],
+    )
+    def test_refuses_anything_but_a_square_stack(self, shape, message):
+        with pytest.raises(InvalidDimensionError, match=f"^{re.escape(message)}$"):
+            fragmentation(np.zeros(shape))
 
     @given(grids)
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_enumeration(self, land):
-        assert fragmentation(land) == pytest.approx(_enumerated(land), abs=1e-12)
+        assert score(land) == pytest.approx(_enumerated(land), abs=1e-12)
 
     @given(grids)
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_value_flip(self, land):
         flipped = Landscape(1.0 - land.values)
-        assert fragmentation(flipped) == pytest.approx(fragmentation(land), abs=1e-12)
+        assert score(flipped) == pytest.approx(score(land), abs=1e-12)
 
     @given(grids)
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_transpose(self, land):
         swapped = Landscape(land.values.T)
-        assert fragmentation(swapped) == pytest.approx(fragmentation(land), abs=1e-12)
+        assert score(swapped) == pytest.approx(score(land), abs=1e-12)
 
 
 def _enumerated(land: Landscape) -> float:
@@ -269,29 +283,36 @@ def _enumerated(land: Landscape) -> float:
 
 class TestSelectExtremes:
     def test_orders_by_score(self):
-        pool = [landscape_with_score(s) for s in (0.9, 0.1, 0.5, 0.7)]
-        most, least = select_extremes(pool, k=2)
-        assert most == [pool[0], pool[3]]
-        assert least == [pool[1], pool[2]]
+        most, least = select_extremes(np.array([0.9, 0.1, 0.5, 0.7]), k=2)
+        assert most.tolist() == [0, 3]
+        assert least.tolist() == [1, 2]
 
     def test_ties_broken_by_input_order(self):
-        pool = [landscape_with_score(0.5), landscape_with_score(0.5)]
-        most, least = select_extremes(pool, k=1)
-        assert most == [pool[0]]
-        assert least == [pool[1]]
+        most, least = select_extremes(np.array([0.5, 0.5]), k=1)
+        assert most.tolist() == [0]
+        assert least.tolist() == [1]
+        # the lower index is the more fragmented one, in both groups
+        most, least = select_extremes(np.full(5, 0.2), k=2)
+        assert most.tolist() == [0, 1]
+        assert least.tolist() == [4, 3]
 
     def test_groups_are_disjoint(self):
         pool = [generate_landscape(5, r % 4, r) for r in range(30)]
-        most, least = select_extremes(pool, k=2)
-        assert len({id(l) for l in most + least}) == 4
-        scores = sorted(fragmentation(l) for l in pool)
-        assert fragmentation(least[0]) == scores[0]
-        assert fragmentation(most[0]) == scores[-1]
+        scores = fragmentation(np.stack([l.values for l in pool]))
+        most, least = select_extremes(scores, k=2)
+        assert len({*most.tolist(), *least.tolist()}) == 4
+        assert score(pool[least[0]]) == min(score(l) for l in pool)
+        assert score(pool[most[0]]) == max(score(l) for l in pool)
 
     def test_pool_too_small(self):
-        pool = [landscape_with_score(0.2)] * 3
-        with pytest.raises(InsufficientCandidatesError):
-            select_extremes(pool, k=2)
+        message = "need at least 4 landscapes to pick 2 of each extreme, got 3"
+        with pytest.raises(InsufficientCandidatesError, match=f"^{message}$"):
+            select_extremes(np.full(3, 0.2), k=2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+            select_extremes(np.full(4, 0.2), k=k)
 
 
 class TestLandscapeValidation:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from reserveplan import (
     default_params,
 )
 from reserveplan import fileio
+from reserveplan._checks import decimal_integer
 from reserveplan.fileio import SchemaError
 from reserveplan.solver import solve_sweep
 
@@ -242,3 +244,21 @@ def test_bad_json_leaf_is_named_by_its_path(field, data):
     rows[i][j] = data.draw(st.sampled_from(bad_leaves), label="leaf")
     with pytest.raises(SchemaError, match="^" + re.escape(f"{where}.{key}[{i}][{j}]: expected")):
         parse({**valid, key: rows})
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("-5", "nonnegative", "must be a nonnegative integer, got '-5'"),
+        ("1_0", "positive", "must be a positive integer, got '1_0'"),
+        ("٣", "nonnegative", "must be a nonnegative integer, got '٣'"),
+        ("", "nonnegative", "must be a nonnegative integer, got ''"),
+        ("9" * 5000, "nonnegative", f"must have at most {sys.get_int_max_str_digits()} digits, got 5000"),
+    ],
+    ids=["sign", "underscore", "arabic-indic-digit", "empty", "too-many-digits"],
+)
+def test_integer_text_is_ascii_digits_only(text, kind, message):
+    # the one rule behind integer CLI flags and integer sweep CSV cells
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decimal_integer(text, kind)
+    assert decimal_integer("0042") == 42
