@@ -1,6 +1,6 @@
 """numpy's seeded uniform grids for many seeds, drawn through one reused generator.
 
-``uniform_grids(seeds, n)[i]`` equals ``np.random.default_rng(seeds[i]).random((n, n))``
+``uniform_grids(seeds, out)[i]`` equals ``np.random.default_rng(seeds[i]).random((n, n))``
 exactly. All seeds are hashed as uint32 arrays and seeded as 256-bit lanes of one Python
 int (numpy's uint64 ufunc loops would add resident pages); each seed's state is then loaded
 into one ``PCG64``, as building a generator per seed cost more than drawing its grid.
@@ -25,10 +25,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 _order: list[int] = []  # which word of a _seeded row each PCG64 state word holds, found once
 
 
-def uniform_grids(seeds: Sequence[int], n: int) -> np.ndarray:
-    """``default_rng(s).random((n, n))`` for each s in ``seeds``, shape (len(seeds), n, n)."""
+def uniform_grids(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a (len(seeds), n, n) float64 array, with ``default_rng(s).random((n, n))`` per seed."""
     seeds = [operator.index(s) for s in seeds]
-    out = np.empty((len(seeds), n, n))
     if not seeds:
         return out
     if min(seeds) < 0:

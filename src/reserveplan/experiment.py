@@ -173,12 +173,16 @@ def build_species_suite(
         raise ValueError(f"pool_size must be >= 4 to pick two extremes each way, got {pool_size}")
     rng = np.random.default_rng(seed)
     rounds = rng.integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
-    # Scoring one smoothing-rounds group at a time holds about a ninth of the
-    # pool's values in memory at once; only the four kept grids become Landscapes.
+    # One working set serves every smoothing-rounds group: two flat buffers sized for the
+    # largest group hold its draws, smoothing, rescale and values, and scoring writes its
+    # differences into the one not holding the values. Only the four picks become Landscapes.
+    size = np.bincount(rounds).max() * grid * grid
+    buffers = np.empty(size), np.empty(size)
     scores = np.empty(pool_size)
     for r in range(MAX_SMOOTHING_ROUNDS + 1):
         idx = np.flatnonzero(rounds == r)
-        scores[idx] = fragmentation(_generate_values(grid, r, [seed + i for i in idx.tolist()]))
+        values, spare = _generate_values(grid, r, [seed + i for i in idx.tolist()], buffers)
+        scores[idx] = fragmentation(values, scratch=spare)
     most, least = select_extremes(scores, k=2)
     by_rank = {
         rank: generate_landscape(grid, int(rounds[i]), seed + int(i))

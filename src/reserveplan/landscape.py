@@ -7,14 +7,13 @@ quality q = 1 - h.
 
 The starting uniforms of every grid, one landscape or a whole pool, come from
 ``_pcg.uniform_grids``, which reproduces ``np.random.default_rng(seed).random((n, n))``
-bit for bit (pinned by ``TestUniformGrids`` and
-``test_matches_per_landscape_reference`` in tests/test_landscape.py). Smoothing
-and rescaling run on an (n, n, m) copy with the grids on the last axis, so each
-shifted add is one contiguous run over all m grids; each cell still adds the
-same values in the same order. Scoring and selection work on whole arrays:
-``fragmentation`` scores an (m, n, n) row-major stack (numpy's pairwise sums
-depend on memory layout, so a grid-last sum would move the scores' last bits),
-and ``select_extremes`` picks pool indices from the (m,) scores.
+bit for bit (pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``).
+A pool is built group by group in one working set of two flat buffers, so no group
+allocates arrays of its own: the draws land in one, smoothing and rescaling ping-pong
+through both as (n, n, m) grid-last views (each shifted add one contiguous run over all
+m grids, each cell adding the same values in the same order), and ``fragmentation``
+scores the row-major (m, n, n) values, writing its differences into the other (a grid-last
+sum would move the scores' last bits). ``select_extremes`` picks pool indices from the scores.
 """
 
 from __future__ import annotations
@@ -115,19 +114,26 @@ def generate_landscape(n: int, smoothing_rounds: int, seed: int) -> Landscape:
     constant). More smoothing rounds yield smoother, less fragmented grids.
     The output is a deterministic function of (n, smoothing_rounds, seed).
     """
-    values = _generate_values(n, smoothing_rounds, [seed])[0]
-    return Landscape(values)
+    values, _ = _generate_values(n, smoothing_rounds, [seed])
+    return Landscape(values[0])
 
 
-def _generate_values(n: int, rounds: int, seeds: Sequence[int]) -> np.ndarray:
-    """Value grids of ``generate_landscape(n, rounds, s)`` for each s in seeds, shape (m, n, n)."""
+def _generate_values(n: int, rounds: int, seeds: Sequence[int], buffers=None) -> tuple[np.ndarray, ...]:
+    """Value grids of ``generate_landscape(n, rounds, s)`` for each s in seeds, (m, n, n), and a spare.
+
+    Works in ``buffers``, two flat float64 arrays of at least m * n * n elements (made when None): the
+    values are a view into one, and the spare is the other's first m * n * n elements, free to overwrite.
+    """
     if n < 1:
         raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
     if rounds < 0:
         raise ValueError(f"smoothing_rounds must be >= 0, got {rounds}")
-    draws = uniform_grids(seeds, n)
-    h = draws.transpose(1, 2, 0).copy()  # grid-last; copied even when m == 1 makes the view contiguous
-    total = draws.reshape(h.shape)  # the draw buffer, reused as scratch
+    m = len(seeds)
+    a, b = (buf[: m * n * n] for buf in buffers or (np.empty(m * n * n), np.empty(m * n * n)))
+    draws = uniform_grids(seeds, a.reshape(m, n, n))
+    h = b.reshape(n, n, m)  # grid-last
+    np.copyto(h, draws.transpose(1, 2, 0))
+    total = a.reshape(h.shape)  # the draw buffer, reused as scratch
     along = np.add(np.arange(n) > 0, np.arange(n) < n - 1, dtype=float)  # in-grid neighbours on one axis
     count = (1.0 + along[:, None] + along)[..., None]
     for _ in range(rounds):  # each cell becomes the mean of itself and its in-grid orthogonal neighbours
@@ -139,7 +145,7 @@ def _generate_values(n: int, rounds: int, seeds: Sequence[int]) -> np.ndarray:
         h, total = np.divide(total, count, out=total), h
     out = total.reshape(draws.shape)
     np.copyto(out, _rescale_unit(h).transpose(2, 0, 1))
-    return out
+    return out, h.reshape(-1)
 
 
 def _rescale_unit(h: np.ndarray) -> np.ndarray:
@@ -155,21 +161,27 @@ def _rescale_unit(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def fragmentation(values: np.ndarray) -> np.ndarray:
+def fragmentation(values: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
     """Mean absolute value difference over all orthogonally adjacent parcel pairs, per grid.
 
-    Scores each grid of an (m, n, n) stack, returning shape (m,): 0 for a
-    constant grid, 1 for a maximal-contrast checkerboard, and 0 for a single
-    parcel, which has no adjacent pairs. One grid is a stack of one.
+    Scores each grid of an (m, n, n) stack, read as float64, returning shape (m,): 0 for a
+    constant grid, 1 for a maximal-contrast checkerboard, and 0 for a single parcel, which
+    has no adjacent pairs. One grid is a stack of one. Each direction's differences in turn
+    go to ``scratch`` if given: float64, at least m * n * (n - 1) elements, apart from values.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=np.float64)
     _require_square(values, "values", 3)
     m, n = values.shape[0], values.shape[-1]
     if n == 1 or m == 0:
         return np.zeros(m)
-    down = np.abs(np.diff(values, axis=1)).reshape(m, -1)
-    right = np.abs(np.diff(values, axis=2)).reshape(m, -1)
-    return (down.sum(axis=1) + right.sum(axis=1)) / (2 * n * (n - 1))
+    size = m * n * (n - 1)
+    scratch = np.empty(size) if scratch is None else scratch
+    if scratch.dtype != np.float64 or scratch.size < size or np.may_share_memory(scratch, values):
+        raise ValueError(f"scratch must be a float64 array of at least {size} elements apart from values")
+    d = np.subtract(values[:, 1:], values[:, :-1], out=scratch.reshape(-1)[:size].reshape(m, n - 1, n))
+    down = np.abs(d, out=d).reshape(m, -1).sum(axis=1)
+    d = np.subtract(values[:, :, 1:], values[:, :, :-1], out=d.reshape(m, n, n - 1))
+    return (down + np.abs(d, out=d).reshape(m, -1).sum(axis=1)) / (2 * n * (n - 1))
 
 
 def select_extremes(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,15 +190,17 @@ def select_extremes(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     Each runs from the more extreme end: most[0] indexes the highest score and
     least[0] the lowest. A tie goes to the lower index as the more fragmented,
     so it wins the more extreme slot in most and the less extreme one in least,
-    and the two groups are disjoint.
+    and the two groups are disjoint. Scores are read as float64 and must be
+    finite and nonnegative, as every fragmentation score is.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    scores = as_numbers(scores, "scores", shape=(None,))
     if len(scores) < 2 * k:
         raise InsufficientCandidatesError(
             f"need at least {2 * k} landscapes to pick {k} of each extreme, got {len(scores)}"
         )
-    order = np.argsort(-np.asarray(scores), kind="stable")
+    order = np.argsort(-scores, kind="stable")
     return order[:k], order[::-1][:k]
 
 

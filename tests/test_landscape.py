@@ -93,14 +93,18 @@ class TestGenerateLandscape:
         assert got.tobytes() == reference_landscape_values(n, rounds, seed).tobytes()
 
     def test_batch_rows_match_single_landscapes(self):
-        # the batch smooths grid-last; each row must still equal the 2-D reference
+        # the batch smooths grid-last in two buffers; each row must still equal the
+        # 2-D reference, whether the buffers are made for it or given larger and stale
         for n, rounds, size in itertools.product([1, 2, 3, 7], range(9), [0, 1, 2, 9]):
             seeds = [3 + 37 * i + 1000 * size for i in range(size)]
-            batch = _generate_values(n, rounds, seeds)
-            assert batch.shape == (size, n, n)
-            assert batch.flags.c_contiguous
-            for row, seed in zip(batch, seeds):
-                assert row.tobytes() == reference_landscape_values(n, rounds, seed).tobytes(), (n, rounds, seed)
+            stale = np.full(10 * n * n + 3, np.nan), np.full(10 * n * n + 3, 7.0)
+            for buffers in (None, stale):
+                batch, spare = _generate_values(n, rounds, seeds, buffers)
+                assert batch.shape == (size, n, n)
+                assert batch.flags.c_contiguous
+                assert spare.size == size * n * n and not np.shares_memory(spare, batch)
+                for row, seed in zip(batch, seeds):
+                    assert row.tobytes() == reference_landscape_values(n, rounds, seed).tobytes(), (n, rounds, seed)
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError, match="smoothing_rounds"):
@@ -118,8 +122,9 @@ class TestUniformGrids:
 
     @staticmethod
     def assert_matches_default_rng(seeds, n):
-        grids = uniform_grids(seeds, n)
-        assert grids.shape == (len(seeds), n, n)
+        out = np.full((len(seeds), n, n), np.nan)
+        grids = uniform_grids(seeds, out)
+        assert grids is out
         for grid, seed in zip(grids, seeds):
             assert grid.tobytes() == np.random.default_rng(seed).random((n, n)).tobytes()
 
@@ -138,7 +143,7 @@ class TestUniformGrids:
         self.assert_matches_default_rng(seeds, n)
 
     def test_empty_batch_and_single_parcel(self):
-        assert uniform_grids([], 4).shape == (0, 4, 4)
+        assert uniform_grids([], np.empty((0, 4, 4))).shape == (0, 4, 4)
         self.assert_matches_default_rng([0, 5, 2**70], 1)
 
     def test_numpy_integer_seed_gives_the_same_grid(self):
@@ -169,7 +174,7 @@ class TestUniformGrids:
                 for seeds in ([0, 1], [2**64], [3, 4, 5]):
                     drawn += [mine.random(3), np.random.random(3)]
                     if interleave:
-                        uniform_grids(seeds, 4)
+                        uniform_grids(seeds, np.empty((len(seeds), 4, 4)))
                 runs.append(np.concatenate(drawn).tobytes())
         finally:
             np.random.set_state(saved)
@@ -177,12 +182,13 @@ class TestUniformGrids:
 
     def test_concurrent_calls_match_serial(self):
         batches = [list(range(k * 1000, (k + 1) * 1000)) for k in range(6)]
-        serial = [uniform_grids(seeds, 6).tobytes() for seeds in batches]
+        serial = [uniform_grids(seeds, np.empty((1000, 6, 6))).tobytes() for seeds in batches]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                threaded = pool.map(uniform_grids, batches, [6] * len(batches), timeout=120)
+                outs = [np.empty((1000, 6, 6)) for _ in batches]
+                threaded = pool.map(uniform_grids, batches, outs, timeout=120)
                 threaded = [grids.tobytes() for grids in threaded]
         finally:
             sys.setswitchinterval(interval)
@@ -220,6 +226,29 @@ class TestFragmentation:
 
     def test_checkerboard_scores_one(self):
         assert fragmentation(np.array([[[0.0, 1.0], [1.0, 0.0]]])).tolist() == [1.0]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_, np.float32])
+    def test_checkerboard_of_any_numeric_dtype_scores_one(self, dtype):
+        # read as float64: an unsigned stack must not wrap 0 - 1 to 255
+        board = np.array([[[0, 1, 0], [1, 0, 1], [0, 1, 0]]], dtype=dtype)
+        assert fragmentation(board).tolist() == [1.0]
+
+    def test_scratch_holds_the_differences_without_moving_a_bit(self):
+        stack = np.stack([generate_landscape(6, r, 90 + r).values for r in range(5)])
+        scratch = np.full(5 * 6 * 6, np.nan)
+        assert fragmentation(stack, scratch=scratch).tobytes() == fragmentation(stack).tobytes()
+
+    @pytest.mark.parametrize(
+        "scratch",
+        [np.empty(5 * 6 * 5 - 1), np.empty(5 * 6 * 5, dtype=np.float32), "values"],
+        ids=["too-small", "float32", "overlaps-values"],
+    )
+    def test_scratch_refused_unless_float64_large_enough_and_apart(self, scratch):
+        stack = np.zeros((5, 6, 6))
+        scratch = stack.reshape(-1) if isinstance(scratch, str) else scratch
+        message = "scratch must be a float64 array of at least 150 elements apart from values"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fragmentation(stack, scratch=scratch)
 
     def test_matches_pairwise_enumeration(self):
         land = Landscape(np.array([[0.0, 0.5], [0.5, 1.0]]))
@@ -303,6 +332,30 @@ class TestSelectExtremes:
         assert len({*most.tolist(), *least.tolist()}) == 4
         assert score(pool[least[0]]) == min(score(l) for l in pool)
         assert score(pool[most[0]]) == max(score(l) for l in pool)
+
+    def test_unsigned_scores_ranked_as_numbers(self):
+        # negating a uint8 array wraps, which made the lowest score the "most fragmented"
+        most, least = select_extremes(np.array([0, 1, 2, 3], dtype=np.uint8), k=2)
+        assert most.tolist() == [3, 2]
+        assert least.tolist() == [0, 1]
+
+    def test_bool_scores_ranked_as_zero_and_one(self):
+        most, least = select_extremes(np.array([False, True, False, True]), k=1)
+        assert most.tolist() == [1]
+        assert least.tolist() == [2]
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ([0.2, np.nan, 0.1, 0.3], "scores must be finite"),
+            ([0.2, -0.5, 0.1, 0.3], "scores must be nonnegative"),
+            ([[0.2, 0.1], [0.3, 0.4]], "scores must have shape (any,), got (2, 2)"),
+        ],
+        ids=["nan", "negative", "two-axes"],
+    )
+    def test_scores_refused_by_name(self, scores, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_extremes(np.array(scores), k=1)
 
     def test_pool_too_small(self):
         message = "need at least 4 landscapes to pick 2 of each extreme, got 3"
