@@ -36,7 +36,9 @@ def as_numbers(
         want = str(shape).replace("None", "any")
         raise InvalidDimensionError(f"{name} must have shape {want}, got {a.shape}")
     # Python ints past int64 arrive as uint64 or object arrays
-    if a.dtype.kind in "uO" and all(isinstance(v, Real) for v in a.flat):
+    if a.dtype.kind == "u" and integer and a.size and int(a.max()) >= 2**63:
+        raise ValueError(f"{name} must be integers within int64 range")
+    if a.dtype.kind == "O" and all(isinstance(v, Real) for v in a.flat):
         if integer and all(isinstance(v, Integral) for v in a.flat):
             if not all(-(2**63) <= v < 2**63 for v in a.flat):
                 raise ValueError(f"{name} must be integers within int64 range")
@@ -46,7 +48,7 @@ def as_numbers(
                 a = a.astype(np.float64)
             except OverflowError:  # an integer past the float range
                 raise ValueError(f"{name} must be finite") from None
-    if a.dtype.kind not in "bif":
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be numbers, got {a.dtype}")
     if hi is not None and not np.all((a >= 0) & (a <= hi)):
         raise ValueError(f"{name} must lie in [0, {hi:g}]")

@@ -25,13 +25,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 _order: list[int] = []  # which word of a _seeded row each PCG64 state word holds, found once
 
 
-def uniform_grids(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, a (len(seeds), n, n) float64 array, with ``default_rng(s).random((n, n))`` per seed."""
-    seeds = [operator.index(s) for s in seeds]
-    if not seeds:
+def uniform_grids(seeds: Sequence[int] | np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a (len(seeds), n, n) float64 array, with ``default_rng(s).random((n, n))`` per seed.
+
+    ``seeds`` is a sequence of ints or a 1-D integer array; an array's words are read whole.
+    """
+    seed_words = _seed_words(seeds)
+    if not len(seed_words):
         return out
-    if min(seeds) < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")
     # imported here: loading numpy.random adds ~14 ms to every import of the package
     from numpy.random import PCG64, Generator
 
@@ -41,7 +42,7 @@ def uniform_grids(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
     pair = ctypes.c_void_p.from_address(bg.ctypes.state_address).value
     words = memoryview((ctypes.c_uint8 * 32).from_address(pair)).cast("B")
     _order[:] = _order or _word_order(bg, words)
-    rows = _seeded(_seed_states(seeds))[:, _order].astype(np.uint64).tobytes()
+    rows = _seeded(_seed_states(seed_words))[:, _order].astype(np.uint64).tobytes()
     for k, grid in zip(range(0, len(rows), 32), out):
         words[:] = rows[k : k + 32]
         draw(out=grid)
@@ -70,15 +71,29 @@ def _seeded(words: np.ndarray) -> np.ndarray:
     return np.frombuffer((state | inc << 128).to_bytes(32 * m, "little"), dtype="<u8").reshape(m, 4)
 
 
-def _seed_states(seeds: list[int]) -> np.ndarray:
-    """``SeedSequence(s).generate_state(8)`` for each seed, as an (m, 8) uint32 array.
+def _seed_words(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Each seed's little-endian uint32 words, zero-padded to the pool size: an (m, width) array."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        if seeds.size and seeds.min() < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seeds.min()}")
+        words = np.zeros((len(seeds), _POOL), dtype="<u4")
+        words[:, :2] = seeds.astype("<u8").view("<u4").reshape(-1, 2)
+        return words
+    seeds = [operator.index(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")
+    width = max(_POOL, (max(seeds, default=0).bit_length() + 31) // 32)
+    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width)
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(8)`` for each seed's ``_seed_words`` row, as an (m, 8) uint32 array.
 
     The pool words of all seeds form one (m, 4) array, and successive hashes
     into different pool words are applied to those columns at once.
     """
-    width = max(_POOL, (max(seeds).bit_length() + 31) // 32)
-    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
-    words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width)
+    width = words.shape[1]
     xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * width)
     # short seeds are zero-padded to the pool size, as SeedSequence pads them
     pool = _hashmix(words[:, :_POOL], xor[:_POOL], mul[:_POOL])

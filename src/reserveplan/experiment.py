@@ -179,9 +179,11 @@ def build_species_suite(
     size = np.bincount(rounds).max() * grid * grid
     buffers = np.empty(size), np.empty(size)
     scores = np.empty(pool_size)
+    fits = seed + pool_size <= 2**64  # pool seeds that fit in 64 bits go to the draws as one array
     for r in range(MAX_SMOOTHING_ROUNDS + 1):
         idx = np.flatnonzero(rounds == r)
-        values, spare = _generate_values(grid, r, [seed + i for i in idx.tolist()], buffers)
+        seeds = idx.astype(np.uint64) + np.uint64(seed) if fits else [seed + i for i in idx.tolist()]
+        values, spare = _generate_values(grid, r, seeds, buffers)
         scores[idx] = fragmentation(values, scratch=spare)
     most, least = select_extremes(scores, k=2)
     by_rank = {

@@ -124,6 +124,9 @@ def _field(obj, key: str, where: str, depth: int | None = None, integer: bool = 
     return _numbers(obj[key], f"{where}.{key}", depth, integer)
 
 
+_INT, _NUMBER = {int}, {int, float}
+
+
 def _numbers(value, where: str, depth: int, integer: bool = False):
     """``value`` if it is JSON numbers nested ``depth`` lists deep; names the first bad leaf."""
     if depth == 0:
@@ -131,7 +134,8 @@ def _numbers(value, where: str, depth: int, integer: bool = False):
             raise _fail(where, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
     elif not isinstance(value, list):
         raise _fail(where, "expected a list")
-    else:
+    elif depth > 1 or not set(map(type, value)) <= (_INT if integer else _NUMBER):
+        # a flat list of exact ints and floats passes in one type pass; the walk names a bad leaf
         for i, item in enumerate(value):
             _numbers(item, f"{where}[{i}]", depth - 1, integer)
     return value
@@ -359,7 +363,27 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, with each flat list written by json's C encoder."""
+    return _indented(obj, "\n") + "\n"
+
+
+_SCALAR = {str, int, float, bool, type(None)}  # exact types the C encoder writes as the indenting one does
+
+
+def _indented(value, pad: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it at the depth where lines start with ``pad``."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:  # json.dumps({key: None}) is "{", the key and ': ', then "null}"
+        items = (json.dumps({key: None})[1:-5] + _indented(item, inner) for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _SCALAR:  # no indent keeps json on its C encoder
+            return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + pad + "]"
+        return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + pad + "]"
+    if type(value) in _SCALAR:
+        return json.dumps(value)
+    # empty containers, subclasses and anything json refuses; JSON text holds no raw newline
+    return json.dumps(value, indent=2).replace("\n", pad)
 
 
 def write_json(path: str | os.PathLike, obj) -> None:

@@ -67,14 +67,13 @@ def caption_text(panels: Sequence[Panel]) -> str | None:
     return f"{same}/{a.counts.parcel_count} parcels share the same protection status"
 
 
-def _annotations(counts: CountsGrid, row: int, col: int) -> list[tuple[float, float, str, float]]:
-    """(x-frac, y-frac, text, font-size) slots for one cell."""
-    values = [int(counts.counts[s, row, col]) for s in range(counts.species_count)]
-    layout = _LAYOUTS.get(counts.species_count)
+def _annotations(values: list[int]) -> list[tuple[float, float, str, float]]:
+    """(x-frac, y-frac, text, font-size) slots for one cell holding each species' count in ``values``."""
+    layout = _LAYOUTS.get(len(values))
     if layout is None:
         # No per-species layout beyond the supported counts: one joined label.
         return [(0.5, 0.58, ",".join(str(v) for v in values), _FALLBACK_FONT_SIZE)]
-    size = _FONT_SIZE[counts.species_count]
+    size = _FONT_SIZE[len(values)]
     return [
         (fx, fy, str(v), size) for (fx, fy), v in zip(layout, values)
     ]
@@ -87,17 +86,19 @@ def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
         f'fill="#222222">{escape(panel.label)}</text>'
     ]
     n = panel.counts.n
+    x = panel.solution.x.tolist()
+    cells = panel.counts.matrix().T.tolist()  # per parcel, each species' count
     for row in range(n):
         for col in range(n):
             p = row * n + col
-            fill = PRESERVED_COLOR if panel.solution.x[p] == 1 else UNPRESERVED_COLOR
+            fill = PRESERVED_COLOR if x[p] == 1 else UNPRESERVED_COLOR
             cx = x0 + col * _CELL
             cy = y0 + row * _CELL
             parts.append(
                 f'<rect x="{cx:.1f}" y="{cy:.1f}" width="{_CELL:.1f}" height="{_CELL:.1f}" '
                 f'fill="{fill}" stroke="#ffffff" stroke-width="1"/>'
             )
-            for fx, fy, text, size in _annotations(panel.counts, row, col):
+            for fx, fy, text, size in _annotations(cells[p]):
                 parts.append(
                     f'<text x="{cx + fx * _CELL:.1f}" y="{cy + fy * _CELL:.1f}" '
                     f'text-anchor="middle" font-family="sans-serif" '

@@ -38,6 +38,10 @@ class TestGenerate:
         names = sorted(p.name for p in (workspace / "scenarios").iterdir())
         assert names == [f"case{i}.json" for i in range(1, 7)]
 
+    def test_seed_past_64_bits_generates(self, tmp_path):
+        argv = ["generate", "--seed", "18446744073709551621", "--pool-size", "6", "--grid", "3"]
+        assert main([*argv, "--out", str(tmp_path / "suite.json")]) == 0
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--out", "x.json"])

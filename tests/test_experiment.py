@@ -101,6 +101,11 @@ class TestBuildSpeciesSuite:
     @given(st.integers(0, 2**32), st.integers(4, 40), st.integers(1, 4))
     @example(seed=0, pool_size=4, grid=1)  # empty rounds groups, all scores tied
     @example(seed=7, pool_size=40, grid=1)
+    # seeds near and past 64 bits: pool seeds up to 2**64 - 1 go to the draws as one array, larger ones as ints
+    @example(seed=2**63 - 2, pool_size=6, grid=3)
+    @example(seed=2**64 - 6, pool_size=6, grid=3)
+    @example(seed=2**64 + 5, pool_size=6, grid=3)
+    @example(seed=2**130, pool_size=6, grid=3)
     @settings(max_examples=60, deadline=None)
     def test_picks_match_extremes_of_reference_pool(self, seed, pool_size, grid):
         pool, rounds = reference_pool(seed, pool_size, grid), pool_rounds(seed, pool_size)

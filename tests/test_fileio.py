@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import os
 import re
 import stat
@@ -7,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reserveplan import (
     CountsGrid,
@@ -18,7 +22,7 @@ from reserveplan import (
     generate_landscape,
     simulate,
 )
-from reserveplan import fileio
+from reserveplan import cli, fileio
 from reserveplan.fileio import SchemaError
 
 
@@ -263,3 +267,48 @@ class TestAtomicWrite:
         target.write_text(text)
         with pytest.raises(SchemaError, match=r"^invalid JSON: repeated key 'a'$"):
             fileio.read_json(target)
+
+
+FLOATS = st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]) | st.floats()
+SCALARS = st.integers(-(2**80), 2**80) | FLOATS | st.booleans() | st.none() | st.text()
+KEYS = st.text() | st.integers(-(2**70), 2**70) | FLOATS | st.booleans() | st.none()
+DOCUMENTS = st.recursive(
+    SCALARS | st.lists(st.integers(-(2**70), 2**70) | FLOATS),  # flat numeric lists, as artifacts hold
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(KEYS, kids, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """Artifact text is ``json.dumps(obj, indent=2)`` plus a newline, byte for byte."""
+
+    @given(DOCUMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert fileio._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_refuses_what_json_refuses(self):
+        for doc in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2)
+            with pytest.raises(TypeError):
+                fileio._json_text(doc)
+
+    def test_every_artifact_kind_is_json_dumps_indent_2(self, tmp_path):
+        argv = ["generate", "--seed", "3", "--pool-size", "12", "--grid", "4", "--out", str(tmp_path / "suite.json")]
+        assert cli.main([*argv, "--scenario-dir", str(tmp_path / "sc")]) == 0
+        projected = ["simulate", "--scenario", str(tmp_path / "sc/case2.json"), "--out", str(tmp_path / "proj.json")]
+        assert cli.main(projected) == 0
+        problem = ReserveProblem(
+            values=[[6, 5, 5], [1, 2, 3]], weights=(Fraction(9, 10), Fraction(1, 10)), costs=[3, 2, 2], budget=4
+        )
+        fileio.write_json(tmp_path / "problem.json", fileio.problem_to_obj(problem))
+        solve = ["solve", "--problem", str(tmp_path / "problem.json"), "--out", str(tmp_path / "solution.json")]
+        assert cli.main(solve) == 0
+        names = ["suite.json", *(f"sc/case{i}.json" for i in range(1, 7)), "proj.json", "problem.json", "solution.json"]
+        for name in names:
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+        assert any(isinstance(v, float) for v in json.loads((tmp_path / "proj.json").read_text())["counts"][0])

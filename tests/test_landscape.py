@@ -146,6 +146,14 @@ class TestUniformGrids:
         assert uniform_grids([], np.empty((0, 4, 4))).shape == (0, 4, 4)
         self.assert_matches_default_rng([0, 5, 2**70], 1)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
+    def test_integer_array_seeds_are_read_whole(self, dtype):
+        self.assert_matches_default_rng(np.array([0, 1, 200, np.iinfo(dtype).max], dtype=dtype), 4)
+
+    def test_negative_array_seed_refused_naming_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -3$"):
+            uniform_grids(np.array([4, -3]), np.empty((2, 2, 2)))
+
     def test_numpy_integer_seed_gives_the_same_grid(self):
         got = generate_landscape(6, 2, np.int64(7)).values
         assert got.tobytes() == generate_landscape(6, 2, 7).values.tobytes()

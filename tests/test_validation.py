@@ -1,5 +1,6 @@
 """Every constructor refuses bad numbers and shapes through one check, and fileio names bad JSON leaves."""
 
+import json
 import math
 import re
 import sys
@@ -23,7 +24,7 @@ from reserveplan import (
     default_params,
 )
 from reserveplan import fileio
-from reserveplan._checks import decimal_integer
+from reserveplan._checks import as_numbers, decimal_integer
 from reserveplan.fileio import SchemaError
 from reserveplan.solver import solve_sweep
 
@@ -244,6 +245,146 @@ def test_bad_json_leaf_is_named_by_its_path(field, data):
     rows[i][j] = data.draw(st.sampled_from(bad_leaves), label="leaf")
     with pytest.raises(SchemaError, match="^" + re.escape(f"{where}.{key}[{i}][{j}]: expected")):
         parse({**valid, key: rows})
+
+
+# numeric field kind: (reader, a valid document, the field holding the numbers)
+KINDS = {
+    "flat ints": (
+        fileio.problem_from_obj, {"values": [[1] * 9], "weights": [[1, 1]], "costs": [1] * 9, "budget": 2}, "costs"
+    ),
+    "flat numbers": (fileio.landscape_from_obj, {"n": 3, "values": [0.5] * 9}, "values"),
+    "rows of ints": (
+        fileio.problem_from_obj,
+        {"values": [[1] * 9 for _ in range(3)], "weights": [[1, 1]] * 3, "costs": [1] * 9, "budget": 2},
+        "values",
+    ),
+    "rows of numbers": (
+        fileio.counts_from_obj, {"n": 3, "species": 3, "counts": [[0.5] * 9 for _ in range(3)]}, "counts"
+    ),
+}
+POSITIONS = {"flat": [(0,), (4,), (8,)], "rows": [(0, 0), (1, 4), (2, 8)]}  # first, a middle and the last index
+# (kind, bad leaf as JSON text): the refusals at the three positions, as worded by the per-leaf walk
+# that checked every list before flat lists were checked in one type pass
+REFUSALS = {
+    ("flat ints", "true"): [
+        "problem.costs[0]: expected an integer, got True",
+        "problem.costs[4]: expected an integer, got True",
+        "problem.costs[8]: expected an integer, got True",
+    ],
+    ("flat ints", '"3"'): [
+        "problem.costs[0]: expected an integer, got '3'",
+        "problem.costs[4]: expected an integer, got '3'",
+        "problem.costs[8]: expected an integer, got '3'",
+    ],
+    ("flat ints", "null"): [
+        "problem.costs[0]: expected an integer, got None",
+        "problem.costs[4]: expected an integer, got None",
+        "problem.costs[8]: expected an integer, got None",
+    ],
+    ("flat ints", "[1]"): [
+        "problem.costs[0]: expected an integer, got [1]",
+        "problem.costs[4]: expected an integer, got [1]",
+        "problem.costs[8]: expected an integer, got [1]",
+    ],
+    ("flat ints", "1.5"): [
+        "problem.costs[0]: expected an integer, got 1.5",
+        "problem.costs[4]: expected an integer, got 1.5",
+        "problem.costs[8]: expected an integer, got 1.5",
+    ],
+    ("flat numbers", "true"): [
+        "landscape.values[0]: expected a number, got True",
+        "landscape.values[4]: expected a number, got True",
+        "landscape.values[8]: expected a number, got True",
+    ],
+    ("flat numbers", '"3"'): [
+        "landscape.values[0]: expected a number, got '3'",
+        "landscape.values[4]: expected a number, got '3'",
+        "landscape.values[8]: expected a number, got '3'",
+    ],
+    ("flat numbers", "null"): [
+        "landscape.values[0]: expected a number, got None",
+        "landscape.values[4]: expected a number, got None",
+        "landscape.values[8]: expected a number, got None",
+    ],
+    ("flat numbers", "[1]"): [
+        "landscape.values[0]: expected a number, got [1]",
+        "landscape.values[4]: expected a number, got [1]",
+        "landscape.values[8]: expected a number, got [1]",
+    ],
+    ("rows of ints", "true"): [
+        "problem.values[0][0]: expected an integer, got True",
+        "problem.values[1][4]: expected an integer, got True",
+        "problem.values[2][8]: expected an integer, got True",
+    ],
+    ("rows of ints", '"3"'): [
+        "problem.values[0][0]: expected an integer, got '3'",
+        "problem.values[1][4]: expected an integer, got '3'",
+        "problem.values[2][8]: expected an integer, got '3'",
+    ],
+    ("rows of ints", "null"): [
+        "problem.values[0][0]: expected an integer, got None",
+        "problem.values[1][4]: expected an integer, got None",
+        "problem.values[2][8]: expected an integer, got None",
+    ],
+    ("rows of ints", "[1]"): [
+        "problem.values[0][0]: expected an integer, got [1]",
+        "problem.values[1][4]: expected an integer, got [1]",
+        "problem.values[2][8]: expected an integer, got [1]",
+    ],
+    ("rows of ints", "1.5"): [
+        "problem.values[0][0]: expected an integer, got 1.5",
+        "problem.values[1][4]: expected an integer, got 1.5",
+        "problem.values[2][8]: expected an integer, got 1.5",
+    ],
+    ("rows of numbers", "true"): [
+        "counts.counts[0][0]: expected a number, got True",
+        "counts.counts[1][4]: expected a number, got True",
+        "counts.counts[2][8]: expected a number, got True",
+    ],
+    ("rows of numbers", '"3"'): [
+        "counts.counts[0][0]: expected a number, got '3'",
+        "counts.counts[1][4]: expected a number, got '3'",
+        "counts.counts[2][8]: expected a number, got '3'",
+    ],
+    ("rows of numbers", "null"): [
+        "counts.counts[0][0]: expected a number, got None",
+        "counts.counts[1][4]: expected a number, got None",
+        "counts.counts[2][8]: expected a number, got None",
+    ],
+    ("rows of numbers", "[1]"): [
+        "counts.counts[0][0]: expected a number, got [1]",
+        "counts.counts[1][4]: expected a number, got [1]",
+        "counts.counts[2][8]: expected a number, got [1]",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, leaf", sorted(REFUSALS))
+def test_flat_list_check_refuses_as_the_per_leaf_walk(kind, leaf):
+    parse, valid, key = KINDS[kind]
+    for position, message in zip(POSITIONS[kind.split()[0]], REFUSALS[kind, leaf]):
+        rows = json.loads(json.dumps(valid[key]))  # a fresh copy
+        holder = rows[position[0]] if len(position) == 2 else rows
+        holder[position[-1]] = json.loads(leaf)
+        with pytest.raises(SchemaError) as exc:
+            parse({**valid, key: rows})
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+def test_unsigned_arrays_convert_as_numbers(dtype):
+    values = np.array([0, 7, np.iinfo(dtype).max if dtype != np.uint64 else 2**63 - 1], dtype=dtype)
+    ints = as_numbers(values, "x", integer=True, shape=(None,))
+    floats = as_numbers(values, "x", shape=(None,))
+    assert ints.dtype == np.int64 and ints.tolist() == [int(v) for v in values]
+    assert floats.dtype == np.float64 and floats.tolist() == [float(v) for v in values]
+
+
+def test_unsigned_value_past_int64_is_refused():
+    value = np.array([1, 2**63], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"^x must be integers within int64 range$"):
+        as_numbers(value, "x", integer=True, shape=(None,))
+    assert as_numbers(value, "x", shape=(None,)).tolist() == [1.0, 2.0**63]
 
 
 @pytest.mark.parametrize(
