@@ -30,7 +30,7 @@ from .experiment import (
     summarize_similarities,
 )
 from .render import Panel, caption_text, render_grid
-from .solver import ReserveProblem, solve, solve_sweep
+from .solver import ReserveProblem, solve, solve_models
 
 __all__ = ["main", "build_parser"]
 
@@ -178,10 +178,10 @@ def _cmd_render(args) -> int:
         _mode(args, "scenario", needs="budget", refuses=("solution", "counts2", "solution2"))
         with _blame(args.scenario):
             scenario = _read(args.scenario, fileio.scenario_from_obj)
-            panels = []
-            for label, grid in zip(("observed counts", "projected counts"), _model_grids(scenario)):
-                [solution] = solve_sweep(grid.matrix(), scenario.weights, scenario.costs, [args.budget])
-                panels.append(Panel(label, grid, solution))
+            labels, grids = ("observed counts", "projected counts"), _model_grids(scenario)
+            matrices = [grid.matrix() for grid in grids]
+            solved = solve_models(matrices, scenario.weights, scenario.costs, [args.budget])
+            panels = [Panel(label, grid, sol) for label, grid, [sol] in zip(labels, grids, solved)]
     else:
         _mode(args, "counts", needs="solution", refuses=("budget",))
         if (args.counts2 is None) != (args.solution2 is None):

@@ -30,7 +30,7 @@ from .landscape import (
     select_extremes,
 )
 # ``solve`` is unused here; bench/test_bench.py checks that the tracer wraps this name.
-from .solver import ReserveSolution, solve, solve_sweep  # noqa: F401
+from .solver import ReserveSolution, solve, solve_models  # noqa: F401
 
 __all__ = [
     "SpeciesSpec",
@@ -242,11 +242,9 @@ def _model_grids(scenario: Scenario) -> tuple[CountsGrid, CountsGrid]:
 
 
 def _sweep(scenario: Scenario, grids: tuple[CountsGrid, CountsGrid]) -> list[SweepRow]:
-    """Solve each grid at every budget in one ``solve_sweep`` call and record agreement."""
-    sol_1, sol_2 = (
-        solve_sweep(grid.matrix(), scenario.weights, scenario.costs, scenario.budgets)
-        for grid in grids
-    )
+    """Solve both grids at every budget in one ``solve_models`` call and record agreement."""
+    matrices = [grid.matrix() for grid in grids]
+    sol_1, sol_2 = solve_models(matrices, scenario.weights, scenario.costs, scenario.budgets)
     return [
         SweepRow(budget, similarity(a, b), a.objective, b.objective, a.x, b.x)
         for budget, a, b in zip(scenario.budgets, sol_1, sol_2)

@@ -4,13 +4,14 @@ A problem scores each parcel as the weight-combined species value it holds;
 protecting a parcel spends its cost against the budget. Weights are ingested
 as exact rationals and all objective arithmetic clears denominators into
 integers, so optima and tie-breaks never depend on floating point. Every
-solver reads one exact integer score per parcel. Every exact solve, for one
-budget or a whole budget sweep, runs through ``solve_sweep``: a top-k order
-for unit costs, a knapsack table otherwise, its value rows in the narrowest
-of uint8/uint16/uint32 that holds the total score. It shares one tie-break
-with the exhaustive test oracle (``tests/bruteforce.py``): among optimal
-selections, prefer the protection vector that protects the lower-indexed
-parcel at the first index where two optima differ.
+solver reads one exact integer score per parcel. Every exact solve, of one
+or more models at one budget or a whole sweep, runs through ``solve_models``:
+a top-k order for unit costs, else one knapsack table every model fills in
+turn, its value rows in the narrowest of uint8/uint16/uint32 that holds the
+largest total score. It shares one tie-break with the exhaustive test oracle
+(``tests/bruteforce.py``): among optimal selections, prefer the protection
+vector that protects the lower-indexed parcel at the first index where two
+optima differ.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "ReserveProblem",
     "ReserveSolution",
     "solve",
+    "solve_models",
     "solve_sweep",
     "solve_topk",
     "solve_dp",
@@ -136,36 +138,41 @@ def _solution(x: np.ndarray, objective: Fraction, spent: int) -> ReserveSolution
     return solution
 
 
-def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> list[ReserveSolution]:
-    """The one exact kernel: the optimal selection of ``problem`` at each budget.
+def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk: bool) -> list[list]:
+    """The one exact kernel: each problem's optimal selection at each budget.
 
-    With ``topk`` (unit costs) every optimum is a prefix of one score order:
-    budget b protects the parcels ranked below b, all budgets in one
-    comparison, with the prefix sum of the first b sorted scores as objective.
-    Otherwise one knapsack recursion up to the largest budget fills a boolean
-    table: ``keep[j, b]`` says protecting parcel j attains the optimum over
-    parcels j.. at budget b. Each row is filled through one reused ``take``
-    buffer, the comparison writing straight into ``keep``. Every entry of
-    ``best`` and ``take`` is a subset sum of nonnegative scores, so both are the
-    narrowest unsigned type that holds the total score (else the scores' dtype).
-    Each budget traces back, protecting whenever ``keep`` allows: ``keep`` is
-    read as flat bytes at position ``j * width + b``, which moves by ``width``
-    per parcel and back by the cost of each protected one, so where it ends
-    gives the spend; the objective is ``best[b]``. Solutions skip the public
-    constructor's checks (``_solution``).
+    The problems (a sweep's models) share costs and budgets. With ``topk``
+    (unit costs) every optimum is a prefix of one score order: budget b
+    protects the parcels ranked below b, all budgets in one comparison, with
+    the prefix sum of the first b sorted scores as objective. Otherwise each
+    problem in turn fills and traces one boolean table up to the largest
+    budget: ``keep[j, b]`` says protecting parcel j attains the optimum over
+    parcels j.. at budget b. A fill overwrites every ``keep[j, c_j:]`` and
+    ``keep[j, :c_j]`` stays False, so the table is zeroed once. The value rows
+    ``best`` and ``take`` are shared too, and the views of them and of ``keep``
+    are built once per distinct cost. Value entries are subset sums of
+    nonnegative scores, so they take the narrowest unsigned type that holds
+    the largest total score (else the widest scores' dtype). Each budget
+    traces back, protecting whenever ``keep`` allows: ``keep`` is read as flat
+    bytes at ``j * width + b``, which moves by ``width`` per parcel and back by
+    the cost of each protected one, so where it ends gives the spend; the
+    objective is ``best[b]``. Solutions skip the public constructor's checks
+    (``_solution``).
     """
-    scores, den = _integer_scores(problem)
-    n = problem.parcel_count
+    scored, n, sweeps = [_integer_scores(problem) for problem in problems], problems[0].parcel_count, []
     if topk:
-        order = np.argsort(-scores, kind="stable")  # ties keep index order
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
         taken = [min(b, n) for b in budgets]  # parcels protected, each costing 1
-        xs = (rank < np.array(taken, dtype=np.intp)[:, np.newaxis]).astype(np.int8)
-        prefix = [0, *np.cumsum(scores[order]).tolist()]  # exact: int64 below 2**62, else object
-        return [_solution(x, Fraction(prefix[k], den), k) for x, k in zip(xs, taken)]
-    costs, total = problem.costs.tolist(), int(scores.sum())
-    row = next((d for d in map(np.dtype, ("u1", "u2", "u4")) if total <= np.iinfo(d).max), scores.dtype)
+        for scores, den in scored:
+            order = np.argsort(-scores, kind="stable")  # ties keep index order
+            rank = np.empty_like(order)
+            rank[order] = np.arange(n)
+            xs = (rank < np.array(taken, dtype=np.intp)[:, np.newaxis]).astype(np.int8)
+            prefix = [0, *np.cumsum(scores[order]).tolist()]  # exact: int64 below 2**62, else object
+            sweeps.append([_solution(x, Fraction(prefix[k], den), k) for x, k in zip(xs, taken)])
+        return sweeps
+    costs, total = problems[0].costs.tolist(), max(int(scores.sum()) for scores, _ in scored)
+    wide = np.result_type(*(scores for scores, _ in scored))
+    row = next((d for d in map(np.dtype, ("u1", "u2", "u4")) if total <= np.iinfo(d).max), wide)
     bmax = min(max(budgets, default=0), sum(costs))
     table_bytes = (n + 2 * row.itemsize) * (bmax + 1)  # boolean keep rows plus two value rows
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -174,41 +181,50 @@ def _solve_budgets(problem: ReserveProblem, budgets: list[int], topk: bool) -> l
             f"budget {bmax} needs a {table_bytes:,}-byte knapsack table, "
             f"more than the {memory:,} bytes of physical memory"
         )
-    width, row_scores = bmax + 1, scores.astype(row)
-    best, take = np.zeros(width, dtype=row), np.empty(width, dtype=row)
+    width = bmax + 1
+    best, take = np.empty(width, dtype=row), np.empty(width, dtype=row)
     keep = np.zeros((n, width), dtype=bool)
-    for j in range(n - 1, -1, -1):
-        c, s = costs[j], row_scores[j]
-        if c <= bmax:
-            tail, t = best[c:], take[: width - c]
-            np.add(best[: width - c], s, t)
-            np.greater_equal(t, tail, keep[j, c:])
-            np.maximum(tail, t, out=tail)
+    views = {  # per distinct cost c, over the budgets b >= c: best[b - c], take, best[b], keep[:, b]
+        c: (best[: width - c], take[: width - c], best[c:], keep[:, c:]) for c in set(costs) if c <= bmax
+    }
     flat = memoryview(keep).cast("B")  # keep[j, b] is flat[j * width + b]
-    xs = np.zeros((len(budgets), n), dtype=np.int8)
-    solutions = []
-    for x, budget in zip(xs, budgets):
-        start = at = min(budget, bmax)
-        chosen = []
-        for j in range(n):
-            if flat[at]:
-                chosen.append(j)
-                at -= costs[j]
-            at += width
-        x[chosen] = 1
-        solutions.append(_solution(x, Fraction(int(best[start]), den), start + n * width - at))
-    return solutions
+    add, greater_equal, maximum = np.add, np.greater_equal, np.maximum  # local names: ~5% of a fill
+    for scores, den in scored:
+        best.fill(0)
+        row_scores = scores.astype(row)
+        for j in range(n - 1, -1, -1):
+            c = costs[j]
+            if c <= bmax:
+                head, t, tail, rows = views[c]
+                add(head, row_scores[j], t)
+                greater_equal(t, tail, rows[j])
+                maximum(tail, t, out=tail)
+        sweeps.append([])
+        for x, budget in zip(np.zeros((len(budgets), n), dtype=np.int8), budgets):
+            start = at = min(budget, bmax)
+            chosen = []
+            for j in range(n):
+                if flat[at]:
+                    chosen.append(j)
+                    at -= costs[j]
+                at += width
+            x[chosen] = 1
+            sweeps[-1].append(_solution(x, Fraction(int(best[start]), den), start + n * width - at))
+    return sweeps
+
+
+def solve_models(models: Sequence, weights, costs, budgets: Sequence[int]) -> list[list[ReserveSolution]]:
+    """One sweep per value matrix in ``models``: its optimal selection at every budget, in order.
+
+    Each is validated once, at the largest budget; non-unit costs share one knapsack table."""
+    budgets = _as_costs(budgets, "budgets", (None,)).tolist()
+    problems = [ReserveProblem(values, weights, costs, max(budgets, default=0)) for values in models]
+    return _solve_budgets(problems, budgets, topk=bool(np.all(problems[0].costs == 1))) if problems else []
 
 
 def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveSolution]:
-    """The optimal selection at every budget in ``budgets``, in order.
-
-    The data are validated once, as a problem at the largest budget. Unit
-    costs are answered from one sort, any other costs from one table.
-    """
-    budgets = _as_costs(budgets, "budgets", (None,)).tolist()
-    problem = ReserveProblem(values, weights, costs, max(budgets, default=0))
-    return _solve_budgets(problem, budgets, topk=bool(np.all(problem.costs == 1)))
+    """The optimal selection at every budget in ``budgets``, in order: one model's ``solve_models``."""
+    return solve_models([values], weights, costs, budgets)[0]
 
 
 def solve_topk(problem: ReserveProblem) -> ReserveSolution:
@@ -218,7 +234,7 @@ def solve_topk(problem: ReserveProblem) -> ReserveSolution:
     """
     if np.any(problem.costs != 1):
         raise WrongSolverError("solve_topk requires every parcel cost to equal 1")
-    return _solve_budgets(problem, [problem.budget], topk=True)[0]
+    return _solve_budgets([problem], [problem.budget], topk=True)[0][0]
 
 
 def solve_dp(problem: ReserveProblem) -> ReserveSolution:
@@ -227,7 +243,7 @@ def solve_dp(problem: ReserveProblem) -> ReserveSolution:
     Prefers x_p = 1 at the lowest indices, so zero-cost parcels are always
     protected. Memory: two value rows and a boolean parcels-by-budget table.
     """
-    return _solve_budgets(problem, [problem.budget], topk=False)[0]
+    return _solve_budgets([problem], [problem.budget], topk=False)[0][0]
 
 
 def solve(problem: ReserveProblem) -> ReserveSolution:

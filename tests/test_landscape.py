@@ -333,6 +333,31 @@ class TestSelectExtremes:
         assert most.tolist() == [0, 1]
         assert least.tolist() == [4, 3]
 
+    @pytest.mark.parametrize(
+        "k, most, least",
+        [(2, [1, 3], [7, 6]), (4, [1, 3, 8, 2], [7, 6, 4, 0]), (5, [1, 3, 8, 2, 5], [7, 6, 4, 0, 9])],
+    )
+    def test_ties_straddling_the_kth_score(self, k, most, least):
+        # three scores tie at each end, and the k-th score falls inside a tie
+        scores = np.array([0.3, 0.9, 0.5, 0.9, 0.1, 0.5, 0.1, 0.1, 0.9, 0.5])
+        assert [group.tolist() for group in select_extremes(scores, k)] == [most, least]
+
+    def test_all_tied_pool(self):
+        most, least = select_extremes(np.full(10, 0.4), k=5)
+        assert most.tolist() == [0, 1, 2, 3, 4]
+        assert least.tolist() == [9, 8, 7, 6, 5]
+
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_stable_descending_order(self, values, data):
+        # few distinct scores, so ties sit at the cut; the reference is the full stable sort
+        scores = np.array(values, dtype=float) / 4
+        k = data.draw(st.integers(1, len(scores) // 2))
+        order = np.argsort(-scores, kind="stable")
+        most, least = select_extremes(scores, k)
+        assert most.tolist() == order[:k].tolist()
+        assert least.tolist() == order[::-1][:k].tolist()
+
     def test_groups_are_disjoint(self):
         pool = [generate_landscape(5, r % 4, r) for r in range(30)]
         scores = fragmentation(np.stack([l.values for l in pool]))

@@ -18,7 +18,7 @@ from reserveplan import (
     solve_topk,
 )
 from reserveplan.experiment import _model_grids
-from reserveplan.solver import _integer_scores, _solve_budgets, solve_sweep
+from reserveplan.solver import _integer_scores, _solve_budgets, solve_models, solve_sweep
 from bruteforce import EnumerationLimitError, solve_bruteforce
 from conftest import random_problem
 
@@ -307,13 +307,15 @@ class TestSolveSweep:
             assert (sol.objective, sol.spent) == (oracle.objective, oracle.spent)
 
     def test_seed0_sweeps_equal_the_public_constructor_on_both_paths(self):
-        # the six seed-0 cases have unit costs; the knapsack path is forced on the same data
+        # the six seed-0 cases have unit costs; the knapsack path is forced on the same
+        # data, both models of a case through one call
         for scenario in default_scenarios(build_species_suite(seed=0), seed=0):
-            for grid in _model_grids(scenario):
-                values, budgets = grid.matrix(), list(scenario.budgets)
-                sols = solve_sweep(values, scenario.weights, scenario.costs, budgets)
-                problem = ReserveProblem(values, scenario.weights, scenario.costs, max(budgets))
-                for sol, dp in zip(sols, _solve_budgets(problem, budgets, topk=False), strict=True):
+            grids, budgets = _model_grids(scenario), list(scenario.budgets)
+            weights, costs = scenario.weights, scenario.costs
+            problems = [ReserveProblem(g.matrix(), weights, costs, max(budgets)) for g in grids]
+            for grid, dps in zip(grids, _solve_budgets(problems, budgets, topk=False), strict=True):
+                sols = solve_sweep(grid.matrix(), weights, costs, budgets)
+                for sol, dp in zip(sols, dps, strict=True):
                     assert_as_if_public(sol)
                     assert_as_if_public(dp)
                     assert sol.x.tolist() == dp.x.tolist()
@@ -326,6 +328,60 @@ class TestSolveSweep:
 
     def test_no_budgets_no_solutions(self):
         assert solve_sweep([[5, 3]], (1,), [1, 2], []) == []
+
+
+class TestSolveModels:
+    @given(st.data(), st.sampled_from([(255, 256), (2**16 - 1, 2**16), (2**62, 40), (0, 3)]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_models_solve_as_one_model_sweeps(self, data, totals, unit_costs):
+        # totals needing different value-row widths (u1/u2, u2/u4, object/u1), either first
+        if data.draw(st.booleans()):
+            totals = totals[::-1]
+        n = data.draw(st.integers(1, 10))
+        costs = [1] * n if unit_costs else data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        models = []
+        for total in totals:
+            cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+            models.append(np.diff(cuts, prepend=0, append=total).reshape(1, -1))
+        # unsorted, repeated or no budgets, all below the costliest parcel or reaching past the total
+        top = data.draw(st.sampled_from([max(costs) - 1, sum(costs) + 5]))
+        budgets = data.draw(st.lists(st.integers(0, max(top, 0)), max_size=6))
+        together = solve_models(models, (1,), costs, budgets)
+        assert len(together) == len(models)
+        for values, sols in zip(models, together):
+            alone = solve_sweep(values, (1,), costs, budgets)
+            assert len(sols) == len(alone) == len(budgets)
+            for sol, one in zip(sols, alone):
+                assert_as_if_public(sol)
+                assert sol.x.tolist() == one.x.tolist()
+                assert (sol.objective, sol.spent) == (one.objective, one.spent)
+
+    def test_sweep_holds_one_keep_table(self):
+        rng = np.random.default_rng(5)
+        models = [rng.integers(0, 51, size=(2, 5000)) for _ in range(2)]
+        costs = rng.integers(1, 10, size=5000)
+        tracemalloc.start()
+        try:
+            solve_models(models, (1, 1), costs, [5000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one keep table of 5000 x 5001 booleans takes 25 MB; a second one would pass 37.5 MB
+        assert peak < 1.5 * 5000 * 5001
+
+    def test_table_size_counts_the_widest_value_rows(self, monkeypatch):
+        # the first model's total 10 fits uint8, the second's 1000 needs uint16 rows
+        models, costs = [[[5, 3, 2]], [[500, 300, 200]]], [2, 3, 4]
+        table_bytes = (3 + 2 * 2) * 10
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": table_bytes - 1}
+        monkeypatch.setattr("reserveplan.solver.os.sysconf", pages.get)
+        with pytest.raises(TableTooLargeError, match=f"^budget 9 needs a {table_bytes}-byte "):
+            solve_models(models, (1,), costs, [9])
+        pages["SC_PHYS_PAGES"] = table_bytes
+        assert [sol.x.tolist() for [sol] in solve_models(models, (1,), costs, [9])] == [[1, 1, 1]] * 2
+
+    def test_no_models_no_solutions(self):
+        assert solve_models([], (1,), [1, 2], [3]) == []
 
 
 class TestProblemValidation:
