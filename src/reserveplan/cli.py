@@ -30,7 +30,7 @@ from .experiment import (
     summarize_similarities,
 )
 from .render import Panel, caption_text, render_grid
-from .solver import ReserveProblem, solve, solve_models
+from .solver import ReserveProblem, ReserveSolution, solve, solve_models
 
 __all__ = ["main", "build_parser"]
 
@@ -181,7 +181,8 @@ def _cmd_render(args) -> int:
             labels, grids = ("observed counts", "projected counts"), _model_grids(scenario)
             matrices = [grid.matrix() for grid in grids]
             solved = solve_models(matrices, scenario.weights, scenario.costs, [args.budget])
-            panels = [Panel(label, grid, sol) for label, grid, [sol] in zip(labels, grids, solved)]
+            solutions = [ReserveSolution(xs[0], objectives[0], spent[0]) for xs, objectives, spent in solved]
+            panels = [Panel(label, grid, sol) for label, grid, sol in zip(labels, grids, solutions)]
     else:
         _mode(args, "counts", needs="solution", refuses=("budget",))
         if (args.counts2 is None) != (args.solution2 is None):

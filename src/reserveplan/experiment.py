@@ -141,7 +141,7 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class SweepRow:
-    """Solutions of both models at one budget and their protection-status agreement."""
+    """Both models' selections at one budget (rows of the sweep's arrays) and their agreement."""
 
     budget: int
     similarity: int
@@ -242,13 +242,11 @@ def _model_grids(scenario: Scenario) -> tuple[CountsGrid, CountsGrid]:
 
 
 def _sweep(scenario: Scenario, grids: tuple[CountsGrid, CountsGrid]) -> list[SweepRow]:
-    """Solve both grids at every budget in one ``solve_models`` call and record agreement."""
-    matrices = [grid.matrix() for grid in grids]
-    sol_1, sol_2 = solve_models(matrices, scenario.weights, scenario.costs, scenario.budgets)
-    return [
-        SweepRow(budget, similarity(a, b), a.objective, b.objective, a.x, b.x)
-        for budget, a, b in zip(scenario.budgets, sol_1, sol_2)
-    ]
+    """Solve both grids at every budget in one ``solve_models`` call and count agreement."""
+    matrices, budgets = [grid.matrix() for grid in grids], scenario.budgets
+    (x_1, obj_1, _), (x_2, obj_2, _) = solve_models(matrices, scenario.weights, scenario.costs, budgets)
+    same = (x_1 == x_2).sum(axis=1).tolist()
+    return [SweepRow(*row) for row in zip(budgets, same, obj_1, obj_2, x_1, x_2, strict=True)]
 
 
 def budget_sweep(scenario: Scenario) -> list[SweepRow]:

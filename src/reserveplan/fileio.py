@@ -81,15 +81,20 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 def _write_all(texts: Mapping[str | os.PathLike, str]) -> None:
     """Write every (path, text) to a temp sibling, then rename each over its path.
 
-    A target that is a directory or lies in a missing directory, and any
-    failed write, is reported before the first rename, so no target changes.
+    A target that is a directory or one file under two names is refused
+    before any temp file is written; one in a missing directory, and any
+    failed write, before the first rename. So no target changes.
     """
+    targets = {}
+    for path, text in texts.items():
+        path = Path(path)
+        if path.is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        if (first := targets.setdefault(os.path.realpath(path), (path, text))[0]) is not path:
+            raise ValueError(f"cannot write {first} and {path}: they name one file")
     temps = []
     try:
-        for path, text in texts.items():
-            path = Path(path)
-            if path.is_dir():
-                raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        for path, text in targets.values():
             tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
             try:  # mode 0o666 lets the umask set the permissions, as open() would
                 fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)

@@ -9,8 +9,8 @@ the same protection status. Output bytes depend only on the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .experiment import similarity
 from .landscape import CountsGrid
@@ -74,16 +74,14 @@ def _annotations(values: list[int]) -> list[tuple[float, float, str, float]]:
         # No per-species layout beyond the supported counts: one joined label.
         return [(0.5, 0.58, ",".join(str(v) for v in values), _FALLBACK_FONT_SIZE)]
     size = _FONT_SIZE[len(values)]
-    return [
-        (fx, fy, str(v), size) for (fx, fy), v in zip(layout, values)
-    ]
+    return [(fx, fy, str(v), size) for (fx, fy), v in zip(layout, values)]
 
 
 def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
     parts = [
         f'<text x="{x0 + panel.counts.n * _CELL / 2:.1f}" y="{y0 - 7:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="14" '
-        f'fill="#222222">{escape(panel.label)}</text>'
+        f'fill="#222222">{escape(panel.label, quote=False)}</text>'
     ]
     n = panel.counts.n
     x = panel.solution.x.tolist()
@@ -102,7 +100,7 @@ def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
                 parts.append(
                     f'<text x="{cx + fx * _CELL:.1f}" y="{cy + fy * _CELL:.1f}" '
                     f'text-anchor="middle" font-family="sans-serif" '
-                    f'font-size="{size:g}" fill="#111111">{escape(text)}</text>'
+                    f'font-size="{size:g}" fill="#111111">{escape(text, quote=False)}</text>'
                 )
     return parts
 
@@ -111,8 +109,7 @@ def render_grid(panels: Sequence[Panel]) -> str:
     """Render one or two panels, side by side, to a standalone SVG 1.1 document string."""
     caption = caption_text(panels)  # refuses the panels before anything is drawn
     n = panels[0].counts.n
-    panel_w = n * _CELL
-    panel_h = n * _CELL
+    panel_w = panel_h = n * _CELL
     count = len(panels)
     width = 2 * _MARGIN + count * panel_w + (count - 1) * _PANEL_GAP
     height = _MARGIN + _TITLE_H + panel_h + (_CAPTION_H if caption else 0.0) + _MARGIN
@@ -129,7 +126,7 @@ def render_grid(panels: Sequence[Panel]) -> str:
     if caption:
         parts.append(
             f'<text x="{width / 2:.1f}" y="{y0 + panel_h + 18:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="#222222">{escape(caption)}</text>'
+            f'font-family="sans-serif" font-size="13" fill="#222222">{escape(caption, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -5,10 +5,13 @@ protecting a parcel spends its cost against the budget. Weights are ingested
 as exact rationals and all objective arithmetic clears denominators into
 integers, so optima and tie-breaks never depend on floating point. Every
 solver reads one exact integer score per parcel. Every exact solve, of one
-or more models at one budget or a whole sweep, runs through ``solve_models``:
-a top-k order for unit costs, else one knapsack table every model fills in
+or more models at one budget or a whole sweep, runs through one kernel: a
+top-k order for unit costs, else one knapsack table every model fills in
 turn, its value rows in the narrowest of uint8/uint16/uint32 that holds the
-largest total score. It shares one tie-break with the exhaustive test oracle
+largest total score. ``solve_models`` returns each model's sweep as one
+(budgets, parcels) int8 array; the one-solution calls build each
+``ReserveSolution`` through its public constructor. The kernel shares one
+tie-break with the exhaustive test oracle
 (``tests/bruteforce.py``): among optimal selections, prefer the protection
 vector that protects the lower-indexed parcel at the first index where two
 optima differ.
@@ -128,18 +131,8 @@ def _integer_scores(problem: ReserveProblem) -> tuple[np.ndarray, int]:
     return scores.astype(np.int64 if scores.sum() < _INT64_SAFE else object), den
 
 
-def _solution(x: np.ndarray, objective: Fraction, spent: int) -> ReserveSolution:
-    """A solver-built solution: int8 ``x``, exact objective and spend, valid by construction.
-
-    Skips ``ReserveSolution``'s checks, which guard values from outside.
-    """
-    solution = object.__new__(ReserveSolution)
-    solution.__dict__.update(x=x, objective=objective, spent=spent)
-    return solution
-
-
-def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk: bool) -> list[list]:
-    """The one exact kernel: each problem's optimal selection at each budget.
+def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk: bool) -> list[tuple]:
+    """The one exact kernel: each problem's ``solve_models`` sweep, every budget a row of ``x``.
 
     The problems (a sweep's models) share costs and budgets. With ``topk``
     (unit costs) every optimum is a prefix of one score order: budget b
@@ -153,11 +146,9 @@ def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk:
     are built once per distinct cost. Value entries are subset sums of
     nonnegative scores, so they take the narrowest unsigned type that holds
     the largest total score (else the widest scores' dtype). Each budget
-    traces back, protecting whenever ``keep`` allows: ``keep`` is read as flat
-    bytes at ``j * width + b``, which moves by ``width`` per parcel and back by
-    the cost of each protected one, so where it ends gives the spend; the
-    objective is ``best[b]``. Solutions skip the public constructor's checks
-    (``_solution``).
+    traces back into its row of ``x``, reading ``keep[j, b]`` as flat byte
+    ``j * width + b``: the index steps ``width`` per parcel, back by each
+    protected cost, so its end gives the spend; ``best[b]`` is the objective.
     """
     scored, n, sweeps = [_integer_scores(problem) for problem in problems], problems[0].parcel_count, []
     if topk:
@@ -168,7 +159,7 @@ def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk:
             rank[order] = np.arange(n)
             xs = (rank < np.array(taken, dtype=np.intp)[:, np.newaxis]).astype(np.int8)
             prefix = [0, *np.cumsum(scores[order]).tolist()]  # exact: int64 below 2**62, else object
-            sweeps.append([_solution(x, Fraction(prefix[k], den), k) for x, k in zip(xs, taken)])
+            sweeps.append((xs, [Fraction(prefix[k], den) for k in taken], list(taken)))
         return sweeps
     costs, total = problems[0].costs.tolist(), max(int(scores.sum()) for scores, _ in scored)
     wide = np.result_type(*(scores for scores, _ in scored))
@@ -199,8 +190,8 @@ def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk:
                 add(head, row_scores[j], t)
                 greater_equal(t, tail, rows[j])
                 maximum(tail, t, out=tail)
-        sweeps.append([])
-        for x, budget in zip(np.zeros((len(budgets), n), dtype=np.int8), budgets):
+        xs, objectives, spent = np.zeros((len(budgets), n), dtype=np.int8), [], []
+        for x, budget in zip(xs, budgets):
             start = at = min(budget, bmax)
             chosen = []
             for j in range(n):
@@ -209,14 +200,19 @@ def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk:
                     at -= costs[j]
                 at += width
             x[chosen] = 1
-            sweeps[-1].append(_solution(x, Fraction(int(best[start]), den), start + n * width - at))
+            objectives.append(Fraction(int(best[start]), den))
+            spent.append(start + n * width - at)
+        sweeps.append((xs, objectives, spent))
     return sweeps
 
 
-def solve_models(models: Sequence, weights, costs, budgets: Sequence[int]) -> list[list[ReserveSolution]]:
-    """One sweep per value matrix in ``models``: its optimal selection at every budget, in order.
+def solve_models(models: Sequence, weights, costs, budgets: Sequence[int]) -> list[tuple]:
+    """One sweep ``(x, objectives, spent)`` per value matrix in ``models``, budgets in order.
 
-    Each is validated once, at the largest budget; non-unit costs share one knapsack table."""
+    ``x`` is an int8 array of shape ``(len(budgets), parcels)``: row i is the
+    optimal selection at ``budgets[i]``, with exact ``Fraction`` objective
+    ``objectives[i]`` and ``int`` cost ``spent[i]``. Each model is validated
+    once, at the largest budget; non-unit costs share one knapsack table."""
     budgets = _as_costs(budgets, "budgets", (None,)).tolist()
     problems = [ReserveProblem(values, weights, costs, max(budgets, default=0)) for values in models]
     return _solve_budgets(problems, budgets, topk=bool(np.all(problems[0].costs == 1))) if problems else []
@@ -224,7 +220,8 @@ def solve_models(models: Sequence, weights, costs, budgets: Sequence[int]) -> li
 
 def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveSolution]:
     """The optimal selection at every budget in ``budgets``, in order: one model's ``solve_models``."""
-    return solve_models([values], weights, costs, budgets)[0]
+    [sweep] = solve_models([values], weights, costs, budgets)
+    return [ReserveSolution(*solution) for solution in zip(*sweep)]
 
 
 def solve_topk(problem: ReserveProblem) -> ReserveSolution:
@@ -234,7 +231,8 @@ def solve_topk(problem: ReserveProblem) -> ReserveSolution:
     """
     if np.any(problem.costs != 1):
         raise WrongSolverError("solve_topk requires every parcel cost to equal 1")
-    return _solve_budgets([problem], [problem.budget], topk=True)[0][0]
+    [([x], [objective], [spent])] = _solve_budgets([problem], [problem.budget], topk=True)
+    return ReserveSolution(x, objective, spent)
 
 
 def solve_dp(problem: ReserveProblem) -> ReserveSolution:
@@ -243,10 +241,10 @@ def solve_dp(problem: ReserveProblem) -> ReserveSolution:
     Prefers x_p = 1 at the lowest indices, so zero-cost parcels are always
     protected. Memory: two value rows and a boolean parcels-by-budget table.
     """
-    return _solve_budgets([problem], [problem.budget], topk=False)[0][0]
+    [([x], [objective], [spent])] = _solve_budgets([problem], [problem.budget], topk=False)
+    return ReserveSolution(x, objective, spent)
 
 
 def solve(problem: ReserveProblem) -> ReserveSolution:
     """``solve_sweep`` at the problem's one budget."""
-    [solution] = solve_sweep(problem.values, problem.weights, problem.costs, [problem.budget])
-    return solution
+    return solve_sweep(problem.values, problem.weights, problem.costs, [problem.budget])[0]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from reserveplan.solver import ReserveProblem, ReserveSolution, _integer_scores, _solution
+from reserveplan.solver import ReserveProblem, ReserveSolution, _integer_scores
 
 BRUTEFORCE_LIMIT = 20
 
@@ -45,4 +45,4 @@ def solve_bruteforce(problem: ReserveProblem) -> ReserveSolution:
     winner = int(candidates[int(np.argmax(reversed_key))])
     x = ((winner >> np.arange(n)) & 1).astype(np.int8)
     objective = Fraction(int(scores[x == 1].sum()), den)
-    return _solution(x, objective, sum(problem.costs[x == 1].tolist()))
+    return ReserveSolution(x, objective, sum(problem.costs[x == 1].tolist()))

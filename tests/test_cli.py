@@ -86,6 +86,23 @@ class TestGenerate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sc"]
 
 
+    @pytest.mark.parametrize("out", ["gen/case1.json", "./gen/../gen/case2.json"])
+    def test_out_naming_a_scenario_file_is_refused_before_any_write(self, tmp_path, monkeypatch, capsys, out):
+        # the scenario would silently replace the suite, and no suite would be written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen").mkdir()
+        for i in range(1, 7):
+            (tmp_path / f"gen/case{i}.json").write_text("old\n")
+        argv = ["generate", "--seed", "0", "--pool-size", "20", "--grid", "4"]
+        assert main(argv + ["--out", out, "--scenario-dir", "gen"]) == 1
+        case = Path(out).name
+        error = f"error: cannot write {Path(out)} and gen/{case}: they name one file\n"
+        assert capsys.readouterr() == ("", error)
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == ["gen"] + [f"gen/case{i}.json" for i in range(1, 7)]  # no suite, no temp file
+        assert all((tmp_path / f"gen/case{i}.json").read_text() == "old\n" for i in range(1, 7))
+
+
 class TestSweepAndReport:
     def test_sweep_emits_21_budget_rows(self, workspace, tmp_path):
         out = tmp_path / "case1.csv"
@@ -627,6 +644,14 @@ def _python(args, cwd, **env) -> subprocess.CompletedProcess:
         [sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(SRC), **env},
     )
+
+
+def test_cli_import_loads_no_xml_or_network_modules(tmp_path):
+    # xml.sax.saxutils pulls in urllib.request, http.client and email: ~30 ms of start-up
+    heavy = "{'xml.sax', 'urllib.request', 'http.client', 'email'}"
+    code = f"import sys, reserveplan.cli; print(sorted({heavy} & set(sys.modules)))"
+    run = _python(["-c", code], tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 class TestTextEncoding:

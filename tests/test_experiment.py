@@ -14,6 +14,7 @@ from reserveplan import (
     InvalidDimensionError,
     Landscape,
     LVParams,
+    ReserveProblem,
     ReserveSolution,
     Scenario,
     SpeciesSpec,
@@ -25,6 +26,7 @@ from reserveplan import (
     generate_landscape,
     select_extremes,
     similarity,
+    solve,
     summarize,
     weighted_comparison,
 )
@@ -260,6 +262,35 @@ class TestBudgetSweep:
             assert row_b.similarity == full[budget].similarity
             assert np.array_equal(row_b.x_1, full[budget].x_1)
             assert np.array_equal(row_b.x_2, full[budget].x_2)
+
+    @pytest.mark.parametrize("unit_costs", [True, False])
+    def test_rows_equal_one_budget_solves_of_each_model(self, unit_costs, small_suite):
+        # every row against a fresh one-budget solve of each model: the six seed-0 cases
+        # (top-k), and a small case with costs 0..9 and uneven weights (knapsack)
+        if unit_costs:
+            scenarios = default_scenarios(build_species_suite(seed=0), seed=0)
+        else:
+            costs = np.random.default_rng(3).integers(0, 10, size=100)
+            base = default_scenarios(small_suite, seed=11)[4]
+            budgets = (0, 1, 9, 40, 150, int(costs.sum()), int(costs.sum()) + 5)
+            weights = (2, 1, Fraction(1, 3), 0, 5)
+            scenarios = [dataclasses.replace(base, costs=costs, budgets=budgets, weights=weights)]
+        for scenario in scenarios:
+            grids = experiment._model_grids(scenario)
+            rows = budget_sweep(scenario)
+            assert [r.budget for r in rows] == list(scenario.budgets)
+            for r in rows:
+                one_1, one_2 = (
+                    solve(ReserveProblem(g.matrix(), scenario.weights, scenario.costs, r.budget)) for g in grids
+                )
+                assert r.x_1.dtype == r.x_2.dtype == np.int8
+                assert r.x_1.tolist() == one_1.x.tolist() and r.x_2.tolist() == one_2.x.tolist()
+                assert (r.objective_1, r.objective_2) == (one_1.objective, one_2.objective)
+                assert type(r.objective_1) is type(r.objective_2) is Fraction
+                assert type(r.similarity) is int and r.similarity == int(np.sum(one_1.x == one_2.x))
+            # each model's selections are rows of one (budgets, parcels) array
+            assert all(r.x_1.base is rows[0].x_1.base is not None for r in rows)
+            assert all(r.x_2.base is rows[0].x_2.base is not None for r in rows)
 
     def test_objectives_track_model_values(self, small_suite):
         scenario = default_scenarios(small_suite, seed=11)[0]

@@ -6,6 +6,7 @@ import re
 import stat
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,19 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("alias", ["./out.json", "sub/../out.json", "link.json"])
+    def test_one_file_under_two_names_is_refused_before_any_write(self, tmp_path, monkeypatch, alias):
+        # the second text would silently replace the first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "out.json").write_text("old\n")
+        (tmp_path / "link.json").symlink_to("out.json")
+        message = f"^cannot write out.json and {re.escape(str(Path(alias)))}: they name one file$"
+        with pytest.raises(ValueError, match=message):
+            fileio.write_jsons({"out.json": {"a": 1}, "other.json": {"b": 2}, alias: {"c": 3}})
+        assert (tmp_path / "out.json").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.json", "sub"]
 
     def test_json_files_end_with_newline(self, tmp_path):
         target = tmp_path / "x.json"

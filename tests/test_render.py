@@ -48,6 +48,11 @@ class TestRenderGrid:
         assert fills == [UNPRESERVED_COLOR]
         assert ">7</text>" in svg
 
+    def test_label_escapes_markup_but_not_quotes(self):
+        # the escaping of xml.sax.saxutils.escape: &, < and > only
+        svg = render_grid((Panel("""a<b>&"c'""", CountsGrid(np.array([[[7]]])), solution([0])),))
+        assert """>a&lt;b&gt;&amp;"c'</text>""" in svg
+
     def test_two_species_pair_layout(self):
         a, b = grid(10, 2, seed=1), grid(10, 2, seed=2)
         sol_a = solution([1] * 55 + [0] * 45)

@@ -40,15 +40,24 @@ def problem(scores, costs, budget) -> ReserveProblem:
     )
 
 
-def assert_as_if_public(sol: ReserveSolution) -> None:
-    """``sol`` equals the public constructor's solution on its fields, in values and types."""
-    public = ReserveSolution(x=sol.x, objective=sol.objective, spent=sol.spent)
-    assert type(sol) is ReserveSolution
-    assert sol.x.dtype == public.x.dtype == np.int8
-    assert sol.x.shape == public.x.shape and sol.x.tolist() == public.x.tolist()
-    assert type(sol.objective) is type(public.objective) is Fraction
-    assert sol.objective == public.objective
-    assert type(sol.spent) is type(public.spent) is int and sol.spent == public.spent
+def assert_sweep(sweep, budgets: int, parcels: int) -> None:
+    """``sweep`` is ``solve_models``' tuple, and each row equals its public construction.
+
+    ``x`` is an int8 (budgets, parcels) array of 0/1, objectives are ``Fraction``s
+    and spends ``int``s, one per budget.
+    """
+    x, objectives, spent = sweep
+    assert type(x) is np.ndarray and x.dtype == np.int8 and x.shape == (budgets, parcels)
+    assert np.isin(x, (0, 1)).all()
+    assert type(objectives) is list and len(objectives) == budgets
+    assert all(type(objective) is Fraction for objective in objectives)
+    assert type(spent) is list and len(spent) == budgets
+    assert all(type(cost) is int for cost in spent)
+    for row, objective, cost in zip(x, objectives, spent):
+        public = ReserveSolution(x=row, objective=objective, spent=cost)
+        assert public.x.dtype == np.int8 and public.x.tolist() == row.tolist()
+        assert type(public.objective) is Fraction and public.objective == objective
+        assert type(public.spent) is int and public.spent == cost
 
 
 small_problems = st.builds(
@@ -297,14 +306,15 @@ class TestSolveSweep:
         budgets = data.draw(
             st.lists(st.one_of(st.integers(0, total), st.sampled_from([0, total + 7])), max_size=8)
         )
-        for budget, sol in zip(budgets, solve_sweep(p.values, weights, p.costs, budgets)):
+        [sweep] = solve_models([p.values], weights, p.costs, budgets)
+        assert_sweep(sweep, len(budgets), p.parcel_count)
+        for budget, x, objective, spent in zip(budgets, *sweep, strict=True):
             oracle = solve_bruteforce(
                 ReserveProblem(values=p.values, weights=weights, costs=p.costs, budget=budget)
             )
-            assert_as_if_public(sol)
-            assert_as_if_public(oracle)
-            assert sol.x.tolist() == oracle.x.tolist()
-            assert (sol.objective, sol.spent) == (oracle.objective, oracle.spent)
+            assert_sweep((oracle.x[np.newaxis], [oracle.objective], [oracle.spent]), 1, p.parcel_count)
+            assert x.tolist() == oracle.x.tolist()
+            assert (objective, spent) == (oracle.objective, oracle.spent)
 
     def test_seed0_sweeps_equal_the_public_constructor_on_both_paths(self):
         # the six seed-0 cases have unit costs; the knapsack path is forced on the same
@@ -313,13 +323,12 @@ class TestSolveSweep:
             grids, budgets = _model_grids(scenario), list(scenario.budgets)
             weights, costs = scenario.weights, scenario.costs
             problems = [ReserveProblem(g.matrix(), weights, costs, max(budgets)) for g in grids]
-            for grid, dps in zip(grids, _solve_budgets(problems, budgets, topk=False), strict=True):
-                sols = solve_sweep(grid.matrix(), weights, costs, budgets)
-                for sol, dp in zip(sols, dps, strict=True):
-                    assert_as_if_public(sol)
-                    assert_as_if_public(dp)
-                    assert sol.x.tolist() == dp.x.tolist()
-                    assert (sol.objective, sol.spent) == (dp.objective, dp.spent)
+            for grid, dp in zip(grids, _solve_budgets(problems, budgets, topk=False), strict=True):
+                [topk] = solve_models([grid.matrix()], weights, costs, budgets)
+                assert_sweep(topk, len(budgets), grid.parcel_count)
+                assert_sweep(dp, len(budgets), grid.parcel_count)
+                assert topk[0].tolist() == dp[0].tolist()
+                assert (topk[1], topk[2]) == (dp[1], dp[2])
 
     def test_every_budget_is_checked(self):
         for budgets in ([3, 1.5], [2, -1]):
@@ -348,13 +357,13 @@ class TestSolveModels:
         budgets = data.draw(st.lists(st.integers(0, max(top, 0)), max_size=6))
         together = solve_models(models, (1,), costs, budgets)
         assert len(together) == len(models)
-        for values, sols in zip(models, together):
+        for values, sweep in zip(models, together):
+            assert_sweep(sweep, len(budgets), n)
             alone = solve_sweep(values, (1,), costs, budgets)
-            assert len(sols) == len(alone) == len(budgets)
-            for sol, one in zip(sols, alone):
-                assert_as_if_public(sol)
-                assert sol.x.tolist() == one.x.tolist()
-                assert (sol.objective, sol.spent) == (one.objective, one.spent)
+            assert len(alone) == len(budgets) and all(type(one) is ReserveSolution for one in alone)
+            for x, objective, spent, one in zip(*sweep, alone, strict=True):
+                assert x.tolist() == one.x.tolist()
+                assert (objective, spent) == (one.objective, one.spent)
 
     def test_sweep_holds_one_keep_table(self):
         rng = np.random.default_rng(5)
@@ -378,7 +387,7 @@ class TestSolveModels:
         with pytest.raises(TableTooLargeError, match=f"^budget 9 needs a {table_bytes}-byte "):
             solve_models(models, (1,), costs, [9])
         pages["SC_PHYS_PAGES"] = table_bytes
-        assert [sol.x.tolist() for [sol] in solve_models(models, (1,), costs, [9])] == [[1, 1, 1]] * 2
+        assert [x.tolist() for x, _, _ in solve_models(models, (1,), costs, [9])] == [[[1, 1, 1]]] * 2
 
     def test_no_models_no_solutions(self):
         assert solve_models([], (1,), [1, 2], [3]) == []
