@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -111,11 +112,20 @@ def _cmd_generate(args) -> int:
             f"--pool-size {args.pool_size} landscapes of --grid {args.grid} do not fit in memory"
         ) from None
     docs = {args.out: fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid)}
+    made = []  # the directories this call creates, deepest first, removed again if the write fails
     if args.scenario_dir:
-        Path(args.scenario_dir).mkdir(parents=True, exist_ok=True)
+        scenario_dir = Path(args.scenario_dir)
+        made = list(itertools.takewhile(lambda d: not d.exists(), (scenario_dir, *scenario_dir.parents)))
+        scenario_dir.mkdir(parents=True, exist_ok=True)
         for i, scenario in enumerate(default_scenarios(suite, seed=args.seed), start=1):
-            docs[Path(args.scenario_dir) / f"case{i}.json"] = fileio.scenario_to_obj(scenario)
-    fileio.write_jsons(docs)  # all files or none
+            docs[scenario_dir / f"case{i}.json"] = fileio.scenario_to_obj(scenario)
+    try:
+        fileio.write_jsons(docs)  # all files or none
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):  # no longer empty: something else wrote there
+                directory.rmdir()
+        raise
     print(f"wrote {args.out} ({len(suite)} species, pool {args.pool_size}, {args.grid}x{args.grid} grid)")
     for path in list(docs)[1:]:
         print(f"wrote {path}")

@@ -130,32 +130,38 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     Every column given is stepped; ``simulate`` passes each distinct one once. A given
     ``check(step, x)`` runs after every step; without one the steps run in one
     loop with no per-step call. Per-call numpy cost dominates on these small
-    states, and a broadcast or reversed-view operand costs ~3x a contiguous
-    one, so every operand is built once at the state's shape, and the state
-    lives in ``xx = [x; x]``, recopied once a step, beside scratch
-    ``q = [r*x | beta*x | products]``. A step forms every ``alpha[i, j] * N_j``
-    in one call and sums over j in index order into the pressure
-    ``products[0]`` (a numpy reduction sums pairwise on some shapes, so a
-    column would not evolve alike alone and in a batch). With two species that
-    call, ``[alpha[0, 1], alpha[1, 0]] * xx[1:3]``, is the whole pressure: a
-    dropped ``0 * N_i`` could change only the sign of a zero update, and
-    ``N + (-0.0)`` is ``N``. ``[r; beta] * xx`` then forms r*x and beta*x, and
-    ``q[S:3S] * xx`` beta*x*x and pressure*x (equal to x*pressure), so counts
-    are bit-identical and one that overflows turns non-finite at the same step.
+    states, and a broadcast, strided or many-axis operand costs more than a
+    contiguous 1-D one, so every operand is built once at the state's size and
+    each step runs on flat views. The state lives in ``xx = [x; x]``, recopied
+    once a step, beside scratch ``q = [r*x | beta*x | products]``. A step forms
+    every ``alpha[i, j] * N_j`` in one call and sums over j in index order into
+    the pressure ``products[0]`` (a numpy reduction sums pairwise on some shapes,
+    so a column would not evolve alike alone and in a batch). With more than two
+    species the N_j operand is ``tile``, each species' row repeated once per
+    species, refreshed from x once a step. With two species
+    ``[alpha[0, 1], alpha[1, 0]] * xx[1:3]`` is the whole pressure, and with one
+    ``alpha[0, 0] * N_0``: a dropped ``0 * N_i`` could change only the sign of a
+    zero update, and ``N + (-0.0)`` is ``N``. ``[r; beta] * xx`` then forms r*x
+    and beta*x, and ``q[S:3S] * xx`` beta*x*x and pressure*x (equal to
+    x*pressure), so counts are bit-identical and one that overflows turns
+    non-finite at the same step.
     """
     s, width = state.shape
-    xx = np.ascontiguousarray(np.concatenate([state, state]), dtype=np.float64)
-    x, copy = xx[:s], xx[s:]
-    if s == 2:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i), and xx[1:3] is [N_1; N_0]
-        rates, rows = params.alpha[[0, 1], [1, 0]][np.newaxis], xx[np.newaxis, 1:3]
+    cells = s * width
+    xx = np.ascontiguousarray(np.concatenate([state, state]), dtype=np.float64).reshape(-1)
+    x, copy = xx[:cells], xx[cells:]
+    column = x.reshape(s, 1, width)
+    tile = np.repeat(column, s, axis=1) if s > 2 else None
+    if tile is None:  # pressure[i] = alpha[i, 1 - i] * N_(1 - i), and xx[1:3] is [N_1; N_0]
+        rates, rows = params.alpha[np.arange(s), np.arange(1, s + 1) % s], xx[width : width + cells]
     else:  # alpha.T[j] = alpha[:, j], times N_j
-        rates, rows = params.alpha.T, x[:, np.newaxis]
-    rb, dt, zero, alphas = (np.repeat(v[..., np.newaxis], width, axis=-1) for v in (
+        rates, rows = params.alpha.T, tile.reshape(-1)
+    rb, dt, zero, alphas = (np.repeat(v.reshape(-1, 1), width, axis=1).reshape(-1) for v in (
         np.concatenate([params.r, params.beta]), np.full(s, params.dt), np.zeros(s), rates))
-    q = np.empty((2 * s + alphas.size // width, width))
-    rx, bxx, linear, quadratic = q[:s], q[s:2 * s], q[:2 * s], q[s:3 * s]
-    products = q[2 * s:].reshape(alphas.shape)
-    pressure, terms = products[0], list(products[1:])
+    q = np.empty(2 * cells + alphas.size)
+    rx, bxx, linear, quadratic = q[:cells], q[cells : 2 * cells], q[: 2 * cells], q[cells : 3 * cells]
+    products = q[2 * cells :]
+    pressure, terms = products[:cells], [products[j : j + cells] for j in range(cells, products.size, cells)]
     multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
     stride, stops = (1, steps) if check else (steps, 1)
     for stop in range(1, stops + 1):
@@ -171,9 +177,11 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
             add(x, rx, x)
             maximum(zero, x, out=x)
             copy[...] = x
+            if tile is not None:
+                tile[...] = column
         if check:
-            check(stop, x)
-    return x
+            check(stop, x.reshape(s, width))
+    return x.reshape(s, width)
 
 
 def _columns(matrix: np.ndarray) -> list[bytes]:

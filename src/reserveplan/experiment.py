@@ -26,7 +26,6 @@ from .landscape import (
     _generate_values,
     distribute_population,
     fragmentation,
-    generate_landscape,
     select_extremes,
 )
 # ``solve`` is unused here; bench/test_bench.py checks that the tracer wraps this name.
@@ -175,21 +174,27 @@ def build_species_suite(
     rounds = rng.integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
     # One working set serves every smoothing-rounds group: two flat buffers sized for the
     # largest group hold its draws, smoothing, rescale and values, and scoring writes its
-    # differences into the one not holding the values. Only the four picks become Landscapes.
+    # differences into the one not holding the values. A grid that is picked ranks in its
+    # group's top or bottom two, so only those grids' values are kept, ties at the cut
+    # included; the four picks become Landscapes from them.
     size = np.bincount(rounds).max() * grid * grid
     buffers = np.empty(size), np.empty(size)
     scores = np.empty(pool_size)
+    kept = {}
     fits = seed + pool_size <= 2**64  # pool seeds that fit in 64 bits go to the draws as one array
     for r in range(MAX_SMOOTHING_ROUNDS + 1):
         idx = np.flatnonzero(rounds == r)
         seeds = idx.astype(np.uint64) + np.uint64(seed) if fits else [seed + i for i in idx.tolist()]
         values, spare = _generate_values(grid, r, seeds, buffers)
-        scores[idx] = fragmentation(values, scratch=spare)
+        group = scores[idx] = fragmentation(values, scratch=spare)
+        keep = np.arange(len(group))
+        if len(group) > 4:
+            cut = np.argpartition(group, [1, len(group) - 2])
+            keep = np.flatnonzero((group <= group[cut[1]]) | (group >= group[cut[-2]]))
+        kept.update(zip(idx[keep].tolist(), values[keep]))
     most, least = select_extremes(scores, k=2)
-    by_rank = {
-        rank: generate_landscape(grid, int(rounds[i]), seed + int(i))
-        for rank, i in zip(("highest", "2nd highest", "lowest", "2nd lowest"), [*most, *least])
-    }
+    ranks = ("highest", "2nd highest", "lowest", "2nd lowest")
+    by_rank = {rank: Landscape(kept[i]) for rank, i in zip(ranks, [*most.tolist(), *least.tolist()])}
     suite = []
     for j, (label, rank, total) in enumerate(SUITE_LAYOUT):
         landscape = by_rank[rank]

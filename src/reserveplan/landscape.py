@@ -143,22 +143,15 @@ def _generate_values(n: int, rounds: int, seeds: Sequence[int], buffers=None) ->
         total[:, 1:] += h[:, :-1]
         total[:, :-1] += h[:, 1:]
         h, total = np.divide(total, count, out=total), h
-    out = total.reshape(draws.shape)
-    np.copyto(out, _rescale_unit(h).transpose(2, 0, 1))
-    return out, h.reshape(-1)
-
-
-def _rescale_unit(h: np.ndarray) -> np.ndarray:
-    """Affinely rescale, in place, each grid over the first two axes to span [0, 1].
-
-    Takes one (n, n) grid or an (n, n, m) grid-last stack; constant grids pass through.
-    """
-    lo = h.min(axis=(0, 1), keepdims=True)
-    hi = h.max(axis=(0, 1), keepdims=True)
+    # each grid rescaled to span [0, 1] (a constant one passes through), then copied back to
+    # (m, n, n): two contiguous passes and numpy's transposing copy beat a transposing ufunc
+    lo, hi = h.min(axis=(0, 1)), h.max(axis=(0, 1))
     flat = hi == lo
     h -= np.where(flat, 0.0, lo)
     h /= np.where(flat, 1.0, hi - lo)
-    return h
+    out = total.reshape(draws.shape)
+    np.copyto(out, h.transpose(2, 0, 1))
+    return out, h.reshape(-1)
 
 
 def fragmentation(values: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -102,6 +102,32 @@ class TestGenerate:
         assert left == ["gen"] + [f"gen/case{i}.json" for i in range(1, 7)]  # no suite, no temp file
         assert all((tmp_path / f"gen/case{i}.json").read_text() == "old\n" for i in range(1, 7))
 
+    def test_refused_write_leaves_no_scenario_directory(self, tmp_path, monkeypatch, capsys):
+        # the directories made for --scenario-dir are removed again when the write is refused
+        monkeypatch.chdir(tmp_path)
+        argv = "generate --seed 0 --pool-size 20 --grid 4 --out a/b/case1.json --scenario-dir a/b".split()
+        assert main(argv) == 1
+        error = "error: cannot write a/b/case1.json and a/b/case1.json: they name one file\n"
+        assert capsys.readouterr() == ("", error)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_directories_that_were_there(self, tmp_path, monkeypatch, capsys):
+        # only what this call made is removed: an existing parent stays, with its files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a/keep.txt").write_text("kept\n")
+        (tmp_path / "a/b/c").mkdir(parents=True)
+
+        def refuse(docs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "write_jsons", refuse)
+        argv = "generate --seed 0 --pool-size 20 --grid 4 --out suite.json --scenario-dir a/b/c/d".split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == ["a", "a/b", "a/b/c", "a/keep.txt"]
+
 
 class TestSweepAndReport:
     def test_sweep_emits_21_budget_rows(self, workspace, tmp_path):

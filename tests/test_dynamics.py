@@ -225,6 +225,30 @@ class TestSimulate:
         projected = simulate(CountsGrid(state.reshape(2, 2, 2).astype(int)), params)
         assert projected.reshape(2, 4).T.tolist() == reference[-1] and widths == [3]
 
+    @pytest.mark.parametrize("species", [3, 5, 8])
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_tiled_steps_match_the_scalar_reference_every_step(self, species, width):
+        # Past two species the pressure reads a tile of the state. Asymmetric alpha, r and
+        # beta give every species its own pressure, and every step is checked, so a tile
+        # read in the wrong order or refreshed a step late changes step 1 or step 2.
+        rng = np.random.default_rng(10 * species + width)
+        alpha = rng.uniform(0.0, 0.0004, size=(species, species))
+        np.fill_diagonal(alpha, 0.0)
+        params = LVParams(
+            r=rng.uniform(0.2, 0.5, species), alpha=alpha, beta=rng.uniform(0.0005, 0.001, species),
+            dt=0.5, T=6,
+        )
+        assert not np.array_equal(alpha, alpha.T)
+        state = rng.integers(10, 200, size=(species, width)).astype(float)
+        reference = [state.T.tolist()]
+        for _ in range(params.T):
+            reference.append([scalar_step(column, params) for column in reference[-1]])
+        seen = []
+        got = _project(state, params, params.T, lambda k, x: seen.append((k, x.T.tolist())))
+        assert seen == list(enumerate(reference[1:], start=1))
+        assert got.T.tolist() == reference[-1]
+        assert np.all(got > 0.0)  # no count was clamped away, so every step tested all species
+
     def test_two_species_constructed_equilibrium(self):
         # choose r so that (40, 60) solves r_i = beta_i*N_i + alpha_ij*N_j
         beta = np.array([0.001, 0.001])

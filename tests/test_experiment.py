@@ -30,7 +30,7 @@ from reserveplan import (
     summarize,
     weighted_comparison,
 )
-from reserveplan import experiment
+from reserveplan import experiment, landscape
 from reserveplan.experiment import SweepRow
 
 from conftest import pool_rounds, reference_pool
@@ -119,6 +119,39 @@ class TestBuildSpeciesSuite:
             generated = generate_landscape(grid, int(rounds[i]), seed + i)
             assert sp.landscape.values.tobytes() == generated.values.tobytes()
             assert sp.landscape.values.tobytes() == pool[i].values.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, pool_size, grid, picks",
+        [(0, 300, 6, None), (9, 40, 3, None), (4, 5, 2, None), (3, 50, 1, ([0, 1], [49, 48]))],
+        ids=["300-pool", "40-pool", "5-pool", "scores-tied"],
+    )
+    def test_picks_are_kept_not_regenerated(self, seed, pool_size, grid, picks, monkeypatch):
+        # the picks' values are kept from their smoothing-rounds groups: no grid is drawn a
+        # second time, and each equals its own generate_landscape bit for bit; on one-parcel
+        # grids every score is 0, so select_extremes' tie rule alone names the picks
+        calls, chosen = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return generate_landscape(*args)
+
+        def recording(scores, k):
+            chosen.append(select_extremes(scores, k))
+            return chosen[-1]
+
+        monkeypatch.setattr(experiment, "generate_landscape", counting, raising=False)
+        monkeypatch.setattr(landscape, "generate_landscape", counting)
+        monkeypatch.setattr(experiment, "select_extremes", recording)
+        suite = build_species_suite(seed, pool_size=pool_size, grid=grid)
+        assert calls == []
+        ((most, least),) = chosen
+        if picks is not None:
+            assert (most.tolist(), least.tolist()) == picks
+        rounds = pool_rounds(seed, pool_size)
+        by_rank = {sp.fragmentation_rank: sp.landscape for sp in suite}
+        for rank, i in zip(RANKS, [*most.tolist(), *least.tolist()]):
+            expected = generate_landscape(grid, int(rounds[i]), seed + i).values
+            assert by_rank[rank].values.tobytes() == expected.tobytes(), (rank, i)
 
     @pytest.mark.parametrize("seed", [0, 5, 7])
     def test_picks_match_one_at_a_time_scoring(self, seed):
