@@ -221,10 +221,11 @@ def _cmd_report(args) -> int:
             if args.plot_out and cases and budgets != cases[0][1]:
                 raise ValueError(f"budget grid differs from {args.sweeps[0]}; cannot align plot data")
         cases.append((Path(path).stem, budgets, similarities, stats))
-    fileio.write_stats_csv(args.out, [fileio.stats_to_csv_row(label, st) for label, _, _, st in cases])
+    rows = [fileio.stats_to_csv_row(label, st) for label, _, _, st in cases]
+    series = [(label, sim) for label, _, sim, _ in cases]
+    fileio.write_report(args.out, rows, args.plot_out or None, cases[0][1], series)  # all or none
     print(f"wrote {args.out} ({len(cases)} cases)")
     if args.plot_out:
-        fileio.write_plot_csv(args.plot_out, cases[0][1], [(label, sim) for label, _, sim, _ in cases])
         print(f"wrote {args.plot_out} ({len(cases[0][1])} budgets x {len(cases)} series)")
     return 0
 

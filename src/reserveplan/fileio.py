@@ -16,8 +16,8 @@ Schemas (all JSON, grids row-major):
 
 Sweep CSVs carry columns budget,similarity,objective1,objective2; stats CSVs
 carry case,min,average,median. All text files end lines with LF and are
-written atomically (temp file + rename); ``write_jsons`` writes several files
-all or none.
+written atomically (temp file + rename); ``write_jsons`` and ``write_report``
+write several files all or none.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import reprlib
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,8 +64,7 @@ __all__ = [
     "sweep_rows_to_csv",
     "sweep_csv_to_rows",
     "stats_to_csv_row",
-    "write_stats_csv",
-    "write_plot_csv",
+    "write_report",
 ]
 
 
@@ -75,10 +74,10 @@ class SchemaError(ValueError):
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see partial output."""
-    _write_all({path: text})
+    _write_all([(path, text)])
 
 
-def _write_all(texts: Mapping[str | os.PathLike, str]) -> None:
+def _write_all(texts: Iterable[tuple[str | os.PathLike, str]]) -> None:
     """Write every (path, text) to a temp sibling, then rename each over its path.
 
     A target that is a directory or one file under two names is refused
@@ -86,7 +85,7 @@ def _write_all(texts: Mapping[str | os.PathLike, str]) -> None:
     failed write, before the first rename. So no target changes.
     """
     targets = {}
-    for path, text in texts.items():
+    for path, text in texts:
         path = Path(path)
         if path.is_dir():
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
@@ -397,7 +396,7 @@ def write_json(path: str | os.PathLike, obj) -> None:
 
 def write_jsons(docs: Mapping[str | os.PathLike, object]) -> None:
     """Write several JSON documents, all or none (see ``_write_all``)."""
-    _write_all({path: _json_text(obj) for path, obj in docs.items()})
+    _write_all((path, _json_text(obj)) for path, obj in docs.items())
 
 
 SWEEP_HEADER = ["budget", "similarity", "objective1", "objective2"]
@@ -465,14 +464,19 @@ def stats_to_csv_row(case: str, stats: SimilarityStats) -> list[str]:
     return [case, str(stats.min), f"{stats.mean:.2f}", f"{stats.median:g}"]
 
 
-def write_stats_csv(path: str | os.PathLike, rows: Sequence[Sequence[str]]) -> None:
-    write_text_atomic(path, _csv_text(STATS_HEADER, rows))
-
-
-def write_plot_csv(
-    path: str | os.PathLike, budgets: Sequence[int], series: Sequence[tuple[str, Sequence[int]]]
+def write_report(
+    path: str | os.PathLike,
+    rows: Sequence[Sequence[str]],
+    plot_path: str | os.PathLike | None = None,
+    budgets: Sequence[int] = (),
+    series: Sequence[tuple[str, Sequence[int]]] = (),
 ) -> None:
-    """Aligned similarity-vs-budget series, one labelled column per sweep."""
-    header = ["budget"] + [label for label, _ in series]
-    rows = ([budget] + [values[i] for _, values in series] for i, budget in enumerate(budgets))
-    write_text_atomic(path, _csv_text(header, rows))
+    """The stats table ``rows`` and, at ``plot_path``, the similarity-vs-budget
+    ``series`` aligned on ``budgets``, one labelled column per sweep: all files
+    or none (see ``_write_all``)."""
+    texts = [(path, _csv_text(STATS_HEADER, rows))]
+    if plot_path is not None:
+        header = ["budget"] + [label for label, _ in series]
+        plot = ([budget] + [values[i] for _, values in series] for i, budget in enumerate(budgets))
+        texts.append((plot_path, _csv_text(header, plot)))
+    _write_all(texts)

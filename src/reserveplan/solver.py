@@ -5,13 +5,13 @@ protecting a parcel spends its cost against the budget. Weights are ingested
 as exact rationals and all objective arithmetic clears denominators into
 integers, so optima and tie-breaks never depend on floating point. Every
 solver reads one exact integer score per parcel. Every exact solve, of one
-or more models at one budget or a whole sweep, runs through one kernel: a
-top-k order for unit costs, else one knapsack table every model fills in
-turn, its value rows in the narrowest of uint8/uint16/uint32 that holds the
-largest total score. ``solve_models`` returns each model's sweep as one
-(budgets, parcels) int8 array; the one-solution calls build each
-``ReserveSolution`` through its public constructor. The kernel shares one
-tie-break with the exhaustive test oracle
+or more models at one budget or a whole sweep, runs through one kernel on
+the path its costs pick: a top-k order for unit costs, else one knapsack
+table every model fills in turn, its value rows in the narrowest of
+uint8/uint16/uint32 that holds the largest total score. ``solve_models``
+returns each model's sweep as one (budgets, parcels) int8 array; the
+one-solution calls build each ``ReserveSolution`` through its public
+constructor. The kernel shares one tie-break with the exhaustive test oracle
 (``tests/bruteforce.py``): among optimal selections, prefer the protection
 vector that protects the lower-indexed parcel at the first index where two
 optima differ.
@@ -30,7 +30,6 @@ import numpy as np
 from ._checks import InvalidDimensionError, as_numbers, as_weights
 
 __all__ = [
-    "WrongSolverError",
     "NonIntegerCostError",
     "TableTooLargeError",
     "ReserveProblem",
@@ -38,14 +37,9 @@ __all__ = [
     "solve",
     "solve_models",
     "solve_sweep",
-    "solve_topk",
-    "solve_dp",
 ]
 
 _INT64_SAFE = 2**62
-
-class WrongSolverError(ValueError):
-    """The chosen solver does not apply to this problem's cost structure."""
 
 
 class NonIntegerCostError(ValueError):
@@ -224,27 +218,11 @@ def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveS
     return [ReserveSolution(*solution) for solution in zip(*sweep)]
 
 
-def solve_topk(problem: ReserveProblem) -> ReserveSolution:
-    """Exact fast path for unit costs: protect the budget's worth of highest-scoring parcels.
-
-    Ties go to the lower parcel index. Refuses problems with non-unit costs.
-    """
-    if np.any(problem.costs != 1):
-        raise WrongSolverError("solve_topk requires every parcel cost to equal 1")
-    [([x], [objective], [spent])] = _solve_budgets([problem], [problem.budget], topk=True)
-    return ReserveSolution(x, objective, spent)
-
-
-def solve_dp(problem: ReserveProblem) -> ReserveSolution:
-    """Exact 0/1 knapsack over integer costs by dynamic programming.
-
-    Prefers x_p = 1 at the lowest indices, so zero-cost parcels are always
-    protected. Memory: two value rows and a boolean parcels-by-budget table.
-    """
-    [([x], [objective], [spent])] = _solve_budgets([problem], [problem.budget], topk=False)
-    return ReserveSolution(x, objective, spent)
-
-
 def solve(problem: ReserveProblem) -> ReserveSolution:
     """``solve_sweep`` at the problem's one budget."""
     return solve_sweep(problem.values, problem.weights, problem.costs, [problem.budget])[0]
+
+
+# Aliases of ``solve``, kept only because bench/tracing.py wraps these names: delete this
+# line once its TRACED table no longer names them.
+solve_topk = solve_dp = solve

@@ -1,6 +1,6 @@
-"""Shared helpers: random problem instances, the exact logistic solution, a
-per-landscape reference generator and a small reusable species suite. Every
-test starts with an empty projection memo."""
+"""Shared helpers: random problem instances, a solve on a forced kernel path,
+the exact logistic solution, a per-landscape reference generator and a small
+reusable species suite. Every test starts with an empty projection memo."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reserveplan import Landscape, ReserveProblem, build_species_suite, dynamics
+from reserveplan import Landscape, ReserveProblem, ReserveSolution, build_species_suite, dynamics
 from reserveplan.experiment import MAX_SMOOTHING_ROUNDS
+from reserveplan.solver import _solve_budgets
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +51,16 @@ def random_problem(
         weights = (Fraction(1),) + weights[1:]
     budget = int(rng.integers(0, int(costs.sum()) + 6))
     return ReserveProblem(values=values, weights=weights, costs=costs, budget=budget)
+
+
+def solve_on_path(problem: ReserveProblem, topk: bool) -> ReserveSolution:
+    """``problem`` solved on the kernel path ``topk`` names, not the one its costs pick.
+
+    Forces the knapsack table on unit costs, or compares top-k against it;
+    top-k is exact only when every cost is 1.
+    """
+    [([x], [objective], [spent])] = _solve_budgets([problem], [problem.budget], topk=topk)
+    return ReserveSolution(x, objective, spent)
 
 
 def logistic_closed_form(n0: float, r: float, beta: float, t: float) -> float:

@@ -31,8 +31,6 @@ from reserveplan import (
     round_counts,
     similarity,
     simulate,
-    solve_dp,
-    solve_topk,
     summarize,
     weighted_comparison,
 )
@@ -41,7 +39,7 @@ from reserveplan.dynamics import _project, default_params
 from reserveplan.render import Panel, caption_text
 from reserveplan.solver import solve
 from bruteforce import solve_bruteforce
-from conftest import logistic_closed_form, random_problem
+from conftest import logistic_closed_form, random_problem, solve_on_path
 
 PIPELINE_SEED = 0
 
@@ -68,7 +66,7 @@ def test_solver_exactness():
     ok = True
     for _ in range(1000):
         problem = random_problem(rng, max_parcels=16)
-        a = solve_dp(problem)
+        a = solve(problem)
         b = solve_bruteforce(problem)
         if a.objective != b.objective or a.x.tolist() != b.x.tolist():
             ok = False
@@ -91,7 +89,7 @@ def test_unit_cost_fast_path():
     ok = True
     for _ in range(1000):
         problem = random_problem(rng, unit_costs=True, parcels=100)
-        if solve_topk(problem).x.tolist() != solve_dp(problem).x.tolist():
+        if solve(problem).x.tolist() != solve_on_path(problem, topk=False).x.tolist():
             ok = False
             break
     elapsed = time.perf_counter() - started
@@ -201,7 +199,7 @@ def test_full_pipeline_stats_table(full_suite, tmp_path):
         mins.append(stats.min)
         stats_rows.append(fileio.stats_to_csv_row(f"case{i}", stats))
     out = tmp_path / "stats.csv"
-    fileio.write_stats_csv(out, stats_rows)
+    fileio.write_report(out, stats_rows)
     elapsed = build_seconds + (time.perf_counter() - started)
 
     lines = out.read_text().splitlines()
@@ -256,7 +254,7 @@ def test_invariant_bundle():
     # budget monotonicity and weight-scaling set invariance
     for _ in range(100):
         problem = random_problem(rng, max_parcels=12)
-        base = solve_dp(problem)
+        base = solve(problem)
         if base.spent > problem.budget:
             failures.append("feasibility")
         bigger = ReserveProblem(
@@ -265,7 +263,7 @@ def test_invariant_bundle():
             costs=problem.costs,
             budget=problem.budget + int(rng.integers(1, 6)),
         )
-        if solve_dp(bigger).objective < base.objective:
+        if solve(bigger).objective < base.objective:
             failures.append("budget monotonicity")
         scaled = ReserveProblem(
             values=problem.values,
@@ -273,7 +271,7 @@ def test_invariant_bundle():
             costs=problem.costs,
             budget=problem.budget,
         )
-        if solve_dp(scaled).x.tolist() != base.x.tolist():
+        if solve(scaled).x.tolist() != base.x.tolist():
             failures.append("weight scaling")
 
     # parcel independence and nonnegativity

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from reserveplan import cli, dynamics, experiment
+from reserveplan import cli, dynamics, experiment, solver
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,6 +37,20 @@ workloads = _load("workloads")
 def test_every_traced_name_resolves():
     found = tracing.traced_functions()
     assert found and all(callable(fn) for _, fn in found)
+
+
+def test_solver_aliases_share_one_wrapper_and_are_restored():
+    original = solver.solve
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapper = solver.solve
+        assert wrapper is not original and wrapper.__wrapped__ is original
+        assert solver.solve_topk is wrapper and solver.solve_dp is wrapper
+    finally:
+        left = tracer.restore()
+    assert left == []
+    assert solver.solve is original and solver.solve_topk is original and solver.solve_dp is original
 
 
 @pytest.mark.parametrize("name", ["paper", "knapsack"])

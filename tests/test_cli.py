@@ -520,6 +520,26 @@ class TestErrorHandling:
         assert "a.csv: sweep.line3: budget must be a nonnegative integer, got '-5'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("plot", ["s.csv", "sub/../s.csv"])
+    def test_report_refuses_stats_and_plot_naming_one_file(self, tmp_path, monkeypatch, capsys, plot):
+        # the plot series would silently replace the stats table
+        monkeypatch.chdir(tmp_path)
+        Path("a.csv").write_text("budget,similarity,objective1,objective2\n0,100,0,0\n5,90,1,1\n10,100,2,2\n")
+        Path("sub").mkdir()
+        assert main(["report", "a.csv", "--out", "s.csv", "--plot-out", plot]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot write s.csv and {plot}: they name one file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "sub"]
+
+    def test_report_missing_plot_directory_leaves_no_stats_file(self, tmp_path, capsys):
+        sweep = tmp_path / "a.csv"
+        sweep.write_text("budget,similarity,objective1,objective2\n0,100,0,0\n5,90,1,1\n10,100,2,2\n")
+        out, plot = tmp_path / "s.csv", tmp_path / "nodir" / "p.csv"
+        assert main(["report", str(sweep), "--out", str(out), "--plot-out", str(plot)]) == 1
+        captured = capsys.readouterr()
+        assert f"directory {tmp_path / 'nodir'} does not exist" in captured.err
+        assert "wrote" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
     def test_knapsack_table_beyond_memory_exits_1_and_names_file(self, tmp_path, capsys):
         problem = tmp_path / "wide.json"
         problem.write_text(

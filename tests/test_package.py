@@ -19,5 +19,12 @@ def test_every_export_is_the_modules_own_object():
     assert reserveplan.solve_sweep is solver.solve_sweep
 
 
+def test_retired_solver_names_are_only_aliases_of_solve():
+    # the benchmark's tracer still wraps solve_topk and solve_dp by name
+    assert solver.solve_topk is solver.solve_dp is solver.solve
+    assert not {"solve_topk", "solve_dp", "WrongSolverError"} & set(reserveplan.__all__)
+    assert not hasattr(solver, "WrongSolverError")
+
+
 def test_dynamics_surface():
     assert sorted(dynamics.__all__) == ["LVParams", "default_params", "round_counts", "simulate"]

@@ -11,16 +11,14 @@ from reserveplan import (
     ReserveProblem,
     ReserveSolution,
     TableTooLargeError,
-    WrongSolverError,
     build_species_suite,
     default_scenarios,
-    solve_dp,
-    solve_topk,
+    solve,
 )
 from reserveplan.experiment import _model_grids
 from reserveplan.solver import _integer_scores, _solve_budgets, solve_models, solve_sweep
 from bruteforce import EnumerationLimitError, solve_bruteforce
-from conftest import random_problem
+from conftest import random_problem, solve_on_path
 
 
 def unit_problem(scores, budget) -> ReserveProblem:
@@ -101,43 +99,43 @@ class TestParcelScore:
 
 
 class TestSolveTopk:
+    """The top-k path, which unit costs pick."""
+
     def test_zero_budget(self):
-        sol = solve_topk(unit_problem([5, 3, 2], budget=0))
+        sol = solve(unit_problem([5, 3, 2], budget=0))
         assert sol.x.tolist() == [0, 0, 0]
         assert sol.objective == 0
         assert sol.spent == 0
 
     def test_budget_covers_everything(self):
-        sol = solve_topk(unit_problem([5, 3, 2], budget=7))
+        sol = solve(unit_problem([5, 3, 2], budget=7))
         assert sol.x.tolist() == [1, 1, 1]
         assert sol.spent == 3
 
     def test_tie_goes_to_lower_index(self):
-        sol = solve_topk(unit_problem([5, 5, 2], budget=1))
+        sol = solve(unit_problem([5, 5, 2], budget=1))
         assert sol.x.tolist() == [1, 0, 0]
-
-    def test_rejects_non_unit_costs(self):
-        with pytest.raises(WrongSolverError):
-            solve_topk(problem([5, 3], costs=[2, 1], budget=2))
 
 
 class TestSolveDp:
+    """The knapsack path: picked by non-unit costs, forced on unit costs."""
+
     def test_unit_cost_example(self):
-        sol = solve_dp(unit_problem([5, 3, 2], budget=2))
+        sol = solve_on_path(unit_problem([5, 3, 2], budget=2), topk=False)
         assert sol.x.tolist() == [1, 1, 0]
         assert sol.objective == 8
 
     def test_weighted_cost_example(self):
         p = problem([6, 5, 5], costs=[3, 2, 2], budget=4)
-        sol = solve_dp(p)
+        sol = solve(p)
         oracle = solve_bruteforce(p)
         assert sol.objective == oracle.objective == 10
         assert sol.x.tolist() == oracle.x.tolist() == [0, 1, 1]
 
     def test_zero_cost_parcels_always_protected(self):
-        sol = solve_dp(problem([0, 7, 4], costs=[0, 1, 1], budget=0))
+        sol = solve(problem([0, 7, 4], costs=[0, 1, 1], budget=0))
         assert sol.x.tolist() == [1, 0, 0]
-        sol = solve_dp(problem([9, 7], costs=[0, 3], budget=1))
+        sol = solve(problem([9, 7], costs=[0, 3], budget=1))
         assert sol.x.tolist() == [1, 0]
 
     def test_non_integer_costs_rejected(self):
@@ -148,7 +146,7 @@ class TestSolveDp:
 
     def test_huge_budget_is_capped_by_total_cost(self):
         # the DP table scales with min(budget, sum(costs)), not the raw budget
-        sol = solve_dp(problem([5, 3, 2], costs=[2, 3, 4], budget=10**12))
+        sol = solve(problem([5, 3, 2], costs=[2, 3, 4], budget=10**12))
         assert sol.x.tolist() == [1, 1, 1]
         assert sol.spent == 9
 
@@ -159,7 +157,7 @@ class TestSolveDp:
             costs=[1, 1, 1],
             budget=2,
         )
-        sol = solve_dp(p)
+        sol = solve_on_path(p, topk=False)
         assert sol.x.tolist() == [1, 1, 0]
         assert sol.objective == Fraction(2**70, 3) * 99
         oracle = solve_bruteforce(p)
@@ -177,7 +175,7 @@ class TestSolveDp:
         )
         tracemalloc.start()
         try:
-            solve_dp(p)
+            solve(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -193,9 +191,9 @@ class TestSolveDp:
         monkeypatch.setattr("reserveplan.solver.os.sysconf", pages.get)
         pages["SC_PHYS_PAGES"] = table_bytes - 1
         with pytest.raises(TableTooLargeError, match=f"^budget 9 needs a {table_bytes}-byte "):
-            solve_dp(p)
+            solve(p)
         pages["SC_PHYS_PAGES"] = table_bytes
-        assert solve_dp(p).x.tolist() == [1, 1, 1]
+        assert solve(p).x.tolist() == [1, 1, 1]
 
 
 class TestSolveSweep:
@@ -420,7 +418,7 @@ class TestSolveBruteforce:
     def test_agrees_with_dp_on_random_instance(self):
         rng = np.random.default_rng(99)
         p = random_problem(rng, max_parcels=12, parcels=12)
-        a, b = solve_dp(p), solve_bruteforce(p)
+        a, b = solve(p), solve_bruteforce(p)
         assert a.objective == b.objective
         assert a.x.tolist() == b.x.tolist()
 
@@ -429,14 +427,14 @@ class TestSolutionInvariants:
     @given(small_problems)
     @settings(max_examples=120, deadline=None)
     def test_dp_matches_bruteforce(self, p):
-        a, b = solve_dp(p), solve_bruteforce(p)
+        a, b = solve_on_path(p, topk=False), solve_bruteforce(p)
         assert a.objective == b.objective
         assert a.x.tolist() == b.x.tolist()
 
     @given(small_problems)
     @settings(max_examples=80, deadline=None)
     def test_feasible_and_objective_consistent(self, p):
-        for solver in (solve_dp, solve_bruteforce):
+        for solver in (solve, solve_bruteforce):
             sol = solver(p)
             assert sol.spent <= p.budget
             assert sol.spent == int(np.dot(p.costs, sol.x))
@@ -455,7 +453,7 @@ class TestSolutionInvariants:
         bigger = ReserveProblem(
             values=p.values, weights=p.weights, costs=p.costs, budget=p.budget + extra
         )
-        assert solve_dp(bigger).objective >= solve_dp(p).objective
+        assert solve(bigger).objective >= solve(p).objective
 
     @given(small_problems, st.integers(1, 7), st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
@@ -467,8 +465,8 @@ class TestSolutionInvariants:
             costs=p.costs,
             budget=p.budget,
         )
-        base = solve_dp(p)
-        alt = solve_dp(scaled)
+        base = solve(p)
+        alt = solve(scaled)
         assert base.x.tolist() == alt.x.tolist()
         assert alt.objective == base.objective * factor
 
@@ -478,6 +476,6 @@ class TestSolutionInvariants:
         rng = np.random.default_rng(seed)
         p = random_problem(rng, max_parcels=14, unit_costs=True)
         p = ReserveProblem(values=p.values, weights=p.weights, costs=p.costs, budget=budget)
-        a, b = solve_topk(p), solve_dp(p)
+        a, b = solve(p), solve_on_path(p, topk=False)
         assert a.x.tolist() == b.x.tolist()
         assert a.objective == b.objective
