@@ -103,6 +103,8 @@ def _weights(text: str) -> tuple:
 
 
 def _cmd_generate(args) -> int:
+    if args.scenario_dir == "":  # Path("") would be the working directory
+        args.parser.error("--scenario-dir must name a directory, got an empty path")
     try:
         if args.pool_size * args.grid**2 * 8 > sys.maxsize:  # numpy refuses such arrays naming no flag
             raise MemoryError
@@ -113,7 +115,7 @@ def _cmd_generate(args) -> int:
         ) from None
     docs = {args.out: fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid)}
     made = []  # the directories this call creates, deepest first, removed again if the write fails
-    if args.scenario_dir:
+    if args.scenario_dir is not None:
         scenario_dir = Path(args.scenario_dir)
         made = list(itertools.takewhile(lambda d: not d.exists(), (scenario_dir, *scenario_dir.parents)))
         scenario_dir.mkdir(parents=True, exist_ok=True)
@@ -218,14 +220,14 @@ def _cmd_report(args) -> int:
             rows = sorted(fileio.sweep_csv_to_rows(text), key=lambda r: r["budget"])
             budgets, similarities = [r["budget"] for r in rows], [r["similarity"] for r in rows]
             stats = summarize_similarities(budgets, similarities)
-            if args.plot_out and cases and budgets != cases[0][1]:
+            if args.plot_out is not None and cases and budgets != cases[0][1]:
                 raise ValueError(f"budget grid differs from {args.sweeps[0]}; cannot align plot data")
         cases.append((Path(path).stem, budgets, similarities, stats))
     rows = [fileio.stats_to_csv_row(label, st) for label, _, _, st in cases]
     series = [(label, sim) for label, _, sim, _ in cases]
-    fileio.write_report(args.out, rows, args.plot_out or None, cases[0][1], series)  # all or none
+    fileio.write_report(args.out, rows, args.plot_out, cases[0][1], series)  # all or none
     print(f"wrote {args.out} ({len(cases)} cases)")
-    if args.plot_out:
+    if args.plot_out is not None:
         print(f"wrote {args.plot_out} ({len(cases[0][1])} budgets x {len(cases)} series)")
     return 0
 

@@ -174,9 +174,9 @@ def build_species_suite(
     rounds = rng.integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
     # One working set serves every smoothing-rounds group: two flat buffers sized for the
     # largest group hold its draws, smoothing, rescale and values, and scoring writes its
-    # differences into the one not holding the values. A grid that is picked ranks in its
-    # group's top or bottom two, so only those grids' values are kept, ties at the cut
-    # included; the four picks become Landscapes from them.
+    # differences into the one not holding the values. A grid the pool picks is among its
+    # group's own select_extremes picks (a group is the pool's subset in index order), so
+    # only those, at most four per group, keep their values for the pool's four Landscapes.
     size = np.bincount(rounds).max() * grid * grid
     buffers = np.empty(size), np.empty(size)
     scores = np.empty(pool_size)
@@ -187,10 +187,7 @@ def build_species_suite(
         seeds = idx.astype(np.uint64) + np.uint64(seed) if fits else [seed + i for i in idx.tolist()]
         values, spare = _generate_values(grid, r, seeds, buffers)
         group = scores[idx] = fragmentation(values, scratch=spare)
-        keep = np.arange(len(group))
-        if len(group) > 4:
-            cut = np.argpartition(group, [1, len(group) - 2])
-            keep = np.flatnonzero((group <= group[cut[1]]) | (group >= group[cut[-2]]))
+        keep = np.concatenate(select_extremes(group, 2)) if len(group) >= 4 else np.arange(len(group))
         kept.update(zip(idx[keep].tolist(), values[keep]))
     most, least = select_extremes(scores, k=2)
     ranks = ("highest", "2nd highest", "lowest", "2nd lowest")

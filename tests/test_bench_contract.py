@@ -68,8 +68,11 @@ def test_tiny_workload_runs_and_checks_under_the_tracer(name, tmp_path):
     assert workload.check(inputs, out, tmp_path) == []
     assert tracer.counts[0]["dynamics.simulate.calls"] > 0
     if name == "paper":  # the suite scores and selects its pool through the traced names
-        assert tracer.counts[0]["landscape.kept"] == 4
-        assert tracer.counts[0]["landscape.fragmentation.calls"] >= 1
+        # each smoothing-rounds group of four or more grids picks its own four, then the pool
+        counts = tracer.counts[0]
+        assert counts["landscape.select_extremes.calls"] >= 1
+        assert counts["landscape.kept"] == 4 * counts["landscape.select_extremes.calls"]
+        assert counts["landscape.fragmentation.calls"] >= 1
 
 
 @pytest.mark.parametrize("name", ["paper", "knapsack"])

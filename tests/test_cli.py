@@ -540,6 +540,47 @@ class TestErrorHandling:
         assert "wrote" not in captured.out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
+    # (arguments, exit status, the error line); {scenario}, {counts} and {sweep} are
+    # input files outside the working directory, and "" is the output flag under test
+    IS_DIR = "error: cannot write .: it is a directory"
+    EMPTY_OUTPUT = {
+        "generate-out": ("generate --seed 0 --pool-size 8 --grid 2 --out", 1, IS_DIR),
+        "generate-scenario-dir": (
+            "generate --seed 0 --pool-size 8 --grid 2 --out suite.json --scenario-dir",
+            2,
+            "reserveplan generate: error: --scenario-dir must name a directory, got an empty path",
+        ),
+        "simulate-out": ("simulate --scenario {scenario} --out", 1, IS_DIR),
+        "solve-out": ("solve --counts {counts} --budget 1 --out", 1, IS_DIR),
+        "sweep-out": ("sweep --scenario {scenario} --out", 1, IS_DIR),
+        "render-out": ("render --scenario {scenario} --budget 5 --out", 1, IS_DIR),
+        "report-out": ("report {sweep} --out", 1, IS_DIR),
+        "report-plot-out": ("report {sweep} --out stats.csv --plot-out", 1, IS_DIR),
+    }
+
+    @pytest.mark.parametrize("case", EMPTY_OUTPUT.values(), ids=EMPTY_OUTPUT.keys())
+    def test_empty_output_path_is_refused_and_writes_nothing(self, workspace, tmp_path, monkeypatch, capsys, case):
+        # an empty path would name the working directory: every output flag refuses it
+        args, status, error = case
+        inputs, run = tmp_path / "in", tmp_path / "run"
+        inputs.mkdir()
+        run.mkdir()
+        fileio.write_json(inputs / "counts.json", {"n": 2, "species": 1, "counts": [[4, 5, 6, 7]]})
+        (inputs / "a.csv").write_text("budget,similarity,objective1,objective2\n0,100,0,0\n5,90,1,1\n10,100,2,2\n")
+        monkeypatch.chdir(run)
+        scenario = workspace / "scenarios/case1.json"
+        argv = args.format(scenario=scenario, counts=inputs / "counts.json", sweep=inputs / "a.csv").split()
+        try:
+            code = main([*argv, ""])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        assert code == status
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [error]
+        assert list(run.iterdir()) == []
+        assert sorted(p.name for p in inputs.iterdir()) == ["a.csv", "counts.json"]
+
     def test_knapsack_table_beyond_memory_exits_1_and_names_file(self, tmp_path, capsys):
         problem = tmp_path / "wide.json"
         problem.write_text(

@@ -128,7 +128,8 @@ class TestBuildSpeciesSuite:
     def test_picks_are_kept_not_regenerated(self, seed, pool_size, grid, picks, monkeypatch):
         # the picks' values are kept from their smoothing-rounds groups: no grid is drawn a
         # second time, and each equals its own generate_landscape bit for bit; on one-parcel
-        # grids every score is 0, so select_extremes' tie rule alone names the picks
+        # grids every score is 0, so select_extremes' tie rule alone names the picks. Each
+        # group of four or more grids keeps its own picks first; the last call is the pool's.
         calls, chosen = [], []
 
         def counting(*args):
@@ -144,7 +145,7 @@ class TestBuildSpeciesSuite:
         monkeypatch.setattr(experiment, "select_extremes", recording)
         suite = build_species_suite(seed, pool_size=pool_size, grid=grid)
         assert calls == []
-        ((most, least),) = chosen
+        most, least = chosen[-1]
         if picks is not None:
             assert (most.tolist(), least.tolist()) == picks
         rounds = pool_rounds(seed, pool_size)
@@ -173,7 +174,8 @@ class TestBuildSpeciesSuite:
     def test_working_set_scores_equal_per_landscape_reference(self, seed, pool_size, grid, monkeypatch):
         # every smoothing-rounds group reuses the suite's two buffers; the cases hold
         # groups of unequal size, odd and even rounds (the values end in either
-        # buffer), rounds that no grid draws (seed 0 of 4) and single parcels
+        # buffer), rounds that no grid draws (seed 0 of 4) and single parcels; the last
+        # select_extremes call reads the whole pool's scores, after the groups' own calls
         scored = []
 
         def recording(scores, k):
@@ -182,7 +184,8 @@ class TestBuildSpeciesSuite:
 
         monkeypatch.setattr(experiment, "select_extremes", recording)
         build_species_suite(seed, pool_size=pool_size, grid=grid)
-        (scores,) = scored
+        scores = scored[-1]
+        assert len(scores) == pool_size
         for i, r in enumerate(pool_rounds(seed, pool_size).tolist()):
             expected = fragmentation(generate_landscape(grid, r, seed + i).values[None])[0]
             assert scores[i].tobytes() == expected.tobytes(), (i, r)
@@ -200,6 +203,19 @@ class TestBuildSpeciesSuite:
         finally:
             tracemalloc.stop()
         assert peak <= 2.8e6
+
+    def test_tied_pool_keeps_four_grids_per_group(self):
+        # every one-parcel grid scores 0, so a cut keeping every grid tied at its group's
+        # second value would keep the whole 20k pool (6.3 MB peak); each group's own
+        # select_extremes picks keep at most four grids (~2.3 MB, the scores and draws)
+        build_species_suite(seed=0, pool_size=4, grid=2)
+        tracemalloc.start()
+        try:
+            build_species_suite(seed=0, pool_size=20_000, grid=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_paper_size_picks_are_pinned(self):
         # (seed, smoothing_rounds) of the seed-0, 10k-pool picks, recorded from

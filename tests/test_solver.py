@@ -18,6 +18,7 @@ from reserveplan import (
 from reserveplan.experiment import _model_grids
 from reserveplan.solver import _integer_scores, _solve_budgets, solve_models, solve_sweep
 from bruteforce import EnumerationLimitError, solve_bruteforce
+from milp import solve_milp
 from conftest import random_problem, solve_on_path
 
 
@@ -389,6 +390,21 @@ class TestSolveModels:
 
     def test_no_models_no_solutions(self):
         assert solve_models([], (1,), [1, 2], [3]) == []
+
+    @pytest.mark.parametrize("parcels", [200, 800, 1600])
+    def test_knapsack_optima_match_an_independent_milp(self, parcels):
+        # at benchmark scale, where enumeration cannot reach: two species weighted
+        # 9/10 and 1/10, costs 1-9, budgets from none to half the total cost
+        rng = np.random.default_rng(parcels)
+        values, costs = rng.integers(0, 51, size=(2, parcels)), rng.integers(1, 10, size=parcels)
+        weights = (Fraction(9, 10), Fraction(1, 10))
+        total = int(costs.sum())
+        budgets = [0, total // 7, total // 3, total // 2]
+        [(x, objectives, spent)] = solve_models([values], weights, costs, budgets)
+        for row, objective, cost, budget in zip(x, objectives, spent, budgets, strict=True):
+            optimum, den = solve_milp(ReserveProblem(values, weights, costs, budget))
+            assert objective * den == optimum, budget
+            assert cost == int(costs @ row) <= budget
 
 
 class TestProblemValidation:
