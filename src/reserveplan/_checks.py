@@ -50,16 +50,17 @@ def as_numbers(
                 raise ValueError(f"{name} must be finite") from None
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be numbers, got {a.dtype}")
-    if hi is not None and not np.all((a >= 0) & (a <= hi)):
+    lo, top = (a.min(), a.max()) if a.size else (0, 0)  # a NaN is both, and fails every comparison
+    if hi is not None and not (lo >= 0 and top <= hi):
         raise ValueError(f"{name} must lie in [0, {hi:g}]")
     if a.dtype.kind == "f":
-        if not np.isfinite(a).all():
+        if not (-np.inf < lo and top < np.inf):
             raise ValueError(f"{name} must be finite")
         if integer and not np.array_equal(np.rint(a), a):
             raise ValueError(f"{name} must be whole numbers")
-        if integer and not np.all(np.abs(a) < 2**63):
+        if integer and not (-(2**63) < lo and top < 2**63):
             raise ValueError(f"{name} must be integers within int64 range")
-    if np.any(a < 0):
+    if lo < 0:
         raise ValueError(f"{name} must be nonnegative")
     return a.astype(np.int64 if integer else np.float64)
 

@@ -103,8 +103,9 @@ def _weights(text: str) -> tuple:
 
 
 def _cmd_generate(args) -> int:
-    if args.scenario_dir == "":  # Path("") would be the working directory
-        args.parser.error("--scenario-dir must name a directory, got an empty path")
+    for flag, value, kind in (("out", args.out, "file"), ("scenario-dir", args.scenario_dir, "directory")):
+        if value == "":  # Path("") would be the working directory; refused before the pool is built
+            args.parser.error(f"--{flag} must name a {kind}, got an empty path")
     try:
         if args.pool_size * args.grid**2 * 8 > sys.maxsize:  # numpy refuses such arrays naming no flag
             raise MemoryError
@@ -215,6 +216,8 @@ def _cmd_render(args) -> int:
 def _cmd_report(args) -> int:
     cases = []  # (label, budgets, similarities, stats) per sweep
     for path in args.sweeps:
+        if (label := Path(path).stem) in (labels := [case[0] for case in cases]):  # one stats row each
+            raise CLIError(f"{args.sweeps[labels.index(label)]} and {path} both name case {label!r}")
         with _blame(path):
             text = Path(path).read_text(encoding="utf-8")
             rows = sorted(fileio.sweep_csv_to_rows(text), key=lambda r: r["budget"])
@@ -222,7 +225,7 @@ def _cmd_report(args) -> int:
             stats = summarize_similarities(budgets, similarities)
             if args.plot_out is not None and cases and budgets != cases[0][1]:
                 raise ValueError(f"budget grid differs from {args.sweeps[0]}; cannot align plot data")
-        cases.append((Path(path).stem, budgets, similarities, stats))
+        cases.append((label, budgets, similarities, stats))
     rows = [fileio.stats_to_csv_row(label, st) for label, _, _, st in cases]
     series = [(label, sim) for label, _, sim, _ in cases]
     fileio.write_report(args.out, rows, args.plot_out, cases[0][1], series)  # all or none
@@ -232,66 +235,74 @@ def _cmd_report(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "generate": (_cmd_generate, "generate a landscape pool, species suite, and scenarios"),
+    "simulate": (_cmd_simulate, "project a counts grid forward in time"),
+    "solve": (_cmd_solve, "solve one parcel-selection problem"),
+    "sweep": (_cmd_sweep, "run a scenario's budget sweep to CSV"),
+    "render": (_cmd_render, "render protection maps to SVG"),
+    "report": (_cmd_report, "summarize sweep CSVs into a stats table"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reserveplan",
-        description="Budget-constrained reserve selection on synthetic landscapes.",
-    )
+    description = "Budget-constrained reserve selection on synthetic landscapes."
+    parser = argparse.ArgumentParser(prog="reserveplan", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a landscape pool, species suite, and scenarios")
-    p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
-    p.add_argument("--out", required=True, help="suite JSON output path")
-    p.add_argument("--pool-size", type=_pool_size, default=10_000, help="landscapes to generate")
-    p.add_argument("--grid", type=_positive, default=10, help="landscape side length")
-    p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
-    p.set_defaults(func=_cmd_generate, parser=p)
-
-    p = sub.add_parser("simulate", help="project a counts grid forward in time")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--scenario", help="scenario JSON; uses its counts and parameters")
-    mode.add_argument("--counts", help="counts JSON to project")
-    p.add_argument("--params", help="dynamics parameter JSON (defaults per species count)")
-    p.add_argument("--round", action="store_true", help="round output to integer counts")
-    p.add_argument("--out", required=True, help="output JSON path")
-    p.set_defaults(func=_cmd_simulate, parser=p)
-
-    p = sub.add_parser("solve", help="solve one parcel-selection problem")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--problem", help="problem JSON")
-    mode.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
-    p.add_argument("--budget", type=_budget, help="budget for --counts input")
-    p.add_argument("--weights", type=_weights, help="comma-separated species weights, e.g. 9/10,1/10")
-    p.add_argument("--out", required=True, help="solution JSON output path")
-    p.set_defaults(func=_cmd_solve, parser=p)
-
-    p = sub.add_parser("sweep", help="run a scenario's budget sweep to CSV")
-    p.add_argument("--scenario", required=True, help="scenario JSON")
-    p.add_argument("--out", required=True, help="sweep CSV output path")
-    p.set_defaults(func=_cmd_sweep, parser=p)
-
-    p = sub.add_parser("render", help="render protection maps to SVG")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
-    mode.add_argument("--counts", help="counts JSON annotating the first panel")
-    p.add_argument("--budget", type=_budget, help="budget for --scenario input")
-    p.add_argument("--solution", help="solution JSON for the first panel")
-    p.add_argument("--counts2", help="counts JSON annotating the second panel")
-    p.add_argument("--solution2", help="solution JSON for the second panel")
-    p.add_argument("--out", required=True, help="SVG output path")
-    p.set_defaults(func=_cmd_render, parser=p)
-
-    p = sub.add_parser("report", help="summarize sweep CSVs into a stats table")
-    p.add_argument("sweeps", nargs="+", help="sweep CSV files, one case each")
-    p.add_argument("--out", required=True, help="stats CSV output path")
-    p.add_argument("--plot-out", help="aligned similarity-vs-budget CSV for plotting")
-    p.set_defaults(func=_cmd_report, parser=p)
-
+    for name, (_, text) in _COMMANDS.items():
+        _add_arguments(name, sub.add_parser(name, help=text))
     return parser
 
 
+def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    if name == "generate":
+        p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
+        p.add_argument("--out", required=True, help="suite JSON output path")
+        p.add_argument("--pool-size", type=_pool_size, default=10_000, help="landscapes to generate")
+        p.add_argument("--grid", type=_positive, default=10, help="landscape side length")
+        p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
+    elif name == "simulate":
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--scenario", help="scenario JSON; uses its counts and parameters")
+        mode.add_argument("--counts", help="counts JSON to project")
+        p.add_argument("--params", help="dynamics parameter JSON (defaults per species count)")
+        p.add_argument("--round", action="store_true", help="round output to integer counts")
+        p.add_argument("--out", required=True, help="output JSON path")
+    elif name == "solve":
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--problem", help="problem JSON")
+        mode.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
+        p.add_argument("--budget", type=_budget, help="budget for --counts input")
+        p.add_argument("--weights", type=_weights, help="comma-separated species weights, e.g. 9/10,1/10")
+        p.add_argument("--out", required=True, help="solution JSON output path")
+    elif name == "sweep":
+        p.add_argument("--scenario", required=True, help="scenario JSON")
+        p.add_argument("--out", required=True, help="sweep CSV output path")
+    elif name == "render":
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
+        mode.add_argument("--counts", help="counts JSON annotating the first panel")
+        p.add_argument("--budget", type=_budget, help="budget for --scenario input")
+        p.add_argument("--solution", help="solution JSON for the first panel")
+        p.add_argument("--counts2", help="counts JSON annotating the second panel")
+        p.add_argument("--solution2", help="solution JSON for the second panel")
+        p.add_argument("--out", required=True, help="SVG output path")
+    else:
+        p.add_argument("sweeps", nargs="+", help="sweep CSV files, one case each")
+        p.add_argument("--out", required=True, help="stats CSV output path")
+        p.add_argument("--plot-out", help="aligned similarity-vs-budget CSV for plotting")
+    p.set_defaults(func=_COMMANDS[name][0], parser=p)
+    return p
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, unknown = None, True
+    if argv and argv[0] in _COMMANDS:  # only the named subcommand's parser, as build_parser() gives it
+        parser = _add_arguments(argv[0], argparse.ArgumentParser(prog=f"reserveplan {argv[0]}"))
+        args, unknown = parser.parse_known_args(argv[1:])
+    if unknown:  # no subcommand, or arguments it does not take: the whole parser reports them
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CLIError, OSError, ValueError, MemoryError) as exc:

@@ -192,20 +192,11 @@ def build_species_suite(
     most, least = select_extremes(scores, k=2)
     ranks = ("highest", "2nd highest", "lowest", "2nd lowest")
     by_rank = {rank: Landscape(kept[i]) for rank, i in zip(ranks, [*most.tolist(), *least.tolist()])}
-    suite = []
-    for j, (label, rank, total) in enumerate(SUITE_LAYOUT):
-        landscape = by_rank[rank]
-        counts = distribute_population(landscape, total, seed + pool_size + j)
-        suite.append(
-            SpeciesSpec(
-                label=label,
-                fragmentation_rank=rank,
-                total=total,
-                landscape=landscape,
-                counts=counts,
-            )
-        )
-    return suite
+    return [
+        SpeciesSpec(label, rank, total, by_rank[rank],
+                    distribute_population(by_rank[rank], total, seed + pool_size + j))
+        for j, (label, rank, total) in enumerate(SUITE_LAYOUT)
+    ]
 
 
 def default_scenarios(suite: Sequence[SpeciesSpec], *, seed: int | None = None) -> list[Scenario]:

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import reprlib
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -372,17 +374,19 @@ def _json_text(obj) -> str:
 
 
 _SCALAR = {str, int, float, bool, type(None)}  # exact types the C encoder writes as the indenting one does
+_list_encoder = functools.cache(lambda inner: json.JSONEncoder(separators=("," + inner, ": ")).encode)
 
 
 def _indented(value, pad: str) -> str:
     """``value`` as ``json.dumps(indent=2)`` writes it at the depth where lines start with ``pad``."""
     inner = pad + "  "
     if isinstance(value, dict) and value:  # json.dumps({key: None}) is "{", the key and ': ', then "null}"
-        items = (json.dumps({key: None})[1:-5] + _indented(item, inner) for key, item in value.items())
+        items = ((encode_basestring_ascii(key) + ": " if type(key) is str else json.dumps({key: None})[1:-5])
+                 + _indented(item, inner) for key, item in value.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) <= _SCALAR:  # no indent keeps json on its C encoder
-            return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + pad + "]"
+        if set(map(type, value)) <= _SCALAR:  # no indent keeps json on its C encoder, one per depth
+            return "[" + inner + _list_encoder(inner)(value)[1:-1] + pad + "]"
         return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + pad + "]"
     if type(value) in _SCALAR:
         return json.dumps(value)
@@ -443,8 +447,9 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
             except ValueError as exc:
                 raise _fail(line, f"{field} {exc}") from None
         for field, text in zip(SWEEP_HEADER[2:], record[2:]):
+            digits = text.isascii() and text.replace("/", "", 1).isdecimal()  # n or n/d: read as ints
             try:
-                values.append(Fraction(text))
+                values.append(Fraction(*map(int, text.split("/"))) if digits else Fraction(text))
             except (ValueError, ZeroDivisionError):
                 raise _fail(line, f"{field} must be a rational number, got {reprlib.repr(text)}") from None
             if values[-1] < 0:

@@ -137,8 +137,8 @@ def _generate_values(n: int, rounds: int, seeds: Sequence[int], buffers=None) ->
     along = np.add(np.arange(n) > 0, np.arange(n) < n - 1, dtype=float)  # in-grid neighbours on one axis
     count = (1.0 + along[:, None] + along)[..., None]
     for _ in range(rounds):  # each cell becomes the mean of itself and its in-grid orthogonal neighbours
-        np.copyto(total, h)
-        total[1:] += h[:-1]
+        np.add(h[1:], h[:-1], out=total[1:])  # self + up, the first row self alone
+        total[0] = h[0]
         total[:-1] += h[1:]
         total[:, 1:] += h[:, :-1]
         total[:, :-1] += h[:, 1:]

@@ -182,6 +182,18 @@ class TestSweepAndReport:
         assert code == 1
         assert "budget grid differs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second", ["b/c1.csv", "a/c1.csv", "b/c1.txt"])
+    def test_report_refuses_two_sweeps_of_one_case_name(self, tmp_path, monkeypatch, capsys, second):
+        # the stats table and the plot would carry two columns, or rows, labelled c1
+        monkeypatch.chdir(tmp_path)
+        for path in {"a/c1.csv", "other.csv", second}:
+            Path(path).parent.mkdir(exist_ok=True)
+            Path(path).write_text("budget,similarity,objective1,objective2\n0,100,0,0\n5,90,1,1\n10,100,2,2\n")
+        before = sorted(str(p) for p in tmp_path.rglob("*"))
+        assert main(["report", "a/c1.csv", "other.csv", second, "--out", "s.csv", "--plot-out", "p.csv"]) == 1
+        assert capsys.readouterr() == ("", f"error: a/c1.csv and {second} both name case 'c1'\n")
+        assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+
 
 class TestSimulateSolveRenderChain:
     def test_full_chain(self, workspace, tmp_path, capsys):
@@ -388,17 +400,58 @@ class TestErrorHandling:
             ["render", "--counts", "c.json", "--solution", "s.json", "--counts2", "d.json"],
             "--counts2 and --solution2 go together",
         ),
+        # refused before the pool is built, which here would be refused as past the address space
+        "generate-empty-out": (
+            ["generate", "--seed", "0", "--pool-size", str(2**40), "--grid", str(2**20), "--out", ""],
+            "reserveplan generate: error: --out must name a file, got an empty path",
+        ),
     }
+
+    @staticmethod
+    def misuse_argv(case, out):
+        argv, _ = TestErrorHandling.MISUSE[case]
+        return argv if "--out" in argv else [*argv, "--out", str(out)]
 
     @pytest.mark.parametrize("case", sorted(MISUSE))
     def test_input_mode_misuse_is_usage_error(self, tmp_path, capsys, case):
-        argv, message = self.MISUSE[case]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", str(out)])
+            main(self.misuse_argv(case, out))
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        assert self.MISUSE[case][1] in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def run_whole_parser(argv):
+        """``main(argv)`` as it ran before ``main`` built one subcommand's parser: through ``build_parser()``."""
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    @pytest.mark.parametrize("case", sorted(MISUSE))
+    def test_misuse_reads_the_same_from_the_whole_parser(self, tmp_path, capsys, case):
+        argv = self.misuse_argv(case, tmp_path / "out")
+        seen = []
+        for run in (main, self.run_whole_parser):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[name, "--help"] for name in cli._COMMANDS]
+        + [["--help"], [], ["frobnicate"], ["sweep", "--scenario", "x.json", "--out", "y.csv", "--bogus"],
+           ["report", "a.csv", "--out", "s.csv", "extra", "--plot"], ["solve", "-h", "--bogus"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_help_and_usage_errors_read_the_same_from_the_whole_parser(self, capsys, argv):
+        seen = []
+        for run in (main, self.run_whole_parser):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == (0 if "-h" in argv or "--help" in argv else 2)
 
     def test_missing_file_exits_1_and_names_it(self, tmp_path, capsys):
         code = main(["sweep", "--scenario", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o.csv")])
@@ -544,7 +597,11 @@ class TestErrorHandling:
     # input files outside the working directory, and "" is the output flag under test
     IS_DIR = "error: cannot write .: it is a directory"
     EMPTY_OUTPUT = {
-        "generate-out": ("generate --seed 0 --pool-size 8 --grid 2 --out", 1, IS_DIR),
+        "generate-out": (
+            "generate --seed 0 --pool-size 8 --grid 2 --out",
+            2,
+            "reserveplan generate: error: --out must name a file, got an empty path",
+        ),
         "generate-scenario-dir": (
             "generate --seed 0 --pool-size 8 --grid 2 --out suite.json --scenario-dir",
             2,

@@ -219,6 +219,30 @@ class TestCsv:
         with pytest.raises(SchemaError, match="^" + re.escape(f"sweep.line3: {message}") + "$"):
             fileio.sweep_csv_to_rows(text)
 
+    # ASCII digit objectives are read as ints; everything else must fall through to Fraction
+    OBJECTIVES = [
+        "0", "7", "007", "0/5", "00/0007", "12/18", "2381/10", "9" * 4300, "9" * 4301, "1/" + "9" * 4300,
+        "3/0", "5/", "/5", "1/2/3", "", " 3", "3 ", "+3", "-1", "1_0", "3.5", "1e3", "1/2.5",
+        "\u0663", "\u0663/\u0664", "1/\u0664", "\uff13", "\u00b2", "nan", "inf",
+    ]
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=range(len(OBJECTIVES)))
+    def test_objectives_read_as_fraction_reads_them(self, objective):
+        try:
+            want = Fraction(objective)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        text = f"budget,similarity,objective1,objective2\n0,100,{objective},1\n"
+        if want is None:
+            with pytest.raises(SchemaError, match=r"^sweep\.line2: objective1 must be a rational number, got "):
+                fileio.sweep_csv_to_rows(text)
+        elif want < 0:
+            with pytest.raises(SchemaError, match=r"^sweep\.line2: objective1 must be nonnegative"):
+                fileio.sweep_csv_to_rows(text)
+        else:
+            got = fileio.sweep_csv_to_rows(text)[0]["objective1"]
+            assert type(got) is Fraction and got == want
+
     def test_stats_row_formatting(self):
         from reserveplan import SimilarityStats
 

@@ -24,7 +24,7 @@ from reserveplan import (
 )
 from reserveplan import landscape
 from reserveplan.experiment import MAX_SMOOTHING_ROUNDS
-from reserveplan._pcg import _word_order, uniform_grids
+from reserveplan._pcg import _MULT_HI, _MULT_LO, _seeded, _word_order, uniform_grids
 from reserveplan.landscape import _generate_values
 
 from conftest import reference_landscape_values
@@ -218,6 +218,33 @@ class TestUniformGrids:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    @staticmethod
+    def seeded_reference(words):
+        """``_pcg._seeded`` as Python big ints: each seed one 256-bit lane (seed, then seq), each
+        128-bit half high word first, as ``pcg64_set_seed`` reads them."""
+        m = words.shape[1]
+        lanes = int.from_bytes(words[[2, 3, 0, 1, 6, 7, 4, 5]].T.astype("<u4", order="C").tobytes(), "little")
+        low = int.from_bytes((b"\xff" * 16 + bytes(16)) * m, "little")  # the low 128 bits of each lane
+        inc = (lanes >> 127 | int.from_bytes((b"\x01" + bytes(31)) * m, "little")) & low  # 2·seq + 1
+        state = ((lanes & low) + inc) * (_MULT_HI << 64 | _MULT_LO) + inc & low
+        return np.frombuffer((state | inc << 128).to_bytes(32 * m, "little"), dtype="<u8").reshape(m, 4)
+
+    def test_seeding_matches_big_int_lanes(self):
+        rng = np.random.default_rng(2024)
+        words = rng.integers(0, 2**32, size=(8, 12_000), dtype=np.uint32)
+        top = np.uint32(2**32 - 1)
+        words[:, 0] = top  # every word all ones: each 128-bit sum carries out of both words
+        words[:, 1] = 0
+        words[[5, 7], 2] = 2**31  # the seq's two high bits: shifted out of 2·seq + 1, and across its words
+        words[4:, 3] = top  # every seq bit set
+        words[:4, 4], words[4:, 4] = top, 0  # the seed alone all ones: the state's first sum carries
+        words[:4, 5], words[4:, 5] = 0, top
+        got = _seeded(words)
+        assert got.shape == (12_000, 4) and got.dtype == np.uint64
+        assert got.astype("<u8").tobytes() == self.seeded_reference(words).tobytes()
+        for m in (0, 1):
+            assert _seeded(words[:, :m]).tobytes() == self.seeded_reference(words[:, :m]).tobytes()
 
     def test_unknown_state_layout_refused_naming_numpy_version(self):
         from numpy.random import PCG64
