@@ -124,13 +124,13 @@ def default_params(species_count: int) -> LVParams:
     )
 
 
-def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.ndarray:
+def _project(state: np.ndarray, params: LVParams, steps: int) -> np.ndarray:
     """Advance a (species, columns) state by ``steps`` steps: a (species, columns) array.
 
-    Every column given is stepped; ``simulate`` passes each distinct one once. A given
-    ``check(step, x)`` runs after every step; without one the steps run in one
-    loop with no per-step call. Per-call numpy cost dominates on these small
-    states, and a broadcast, strided or many-axis operand costs more than a
+    Every column given is stepped; ``simulate`` passes each distinct one once. A step
+    reads only the state, so runs compose exactly: ``_project(_project(x, p, a), p, b)``
+    equals ``_project(x, p, a + b)`` bit for bit. Per-call numpy cost dominates on
+    these small states, and a broadcast, strided or many-axis operand costs more than a
     contiguous 1-D one, so every operand is built once at the state's size and
     each step runs on flat views. The state lives in ``xx = [x; x]``, recopied
     once a step, beside scratch ``q = [r*x | beta*x | products]``. A step forms
@@ -163,25 +163,26 @@ def _project(state: np.ndarray, params: LVParams, steps: int, check=None) -> np.
     products = q[2 * cells :]
     pressure, terms = products[:cells], [products[j : j + cells] for j in range(cells, products.size, cells)]
     multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
-    stride, stops = (1, steps) if check else (steps, 1)
-    for stop in range(1, stops + 1):
-        for _ in range(stride):
-            multiply(alphas, rows, products)
-            for term in terms:
-                add(pressure, term, pressure)
-            multiply(rb, xx, linear)
-            multiply(quadratic, xx, quadratic)
-            subtract(rx, pressure, rx)
-            subtract(rx, bxx, rx)
-            multiply(dt, rx, rx)
-            add(x, rx, x)
-            maximum(zero, x, out=x)
-            copy[...] = x
-            if tile is not None:
-                tile[...] = column
-        if check:
-            check(stop, x.reshape(s, width))
+    for _ in range(steps):
+        multiply(alphas, rows, products)
+        for term in terms:
+            add(pressure, term, pressure)
+        multiply(rb, xx, linear)
+        multiply(quadratic, xx, quadratic)
+        subtract(rx, pressure, rx)
+        subtract(rx, bxx, rx)
+        multiply(dt, rx, rx)
+        add(x, rx, x)
+        maximum(zero, x, out=x)
+        copy[...] = x
+        if tile is not None:
+            tile[...] = column
     return x.reshape(s, width)
+
+
+def _refused(state: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """Where a count is not finite, or is zero from a positive start (only the clamp does that)."""
+    return ~np.isfinite(state) | ((state == 0.0) & (initial > 0.0))
 
 
 def _columns(matrix: np.ndarray) -> list[bytes]:
@@ -194,8 +195,9 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
 
     Parcels do not interact: the projection of a grid equals the projection of
     each parcel in isolation, reassembled. A count that leaves the float range
-    or is clamped from positive to zero is refused, naming its step and parcel
-    (or the parcel alone, should its re-run not repeat the fault).
+    or is clamped from positive to zero is refused, naming its parcel and its first
+    refused step, found by bisecting that parcel's run alone in exact segments
+    (``_project``'s runs compose bit for bit); should that run pass, the parcel alone.
     A schedule past ``MAX_CELL_STEPS`` (T x species x distinct columns) is
     refused before the first step, naming T, whatever the memo holds.
 
@@ -236,19 +238,25 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
             for i, end in zip(new, _columns(_project(columns.T, params, params.T))):
                 ends[i] = end
         state = np.frombuffer(b"".join(ends), np.float64).reshape(-1, s).T.take(inverse, axis=1)
-        # A positive count reaches exactly zero only by the clamp, and then stays there.
-        bad = ~np.isfinite(state) | ((state == 0.0) & (initial > 0.0))
+        bad = _refused(state, initial)
         if bad.any():
-            # Parcels evolve independently: re-running the first bad one alone finds its step.
+            # Parcels evolve independently, and a refused count stays refused (a non-finite
+            # one stays so, a clamped one 0 or NaN): bisect the first bad one's run alone.
             parcel = int(bad.any(axis=0).argmax())
-            start = initial[:, [parcel]]
-            def check(step: int, column: np.ndarray) -> None:
-                if not np.isfinite(column).all():
-                    raise ValueError(f"projected counts overflow at step {step} in parcel {parcel}")
-                if np.any((column == 0.0) & (start > 0.0)):
-                    raise ValueError(f"projected counts clamped to zero at step {step} in parcel {parcel}")
-            _project(start, params, params.T, check)
-            raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
+            x = start = initial[:, [parcel]]
+            lo, hi = 0, params.T  # x is the state at step lo, not refused
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                y = _project(x, params, mid - lo)
+                if _refused(y, start).any():
+                    hi = mid
+                else:
+                    x, lo = y, mid
+            x = _project(x, params, hi - lo)
+            if not _refused(x, start).any():
+                raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
+            kind = "clamped to zero" if np.isfinite(x).all() else "overflow"
+            raise ValueError(f"projected counts {kind} at step {hi} in parcel {parcel}")
     if new:
         _memo.store(key, {starts[i]: ends[i] for i in new}, s)
     return state.reshape(-1, observed.n, observed.n)

@@ -341,8 +341,8 @@ def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
 def read_json(path: str | os.PathLike):
     """Parse a strict JSON file; schema errors downstream carry the file name via the CLI.
 
-    ``NaN`` and ``Infinity`` literals, numbers that overflow a float and a key
-    repeated within one object are refused.
+    ``NaN`` and ``Infinity`` literals, numbers that overflow a float, a key
+    repeated within one object and nesting too deep to parse are refused.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -350,6 +350,8 @@ def read_json(path: str | os.PathLike):
                              object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
 
 
 def _finite_float(text: str) -> float:
@@ -428,13 +430,15 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
     """Parse a sweep CSV into dicts with integer budget/similarity and Fraction objectives."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header, records = next(reader), list(reader)
     except StopIteration:
         raise _fail(where, "empty CSV") from None
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise _fail(f"{where}.line{reader.line_num}", str(exc)) from None
     if header != SWEEP_HEADER:
         raise _fail(f"{where}.header", f"expected {','.join(SWEEP_HEADER)}, got {','.join(header)}")
     rows, lines = [], {}  # lines: budget -> line number it was first read on
-    for lineno, record in enumerate(reader, start=2):
+    for lineno, record in enumerate(records, start=2):
         if not record:
             continue
         line = f"{where}.line{lineno}"

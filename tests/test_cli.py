@@ -573,6 +573,21 @@ class TestErrorHandling:
         assert "a.csv: sweep.line3: budget must be a nonnegative integer, got '-5'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_json_exits_1_naming_the_file(self, tmp_path):
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        run = _python(["-m", "reserveplan.cli", "simulate", "--counts", "deep.json", "--out", "o.json"], tmp_path)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: deep.json: invalid JSON: nested too deeply\n"  # one line, no traceback
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+
+    def test_report_field_past_the_csv_limit_exits_1_naming_file_and_line(self, tmp_path):
+        sweep = f"budget,similarity,objective1,objective2\n0,100,0,0\n5,90,{'1' * 200_000},1\n"
+        (tmp_path / "big.csv").write_text(sweep)
+        run = _python(["-m", "reserveplan.cli", "report", "big.csv", "--out", "s.csv"], tmp_path)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: big.csv: sweep.line3: field larger than field limit (131072)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
     @pytest.mark.parametrize("plot", ["s.csv", "sub/../s.csv"])
     def test_report_refuses_stats_and_plot_naming_one_file(self, tmp_path, monkeypatch, capsys, plot):
         # the plot series would silently replace the stats table

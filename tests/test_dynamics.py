@@ -43,6 +43,49 @@ def first_step(start, params: LVParams, bad) -> int:
     raise AssertionError("the reference never turned bad")
 
 
+def unstable_grid(rng: np.random.Generator, mode: int) -> tuple[np.ndarray, LVParams]:
+    """A (species, 9) integer state of a 3x3 grid, some parcels empty, and a schedule
+    that may refuse it: growth of 4x a step against crowding escapes below zero after a
+    start-dependent transient (modes 0 and 1, mode 1 over 400 steps), crowding past
+    1 + r clamps at once (mode 2), and huge rates overflow at a step set by the start's
+    magnitude (mode 3)."""
+    s = int(rng.choice([1, 2, 3, 5]))
+    empty = rng.integers(0, 2, size=9)
+    counts = rng.integers(1, 60, size=(s, 9))
+    r, beta, scale = rng.uniform(3.0, 3.01, s), rng.uniform(0.01, 0.05, s), 0.001
+    if mode == 2:
+        r, beta, counts = rng.uniform(0.5, 2.0, s), rng.uniform(0.5, 1.0, s), counts + 10
+    elif mode == 3:
+        r, beta, scale = 10 ** rng.uniform(1, 20, s), np.zeros(s), 1e-300
+        counts = 10 ** rng.integers(0, 18, size=(s, 9))
+    alpha = rng.uniform(0.0, scale, size=(s, s))
+    np.fill_diagonal(alpha, 0.0)
+    T = 400 if mode == 1 else int(rng.integers(1, 200))
+    return counts * empty, LVParams(r=r, alpha=alpha, beta=beta, dt=1.0, T=T)
+
+
+def refused(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per count: not finite, or zero from a positive start (the rule ``simulate`` refuses by)."""
+    return ~np.isfinite(x) | ((x == 0.0) & (start > 0.0))
+
+
+def scan_refusal(counts: np.ndarray, params: LVParams):
+    """(step, kind, parcel) for the first parcel refused after T steps, or None, stepping each
+    parcel alone by one-step ``_project`` calls: its first refused step, and overflow if a
+    count is not finite there."""
+    for parcel in range(counts.shape[1]):
+        start = counts[:, [parcel]].astype(float)
+        x, first = start, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, params.T + 1):
+                x = _project(x, params, 1)
+                if first is None and refused(x, start).any():
+                    first = (k, "clamped to zero" if np.isfinite(x).all() else "overflow", parcel)
+        if refused(x, start).any():
+            return first
+    return None
+
+
 class TestParams:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
@@ -202,8 +245,11 @@ class TestSimulate:
         )
         pool = rng.integers(0, 300, size=(species, 4)).astype(float)
         state = pool[:, rng.integers(0, 4, size=11)]
-        checked = _project(state, params, params.T, check=lambda *_: None)
-        assert checked.tobytes() == _project(state, params, params.T).tobytes()
+        # the refusal bisection steps in segments: a run split anywhere gives one call's bytes
+        whole = _project(state, params, params.T).tobytes()
+        for split in (0, 1, params.T // 2, params.T - 1, params.T):
+            head = _project(state, params, split)
+            assert _project(head, params, params.T - split).tobytes() == whole
 
     def test_two_species_steps_match_the_scalar_reference_on_repeated_columns(self, monkeypatch):
         # Asymmetric r, beta and alpha, so swapping any pair, or pairing a species with
@@ -215,9 +261,9 @@ class TestSimulate:
         reference = [state.T.tolist()]
         for _ in range(params.T):
             reference.append([scalar_step(column, params) for column in reference[-1]])
-        seen = []
-        got = _project(state, params, params.T, lambda k, x: seen.append((k, x.T.tolist())))
-        assert seen == list(enumerate(reference[1:], start=1))
+        for k in range(1, params.T + 1):
+            assert _project(state, params, k).T.tolist() == reference[k]
+        got = _project(state, params, params.T)
         assert got.T.tolist() == reference[-1]
         # simulate steps the three distinct columns once and hands parcel 2 the counts of parcel 0
         widths = []
@@ -243,9 +289,9 @@ class TestSimulate:
         reference = [state.T.tolist()]
         for _ in range(params.T):
             reference.append([scalar_step(column, params) for column in reference[-1]])
-        seen = []
-        got = _project(state, params, params.T, lambda k, x: seen.append((k, x.T.tolist())))
-        assert seen == list(enumerate(reference[1:], start=1))
+        for k in range(1, params.T + 1):
+            assert _project(state, params, k).T.tolist() == reference[k]
+        got = _project(state, params, params.T)
         assert got.T.tolist() == reference[-1]
         assert np.all(got > 0.0)  # no count was clamped away, so every step tested all species
 
@@ -321,20 +367,105 @@ class TestSimulate:
             simulate(grid, params)
 
     def test_refusal_names_the_parcel_when_its_rerun_names_no_step(self, monkeypatch):
-        # The step comes from re-running the bad parcel alone; should that re-run stay
+        # The step comes from bisecting the bad parcel's run alone; should that run stay
         # finite and unclamped, the batch's bad counts are still refused.
-        real, calls = _project, []
-        def batch_goes_bad(state, params, steps, check=None):
-            calls.append(check is not None)
-            out = real(state, params, steps, check)
-            if check is None:
+        real, widths = _project, []
+        def batch_goes_bad(state, params, steps):
+            widths.append(state.shape[1])
+            out = real(state, params, steps)
+            if state.shape[1] == 4:
                 out[0, 2] = np.nan
             return out
         monkeypatch.setattr(dynamics, "_project", batch_goes_bad)
         grid = CountsGrid(np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]]))
         with pytest.raises(ValueError, match="^projected counts overflow or clamp to zero in parcel 2$"):
             simulate(grid, dataclasses.replace(default_params(2), T=5))
-        assert calls == [False, True]
+        assert widths[0] == 4 and set(widths[1:]) == {1}
+
+    # (r, alpha, beta, start, T, message): parcel 1 of a 2x2 grid starts at `start`, the others empty
+    EDGES = {
+        # r*dt*N passes the float maximum in the first step
+        "overflow-1-species-step-1": ([1e307], [[0.0]], [0.0], [100], 5, "overflow at step 1"),
+        # 1.5**k passes the float maximum at k = 1751, the last step
+        "overflow-1-species-step-T": ([0.5], [[0.0]], [0.0], [1], 1751, "overflow at step 1751"),
+        # 10 + (1 - 100) < 0: crowding overshoots in the first step
+        "clamp-1-species-step-1": ([0.1], [[0.0]], [1.0], [10], 5, "clamped to zero at step 1"),
+        # 1 -> 25.9 -> 606.3 -> negative at step 3, the last step
+        "clamp-1-species-step-T": ([25.0], [[0.0]], [0.1], [1], 3, "clamped to zero at step 3"),
+        # species 0 overflows in the first step, species 1 stays finite
+        "overflow-2-species-step-1": (
+            [1e307, 0.1], [[0.0, 0.001], [0.001, 0.0]], [0.0, 0.001], [100, 5], 5, "overflow at step 1"),
+        # species 0 overflows at the last step beside a steady species 1
+        "overflow-2-species-step-T": (
+            [0.5, 0.0], [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [1, 7], 1751, "overflow at step 1751"),
+        # species 1 presses 10 + (1 - 10 * 20) < 0 on species 0 in the first step
+        "clamp-2-species-step-1": (
+            [0.1, 0.1], [[0.0, 1.0], [0.0, 0.0]], [0.001, 0.001], [10, 20], 5, "clamped to zero at step 1"),
+        # species 0 overshoots as in the 1-species case beside a growing species 1
+        "clamp-2-species-step-T": (
+            [25.0, 0.1], [[0.0, 0.0], [0.0, 0.0]], [0.1, 0.001], [1, 10], 3, "clamped to zero at step 3"),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", EDGES)
+    def test_refusal_at_the_first_or_the_last_step_is_named(self, case):
+        r, alpha, beta, start, T, message = self.EDGES[case]
+        counts = np.array([[[0, v], [0, 0]] for v in start])
+        params = LVParams(r=r, alpha=alpha, beta=beta, dt=1.0, T=T)
+        with pytest.raises(ValueError, match=f"^projected counts {message} in parcel 1$"):
+            simulate(CountsGrid(counts), params)
+
+    @pytest.mark.parametrize("species", [1, 2, 5])
+    def test_a_refused_column_stays_refused(self, species):
+        # The bisection needs refusal to persist: a non-finite count stays non-finite, and
+        # a count clamped from a positive start stays 0 or turns NaN. Growth of 4x a step
+        # against crowding escapes below zero after a start-dependent transient; huge rates
+        # without crowding overflow at a step set by the start's magnitude.
+        rng = np.random.default_rng(species)
+        present = rng.integers(0, 2, size=(species, 40)) | np.eye(species, 40, dtype=int)
+        unstable = (
+            (rng.uniform(3.0, 3.3, species), rng.uniform(0.01, 0.05, species), rng.uniform(1, 60, (species, 40))),
+            (10 ** rng.uniform(1, 20, species), np.zeros(species), 10 ** rng.uniform(0, 100, (species, 40))),
+        )
+        kinds = set()
+        for r, beta, start in unstable:
+            alpha = rng.uniform(0.0, 0.001, size=(species, species))
+            np.fill_diagonal(alpha, 0.0)
+            params = LVParams(r=r, alpha=alpha, beta=beta, dt=1.0, T=1)
+            start = start * present
+            x, onset = start, np.zeros(40, int)  # each column's first refused step, or 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, 201):
+                    x = _project(x, params, 1)
+                    now = refused(x, start).any(axis=0)
+                    assert np.all(now[onset > 0])
+                    onset[now & (onset == 0)] = k
+                    kinds |= {"clamp" if np.isfinite(x[:, c]).all() else "overflow" for c in np.flatnonzero(now)}
+            assert len(set(onset.tolist()) - {0}) >= 5  # onsets spread over many steps
+        assert kinds == {"overflow", "clamp"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bisection_names_what_a_one_step_scan_names(self):
+        # 48 seeded unstable grids of 1 to 5 species (see unstable_grid); each fourth is
+        # run only to its onset, so its refused step is T, and mode 2 clamps at step 1.
+        seen = []
+        for case in range(48):
+            rng = np.random.default_rng(case)
+            while True:
+                counts, params = unstable_grid(rng, mode=case % 4)
+                if (found := scan_refusal(counts, params)) is not None:
+                    break
+            if case % 4 == 1:
+                params = dataclasses.replace(params, T=found[0])
+                found = scan_refusal(counts, params)
+            step, kind, parcel = found
+            seen.append((step, step == params.T, kind))
+            grid = CountsGrid(counts.reshape(-1, 3, 3))
+            with pytest.raises(ValueError, match=f"^projected counts {kind} at step {step} in parcel {parcel}$"):
+                simulate(grid, params)
+        steps, at_T, kinds = zip(*seen)
+        assert 1 in steps and sum(at_T) >= 12 and max(steps) > 50
+        assert set(kinds) == {"overflow", "clamped to zero"}
 
     def test_cell_step_cap_is_far_above_a_60000_step_projection_of_5_species_on_100x100(self):
         assert dynamics.MAX_CELL_STEPS >= 30 * 60_000 * 5 * 100 * 100
