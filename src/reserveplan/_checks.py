@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from fractions import Fraction
 from numbers import Integral, Real
@@ -21,10 +22,10 @@ def as_numbers(
     The array must have ``shape``: ``None`` in it matches any length, and
     ``()`` asks for a single number. A mismatch raises
     InvalidDimensionError naming ``name``. Raises ValueError naming ``name``
-    for non-numeric or ragged input, NaN or infinities, fractions where
-    integers are required, integers outside int64, and values below 0 or
-    above ``hi``. The upper bound is checked first, so a NaN under it is
-    reported as out of range.
+    for non-numeric or ragged input, a bool as a single number, NaN or
+    infinities, fractions where integers are required, integers outside
+    int64, and values below 0 or above ``hi``. The upper bound is checked
+    first, so a NaN under it is reported as out of range.
     """
     try:
         a = np.asarray(value)
@@ -35,19 +36,18 @@ def as_numbers(
             raise InvalidDimensionError(f"{name} must be a single number, got shape {a.shape}")
         want = str(shape).replace("None", "any")
         raise InvalidDimensionError(f"{name} must have shape {want}, got {a.shape}")
+    if shape == () and a.dtype.kind == "b":  # True is an int to Python, not a count to a caller
+        raise ValueError(f"{name} must be a number, got {value!r}")
     # Python ints past int64 arrive as uint64 or object arrays
     if a.dtype.kind == "u" and integer and a.size and int(a.max()) >= 2**63:
         raise ValueError(f"{name} must be integers within int64 range")
     if a.dtype.kind == "O" and all(isinstance(v, Real) for v in a.flat):
-        if integer and all(isinstance(v, Integral) for v in a.flat):
-            if not all(-(2**63) <= v < 2**63 for v in a.flat):
-                raise ValueError(f"{name} must be integers within int64 range")
-            a = a.astype(np.int64)
-        else:
-            try:
-                a = a.astype(np.float64)
-            except OverflowError:  # an integer past the float range
-                raise ValueError(f"{name} must be finite") from None
+        exact = integer and all(isinstance(v, Integral) for v in a.flat)
+        try:
+            a = a.astype(np.int64 if exact else np.float64)
+        except OverflowError:  # an integer past int64, or past the float range
+            within = "integers within int64 range" if exact else "finite"
+            raise ValueError(f"{name} must be {within}") from None
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be numbers, got {a.dtype}")
     lo, top = (a.min(), a.max()) if a.size else (0, 0)  # a NaN is both, and fails every comparison
@@ -63,6 +63,13 @@ def as_numbers(
     if lo < 0:
         raise ValueError(f"{name} must be nonnegative")
     return a.astype(np.int64 if integer else np.float64)
+
+
+def as_seed(value) -> int:
+    """``value`` as a seed: a nonnegative integer of any size, as numpy seeds take."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {reprlib.repr(value)}")
+    return int(value)
 
 
 def as_weights(value, name: str) -> tuple[Fraction, ...]:

@@ -3,8 +3,7 @@
 ``uniform_grids(seeds, out)[i]`` equals ``np.random.default_rng(seeds[i]).random((n, n))``
 exactly. All seeds are hashed at once, ``SeedSequence``'s four pool words of every seed held
 as four contiguous uint32 rows and the hash constants made once, at import; they are seeded
-in numpy uint64 words, ~4x faster than as Python big ints (on a 2-vCPU x86-64 host the ``paper``
-benchmark's median peak RSS read 42.41 -> 42.35 MB with it). Each seed's state is then loaded
+in numpy uint64 words, ~4x faster than as Python big ints. Each seed's state is then loaded
 into one ``PCG64``, as building a generator per seed cost more than drawing its grid.
 ``numpy.random`` is imported at the first draw.
 """
@@ -90,9 +89,7 @@ def _seed_words(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
         words = np.zeros((_POOL, len(seeds)), dtype="<u4")
         words[:2] = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
         return words
-    seeds = [operator.index(s) for s in seeds]
-    if seeds and min(seeds) < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")
+    seeds = [operator.index(s) for s in seeds]  # nonnegative: as_seed checks them at the public entries
     width = max(_POOL, (max(seeds, default=0).bit_length() + 31) // 32)
     raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
     return np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width).T

@@ -31,7 +31,7 @@ from .experiment import (
     summarize_similarities,
 )
 from .render import Panel, caption_text, render_grid
-from .solver import ReserveProblem, ReserveSolution, solve, solve_models
+from .solver import ReserveProblem, solve
 
 __all__ = ["main", "build_parser"]
 
@@ -73,25 +73,19 @@ def _natural(text: str, kind: str = "nonnegative") -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _budget(text: str) -> int:
-    """A ``--budget``: a nonnegative integer within int64, like every budget."""
-    if (value := _natural(text)) >= 2**63:
-        raise argparse.ArgumentTypeError(f"must be at most {2**63 - 1}, got {text!r}")
-    return value
+def _flag(read, ok, want: str):
+    """A flag type: ``read(text)``, a usage error unless ``ok`` holds for it, refused as 'must {want}'."""
+    def parse(text: str):
+        if not ok(value := read(text)):
+            raise argparse.ArgumentTypeError(f"must {want}, got {text!r}")
+        return value
+    return parse
 
 
-def _pool_size(text: str) -> int:
-    """A ``--pool-size``: enough landscapes to keep two fragmentation extremes each way."""
-    if (value := _natural(text)) < 4:
-        raise argparse.ArgumentTypeError(f"must be at least 4 to pick two extremes each way, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> int:
-    """A positive integer flag such as ``--grid``; argparse reports a refusal as a usage error."""
-    if (value := _natural(text, "positive")) == 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+_budget = _flag(_natural, lambda value: value < 2**63, f"be at most {2**63 - 1}")  # like every budget
+_pool_size = _flag(_natural, lambda value: value >= 4, "be at least 4 to pick two extremes each way")
+_positive = _flag(lambda text: _natural(text, "positive"), bool, "be a positive integer")
+_output = _flag(str, bool, "name a path")  # an empty path would name the working directory
 
 
 def _weights(text: str) -> tuple:
@@ -103,9 +97,6 @@ def _weights(text: str) -> tuple:
 
 
 def _cmd_generate(args) -> int:
-    for flag, value, kind in (("out", args.out, "file"), ("scenario-dir", args.scenario_dir, "directory")):
-        if value == "":  # Path("") would be the working directory; refused before the pool is built
-            args.parser.error(f"--{flag} must name a {kind}, got an empty path")
     try:
         if args.pool_size * args.grid**2 * 8 > sys.maxsize:  # numpy refuses such arrays naming no flag
             raise MemoryError
@@ -191,11 +182,11 @@ def _cmd_render(args) -> int:
         _mode(args, "scenario", needs="budget", refuses=("solution", "counts2", "solution2"))
         with _blame(args.scenario):
             scenario = _read(args.scenario, fileio.scenario_from_obj)
-            labels, grids = ("observed counts", "projected counts"), _model_grids(scenario)
-            matrices = [grid.matrix() for grid in grids]
-            solved = solve_models(matrices, scenario.weights, scenario.costs, [args.budget])
-            solutions = [ReserveSolution(xs[0], objectives[0], spent[0]) for xs, objectives, spent in solved]
-            panels = [Panel(label, grid, sol) for label, grid, sol in zip(labels, grids, solutions)]
+            weights, costs = scenario.weights, scenario.costs
+            panels = [
+                Panel(label, grid, solve(ReserveProblem(grid.matrix(), weights, costs, args.budget)))
+                for label, grid in zip(("observed counts", "projected counts"), _model_grids(scenario))
+            ]
     else:
         _mode(args, "counts", needs="solution", refuses=("budget",))
         if (args.counts2 is None) != (args.solution2 is None):
@@ -257,27 +248,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     if name == "generate":
         p.add_argument("--seed", type=_natural, required=True, help="base seed for all randomness")
-        p.add_argument("--out", required=True, help="suite JSON output path")
+        p.add_argument("--out", type=_output, required=True, help="suite JSON output path")
         p.add_argument("--pool-size", type=_pool_size, default=10_000, help="landscapes to generate")
         p.add_argument("--grid", type=_positive, default=10, help="landscape side length")
-        p.add_argument("--scenario-dir", help="also write case1..case6 scenario JSONs here")
+        p.add_argument("--scenario-dir", type=_output, help="also write case1..case6 scenario JSONs here")
     elif name == "simulate":
         mode = p.add_mutually_exclusive_group(required=True)
         mode.add_argument("--scenario", help="scenario JSON; uses its counts and parameters")
         mode.add_argument("--counts", help="counts JSON to project")
         p.add_argument("--params", help="dynamics parameter JSON (defaults per species count)")
         p.add_argument("--round", action="store_true", help="round output to integer counts")
-        p.add_argument("--out", required=True, help="output JSON path")
+        p.add_argument("--out", type=_output, required=True, help="output JSON path")
     elif name == "solve":
         mode = p.add_mutually_exclusive_group(required=True)
         mode.add_argument("--problem", help="problem JSON")
         mode.add_argument("--counts", help="counts JSON (unit costs, --budget required)")
         p.add_argument("--budget", type=_budget, help="budget for --counts input")
         p.add_argument("--weights", type=_weights, help="comma-separated species weights, e.g. 9/10,1/10")
-        p.add_argument("--out", required=True, help="solution JSON output path")
+        p.add_argument("--out", type=_output, required=True, help="solution JSON output path")
     elif name == "sweep":
         p.add_argument("--scenario", required=True, help="scenario JSON")
-        p.add_argument("--out", required=True, help="sweep CSV output path")
+        p.add_argument("--out", type=_output, required=True, help="sweep CSV output path")
     elif name == "render":
         mode = p.add_mutually_exclusive_group(required=True)
         mode.add_argument("--scenario", help="scenario JSON; solves both models at --budget")
@@ -286,11 +277,11 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentPa
         p.add_argument("--solution", help="solution JSON for the first panel")
         p.add_argument("--counts2", help="counts JSON annotating the second panel")
         p.add_argument("--solution2", help="solution JSON for the second panel")
-        p.add_argument("--out", required=True, help="SVG output path")
+        p.add_argument("--out", type=_output, required=True, help="SVG output path")
     else:
         p.add_argument("sweeps", nargs="+", help="sweep CSV files, one case each")
-        p.add_argument("--out", required=True, help="stats CSV output path")
-        p.add_argument("--plot-out", help="aligned similarity-vs-budget CSV for plotting")
+        p.add_argument("--out", type=_output, required=True, help="stats CSV output path")
+        p.add_argument("--plot-out", type=_output, help="aligned similarity-vs-budget CSV for plotting")
     p.set_defaults(func=_COMMANDS[name][0], parser=p)
     return p
 

@@ -113,6 +113,7 @@ class LVParams:
 
 def default_params(species_count: int) -> LVParams:
     """Uniform parameters for a given species count: equal rates, symmetric competition."""
+    species_count = int(as_numbers(species_count, "species_count", integer=True, shape=()))
     if species_count < 1:
         raise ValueError(f"species_count must be >= 1, got {species_count}")
     alpha = np.full((species_count, species_count), DEFAULT_COMPETITION)

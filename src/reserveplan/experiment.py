@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import InvalidDimensionError, as_numbers, as_weights
+from ._checks import InvalidDimensionError, as_numbers, as_seed, as_weights
 from .dynamics import LVParams, default_params, round_counts, simulate
 from .landscape import (
     CountsGrid,
@@ -168,6 +168,8 @@ def build_species_suite(
     uniformly from {0, ..., 8}; species j is placed with seed
     ``seed + pool_size + j``. The result is deterministic in ``seed``.
     """
+    seed, grid = as_seed(seed), int(as_numbers(grid, "grid", integer=True, shape=()))
+    pool_size = int(as_numbers(pool_size, "pool_size", integer=True, shape=()))
     if pool_size < 4:
         raise ValueError(f"pool_size must be >= 4 to pick two extremes each way, got {pool_size}")
     rng = np.random.default_rng(seed)

@@ -27,9 +27,9 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import reprlib
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -137,7 +137,8 @@ def _numbers(value, where: str, depth: int, integer: bool = False):
     """``value`` if it is JSON numbers nested ``depth`` lists deep; names the first bad leaf."""
     if depth == 0:
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            raise _fail(where, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+            kind = "an integer" if integer else "a number"
+            raise _fail(where, f"expected {kind}, got {reprlib.repr(value)}")
     elif not isinstance(value, list):
         raise _fail(where, "expected a list")
     elif depth > 1 or not set(map(type, value)) <= (_INT if integer else _NUMBER):
@@ -341,24 +342,27 @@ def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
 def read_json(path: str | os.PathLike):
     """Parse a strict JSON file; schema errors downstream carry the file name via the CLI.
 
-    ``NaN`` and ``Infinity`` literals, numbers that overflow a float, a key
-    repeated within one object and nesting too deep to parse are refused.
+    ``NaN`` and ``Infinity`` literals, integers longer than ``int()`` reads, a key repeated
+    within one object and nesting too deep to parse are refused. A float past the float
+    range reads as an infinity, which the field that holds it refuses by name.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float,
-                             object_pairs_hook=_unique_keys)
+            return json.load(handle, parse_constant=_non_finite, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a SchemaError or a UnicodeDecodeError says what it is
+            raise
+        # json's one plain ValueError is int()'s digit limit, whose message advises a Python call
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"invalid JSON: an integer of more than {limit} digits") from None
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise SchemaError(f"invalid JSON: non-finite number {text}")
-    return value
+def _non_finite(text: str):
+    raise SchemaError(f"invalid JSON: non-finite number {text}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -430,7 +434,8 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
     """Parse a sweep CSV into dicts with integer budget/similarity and Fraction objectives."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header, records = next(reader), list(reader)
+        # (line it starts on, record): zip reads the line count before it reads each record
+        header, records = next(reader), list(zip(iter(lambda: reader.line_num + 1, None), reader))
     except StopIteration:
         raise _fail(where, "empty CSV") from None
     except csv.Error as exc:  # such as a field past csv.field_size_limit()
@@ -438,7 +443,7 @@ def sweep_csv_to_rows(text: str, where: str = "sweep") -> list[dict]:
     if header != SWEEP_HEADER:
         raise _fail(f"{where}.header", f"expected {','.join(SWEEP_HEADER)}, got {','.join(header)}")
     rows, lines = [], {}  # lines: budget -> line number it was first read on
-    for lineno, record in enumerate(records, start=2):
+    for lineno, record in records:
         if not record:
             continue
         line = f"{where}.line{lineno}"

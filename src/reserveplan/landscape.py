@@ -19,11 +19,12 @@ sum would move the scores' last bits). ``select_extremes`` picks pool indices fr
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from ._checks import InvalidDimensionError, as_numbers
+from ._checks import InvalidDimensionError, as_numbers, as_seed
 from ._pcg import uniform_grids
 
 __all__ = [
@@ -114,7 +115,9 @@ def generate_landscape(n: int, smoothing_rounds: int, seed: int) -> Landscape:
     constant). More smoothing rounds yield smoother, less fragmented grids.
     The output is a deterministic function of (n, smoothing_rounds, seed).
     """
-    values, _ = _generate_values(n, smoothing_rounds, [seed])
+    n = int(as_numbers(n, "n", integer=True, shape=()))
+    rounds = int(as_numbers(smoothing_rounds, "smoothing_rounds", integer=True, shape=()))
+    values, _ = _generate_values(n, rounds, [as_seed(seed)])
     return Landscape(values[0])
 
 
@@ -126,8 +129,6 @@ def _generate_values(n: int, rounds: int, seeds: Sequence[int], buffers=None) ->
     """
     if n < 1:
         raise InvalidDimensionError(f"grid side length must be >= 1, got {n}")
-    if rounds < 0:
-        raise ValueError(f"smoothing_rounds must be >= 0, got {rounds}")
     m = len(seeds)
     a, b = (buf[: m * n * n] for buf in buffers or (np.empty(m * n * n), np.empty(m * n * n)))
     draws = uniform_grids(seeds, a.reshape(m, n, n))
@@ -186,6 +187,8 @@ def select_extremes(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     and the two groups are disjoint. Scores are read as float64 and must be
     finite and nonnegative, as every fragmentation score is.
     """
+    if isinstance(k, bool) or not isinstance(k, Integral):  # an int reaches the k < 1 check as it is
+        k = int(as_numbers(k, "k", integer=True, shape=()))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = as_numbers(scores, "scores", shape=(None,))
@@ -208,8 +211,7 @@ def distribute_population(landscape: Landscape, total: int, seed: int) -> Counts
     the placement intensity decreases on worse habitat. The returned counts sum
     to ``total`` exactly and are a deterministic function of the seed.
     """
-    if total < 0:
-        raise ValueError(f"total population must be >= 0, got {total}")
+    total, seed = int(as_numbers(total, "total", integer=True, shape=())), as_seed(seed)
     n = landscape.n
     if total == 0:
         return CountsGrid(np.zeros((1, n, n), dtype=np.int64))

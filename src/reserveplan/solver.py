@@ -9,9 +9,9 @@ or more models at one budget or a whole sweep, runs through one kernel on
 the path its costs pick: a top-k order for unit costs, else one knapsack
 table every model fills in turn, its value rows in the narrowest of
 uint8/uint16/uint32 that holds the largest total score. ``solve_models``
-returns each model's sweep as one (budgets, parcels) int8 array; the
-one-solution calls build each ``ReserveSolution`` through its public
-constructor. The kernel shares one tie-break with the exhaustive test oracle
+returns each model's sweep as one (budgets, parcels) int8 array; ``solve``
+builds its one ``ReserveSolution`` through the public constructor. The
+kernel shares one tie-break with the exhaustive test oracle
 (``tests/bruteforce.py``): among optimal selections, prefer the protection
 vector that protects the lower-indexed parcel at the first index where two
 optima differ.
@@ -36,7 +36,6 @@ __all__ = [
     "ReserveSolution",
     "solve",
     "solve_models",
-    "solve_sweep",
 ]
 
 _INT64_SAFE = 2**62
@@ -212,15 +211,10 @@ def solve_models(models: Sequence, weights, costs, budgets: Sequence[int]) -> li
     return _solve_budgets(problems, budgets, topk=bool(np.all(problems[0].costs == 1))) if problems else []
 
 
-def solve_sweep(values, weights, costs, budgets: Sequence[int]) -> list[ReserveSolution]:
-    """The optimal selection at every budget in ``budgets``, in order: one model's ``solve_models``."""
-    [sweep] = solve_models([values], weights, costs, budgets)
-    return [ReserveSolution(*solution) for solution in zip(*sweep)]
-
-
 def solve(problem: ReserveProblem) -> ReserveSolution:
-    """``solve_sweep`` at the problem's one budget."""
-    return solve_sweep(problem.values, problem.weights, problem.costs, [problem.budget])[0]
+    """The optimal selection at the problem's one budget: ``solve_models`` of its one model."""
+    [sweep] = solve_models([problem.values], problem.weights, problem.costs, [problem.budget])
+    return ReserveSolution(*(column[0] for column in sweep))  # x, objective and spent at the one budget
 
 
 # Aliases of ``solve``, kept only because bench/tracing.py wraps these names: delete this

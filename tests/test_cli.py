@@ -403,7 +403,7 @@ class TestErrorHandling:
         # refused before the pool is built, which here would be refused as past the address space
         "generate-empty-out": (
             ["generate", "--seed", "0", "--pool-size", str(2**40), "--grid", str(2**20), "--out", ""],
-            "reserveplan generate: error: --out must name a file, got an empty path",
+            "reserveplan generate: error: argument --out: must name a path, got ''",
         ),
     }
 
@@ -519,9 +519,64 @@ class TestErrorHandling:
         code = main(["simulate", "--counts", str(counts), "--params", str(params), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "p.json: invalid JSON: " in err
-        assert number in err
+        if number == "1e999":  # a float past the range reads as inf, which the field refuses
+            assert "p.json: params: r must be finite" in err
+        else:
+            assert "p.json: invalid JSON: " in err
+            assert number in err
         assert not out.exists()
+
+    # field: (command, the file and the path in it of the 1e999, the error line)
+    PARAMS = "simulate --counts c.json --params p.json"
+    OVERFLOW = {
+        "params.r": (PARAMS, ("p.json", "r", 0), "p.json: params: r must be finite"),
+        "params.alpha": (PARAMS, ("p.json", "alpha", 0, 1), "p.json: params: alpha must be finite"),
+        "params.beta": (PARAMS, ("p.json", "beta", 1), "p.json: params: beta must be finite"),
+        "params.dt": (PARAMS, ("p.json", "dt"), "p.json: params: dt must be finite"),
+        "counts.counts": (
+            "simulate --counts c.json", ("c.json", "counts", 0, 3), "c.json: counts.counts: counts must be finite"
+        ),
+        "scenario.landscape": (
+            "sweep --scenario s.json",
+            ("s.json", "species", 0, "landscape", "values", 5),
+            "s.json: scenario.species[0].landscape.values: habitat values must lie in [0, 1]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOW.values(), ids=OVERFLOW.keys())
+    def test_float_past_the_range_is_refused_by_its_field(self, workspace, tmp_path, monkeypatch, capsys, case):
+        args, (name, *path), error = case
+        docs = {
+            "c.json": {"n": 2, "species": 2, "counts": [[5, 0, 1, 2], [3, 3, 0, 1]]},
+            "p.json": fileio.params_to_obj(default_params(2)),
+            "s.json": fileio.read_json(workspace / "scenarios/case1.json"),
+        }
+        holder = docs[name]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = "OVERFLOW"
+        monkeypatch.chdir(tmp_path)
+        for file, doc in docs.items():
+            Path(file).write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+        assert main([*args.split(), "--out", "o.json"]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(docs)
+
+    def test_long_bad_leaf_is_echoed_short(self, tmp_path):
+        # a list where a number belongs, echoed whole, was a 1.5 MB error line
+        (tmp_path / "w.json").write_text(json.dumps({"n": 1, "species": 1, "counts": [[list(range(200_000))]]}))
+        run = _python(["-m", "reserveplan.cli", "simulate", "--counts", "w.json", "--out", "o.json"], tmp_path)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: w.json: counts.counts[0][0]: expected a number, got [0, 1, 2, 3, 4, 5, ...]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
+
+    def test_integer_past_the_digit_limit_exits_1_naming_the_file(self, tmp_path):
+        (tmp_path / "bigint.json").write_text(f'{{"n": {"9" * 5000}, "species": 1, "counts": [[1]]}}')
+        run = _python(["-m", "reserveplan.cli", "simulate", "--counts", "bigint.json", "--out", "o.json"], tmp_path)
+        assert (run.returncode, run.stdout) == (1, "")
+        limit = sys.get_int_max_str_digits()
+        assert run.stderr == f"error: bigint.json: invalid JSON: an integer of more than {limit} digits\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bigint.json"]
 
     def test_repeated_json_key_exits_1_and_names_file_and_key(self, workspace, tmp_path, capsys):
         # a second "budgets" would otherwise replace the first without a word
@@ -610,24 +665,26 @@ class TestErrorHandling:
 
     # (arguments, exit status, the error line); {scenario}, {counts} and {sweep} are
     # input files outside the working directory, and "" is the output flag under test
-    IS_DIR = "error: cannot write .: it is a directory"
+    EMPTY = "error: argument {}: must name a path, got ''"
     EMPTY_OUTPUT = {
         "generate-out": (
-            "generate --seed 0 --pool-size 8 --grid 2 --out",
-            2,
-            "reserveplan generate: error: --out must name a file, got an empty path",
+            "generate --seed 0 --pool-size 8 --grid 2 --out", 2, "reserveplan generate: " + EMPTY.format("--out")
         ),
         "generate-scenario-dir": (
             "generate --seed 0 --pool-size 8 --grid 2 --out suite.json --scenario-dir",
             2,
-            "reserveplan generate: error: --scenario-dir must name a directory, got an empty path",
+            "reserveplan generate: " + EMPTY.format("--scenario-dir"),
         ),
-        "simulate-out": ("simulate --scenario {scenario} --out", 1, IS_DIR),
-        "solve-out": ("solve --counts {counts} --budget 1 --out", 1, IS_DIR),
-        "sweep-out": ("sweep --scenario {scenario} --out", 1, IS_DIR),
-        "render-out": ("render --scenario {scenario} --budget 5 --out", 1, IS_DIR),
-        "report-out": ("report {sweep} --out", 1, IS_DIR),
-        "report-plot-out": ("report {sweep} --out stats.csv --plot-out", 1, IS_DIR),
+        "simulate-out": ("simulate --scenario {scenario} --out", 2, "reserveplan simulate: " + EMPTY.format("--out")),
+        "solve-out": ("solve --counts {counts} --budget 1 --out", 2, "reserveplan solve: " + EMPTY.format("--out")),
+        "sweep-out": ("sweep --scenario {scenario} --out", 2, "reserveplan sweep: " + EMPTY.format("--out")),
+        "render-out": (
+            "render --scenario {scenario} --budget 5 --out", 2, "reserveplan render: " + EMPTY.format("--out")
+        ),
+        "report-out": ("report {sweep} --out", 2, "reserveplan report: " + EMPTY.format("--out")),
+        "report-plot-out": (
+            "report {sweep} --out stats.csv --plot-out", 2, "reserveplan report: " + EMPTY.format("--plot-out")
+        ),
     }
 
     @pytest.mark.parametrize("case", EMPTY_OUTPUT.values(), ids=EMPTY_OUTPUT.keys())

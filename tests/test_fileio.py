@@ -219,6 +219,17 @@ class TestCsv:
         with pytest.raises(SchemaError, match="^" + re.escape(f"sweep.line3: {message}") + "$"):
             fileio.sweep_csv_to_rows(text)
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [("0,100,0,0\n5,90,1,1\nx,80,2,2\n", 4), ('0,100,"1\n",0\nx,80,2,2\n', 4)],
+        ids=["plain", "after-a-quoted-newline"],
+    )
+    def test_bad_row_is_named_by_the_line_it_starts_on(self, body, line):
+        # a quoted objective may span two lines; the records after it start one line later
+        text = "budget,similarity,objective1,objective2\n" + body
+        with pytest.raises(SchemaError, match="^" + re.escape(f"sweep.line{line}: budget must be a nonnegative")):
+            fileio.sweep_csv_to_rows(text)
+
     # ASCII digit objectives are read as ints; everything else must fall through to Fraction
     OBJECTIVES = [
         "0", "7", "007", "0/5", "00/0007", "12/18", "2381/10", "9" * 4300, "9" * 4301, "1/" + "9" * 4300,

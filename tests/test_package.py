@@ -16,7 +16,6 @@ def test_every_export_is_the_modules_own_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(reserveplan, name) is getattr(module, name), name
-    assert reserveplan.solve_sweep is solver.solve_sweep
 
 
 def test_retired_solver_names_are_only_aliases_of_solve():

@@ -16,7 +16,7 @@ from reserveplan import (
     solve,
 )
 from reserveplan.experiment import _model_grids
-from reserveplan.solver import _integer_scores, _solve_budgets, solve_models, solve_sweep
+from reserveplan.solver import _integer_scores, _solve_budgets, solve_models
 from bruteforce import EnumerationLimitError, solve_bruteforce
 from milp import solve_milp
 from conftest import random_problem, solve_on_path
@@ -57,6 +57,12 @@ def assert_sweep(sweep, budgets: int, parcels: int) -> None:
         assert public.x.dtype == np.int8 and public.x.tolist() == row.tolist()
         assert type(public.objective) is Fraction and public.objective == objective
         assert type(public.spent) is int and public.spent == cost
+
+
+def sweep_solutions(values, weights, costs, budgets) -> list[ReserveSolution]:
+    """One model's ``solve_models`` sweep as one public solution per budget, in order."""
+    [sweep] = solve_models([values], weights, costs, budgets)
+    return [ReserveSolution(*row) for row in zip(*sweep)]
 
 
 small_problems = st.builds(
@@ -209,7 +215,7 @@ class TestSolveSweep:
         budgets = data.draw(
             st.lists(st.one_of(st.integers(0, total), st.sampled_from([0, total + 7])), max_size=8)
         )
-        sols = solve_sweep(p.values, p.weights, p.costs, budgets)
+        sols = sweep_solutions(p.values, p.weights, p.costs, budgets)
         assert len(sols) == len(budgets)
         for budget, sol in zip(budgets, sols):
             oracle = solve_bruteforce(
@@ -236,7 +242,7 @@ class TestSolveSweep:
             budgets.append(total + data.draw(st.integers(1, 500)))
         else:  # the costliest parcel costs more than every budget
             budgets = data.draw(st.lists(st.integers(0, max(costs) - 1), min_size=1, max_size=5))
-        sols = solve_sweep(values, weights, costs, budgets)
+        sols = sweep_solutions(values, weights, costs, budgets)
         for budget, sol in zip(budgets, sols):
             oracle = solve_bruteforce(
                 ReserveProblem(values=values, weights=weights, costs=costs, budget=budget)
@@ -256,7 +262,7 @@ class TestSolveSweep:
         costs = rng.integers(0, 10, size=n)
         assert int(values.sum()) == total
         budgets = list(range(int(costs.sum()) + 1))
-        for budget, sol in zip(budgets, solve_sweep(values, (1,), costs, budgets)):
+        for budget, sol in zip(budgets, sweep_solutions(values, (1,), costs, budgets)):
             oracle = solve_bruteforce(
                 ReserveProblem(values=values, weights=(1,), costs=costs, budget=budget)
             )
@@ -267,7 +273,7 @@ class TestSolveSweep:
     def test_huge_weights_take_exact_path(self):
         values, weights, costs = np.array([[50, 49, 3, 7]]), (Fraction(2**70, 3),), [1, 2, 1, 3]
         budgets = [3, 0, 7, 2, 3]
-        sols = solve_sweep(values, weights, costs, budgets)
+        sols = sweep_solutions(values, weights, costs, budgets)
         assert sols[0].objective == Fraction(2**70, 3) * 99  # parcels 0 and 1
         for budget, sol in zip(budgets, sols):
             oracle = solve_bruteforce(
@@ -284,7 +290,7 @@ class TestSolveSweep:
         p = ReserveProblem(values=values, weights=weights, costs=[1, 1, 1, 1], budget=4)
         assert _integer_scores(p)[0].dtype == object
         budgets = [0, 1, 2, 3, 4]
-        sols = solve_sweep(values, weights, p.costs, budgets)
+        sols = sweep_solutions(values, weights, p.costs, budgets)
         assert [np.flatnonzero(sol.x).tolist() for sol in sols[:4]] == [[], [0], [0, 3], [0, 1, 3]]
         assert sols[3].objective == Fraction(2**70, 3) * 149 + Fraction(1, 7)
         for budget, sol in zip(budgets, sols):
@@ -332,10 +338,10 @@ class TestSolveSweep:
     def test_every_budget_is_checked(self):
         for budgets in ([3, 1.5], [2, -1]):
             with pytest.raises(NonIntegerCostError):
-                solve_sweep([[5, 3]], (1,), [1, 2], budgets)
+                sweep_solutions([[5, 3]], (1,), [1, 2], budgets)
 
     def test_no_budgets_no_solutions(self):
-        assert solve_sweep([[5, 3]], (1,), [1, 2], []) == []
+        assert sweep_solutions([[5, 3]], (1,), [1, 2], []) == []
 
 
 class TestSolveModels:
@@ -358,7 +364,7 @@ class TestSolveModels:
         assert len(together) == len(models)
         for values, sweep in zip(models, together):
             assert_sweep(sweep, len(budgets), n)
-            alone = solve_sweep(values, (1,), costs, budgets)
+            alone = sweep_solutions(values, (1,), costs, budgets)
             assert len(alone) == len(budgets) and all(type(one) is ReserveSolution for one in alone)
             for x, objective, spent, one in zip(*sweep, alone, strict=True):
                 assert x.tolist() == one.x.tolist()

@@ -21,12 +21,16 @@ from reserveplan import (
     ReserveSolution,
     Scenario,
     SpeciesSpec,
+    build_species_suite,
     default_params,
+    distribute_population,
+    generate_landscape,
+    select_extremes,
 )
 from reserveplan import fileio
 from reserveplan._checks import as_numbers, decimal_integer
 from reserveplan.fileio import SchemaError
-from reserveplan.solver import solve_sweep
+from reserveplan.solver import solve_models
 
 N = 2
 COUNTS = np.arange(N * N).reshape(1, N, N)
@@ -90,6 +94,17 @@ FIELDS = {
     "scenario.budgets": (lambda v: _scenario(budgets=v), [0, 2, 4], True),
     "scenario.costs": (lambda v: _scenario(costs=v), [1, 1, 2, 3], True),
     "scenario.weights": (lambda v: _scenario(weights=v), ["9/10"], False),
+    # scalar arguments of the library's functions; a seed may be an integer of any size
+    "generate_landscape.n": (lambda v: generate_landscape(v, 1, 0), 2, True),
+    "generate_landscape.smoothing_rounds": (lambda v: generate_landscape(2, v, 0), 1, True),
+    "generate_landscape.seed": (lambda v: generate_landscape(2, 1, v), 2**70, True),
+    "distribute_population.total": (lambda v: distribute_population(SPECIES.landscape, v, 0), 5, True),
+    "distribute_population.seed": (lambda v: distribute_population(SPECIES.landscape, 5, v), 2**70, True),
+    "build_species_suite.seed": (lambda v: build_species_suite(v, pool_size=4, grid=2), 2**70, True),
+    "build_species_suite.pool_size": (lambda v: build_species_suite(0, pool_size=v, grid=2), 4, True),
+    "build_species_suite.grid": (lambda v: build_species_suite(0, pool_size=4, grid=v), 2, True),
+    "default_params.species_count": (default_params, 2, True),
+    "select_extremes.k": (lambda v: select_extremes(np.arange(4.0), v), 1, True),
 }
 
 BAD = [math.nan, math.inf, -math.inf, "x"]
@@ -118,6 +133,15 @@ def test_bad_number_is_refused_naming_the_field(field, data):
     # ValueError only: a TypeError or OverflowError here would escape the CLI as a traceback.
     with pytest.raises(ValueError, match=rf"\b{name} must"):
         build(value)
+
+
+@pytest.mark.parametrize("field", sorted(f for f, (_, valid, _) in FIELDS.items() if type(valid) is int))
+def test_bool_single_number_is_refused_naming_the_field(field):
+    # True is an int to Python: read as a count or a seed it would silently be 1
+    build, _, _ = FIELDS[field]
+    name = field.split(".")[1]
+    with pytest.raises(ValueError, match=rf"^{name} must be a (number|nonnegative integer), got True$"):
+        build(True)
 
 
 @pytest.mark.parametrize("field", ["problem.weights", "scenario.weights"])
@@ -164,6 +188,13 @@ WRONG_SHAPES = [
     ("params.beta", 0.1),
     ("scenario.budgets", [[0, 2, 4]]),
     ("scenario.costs", [1, 1, 1]),
+    ("generate_landscape.n", [2, 3]),
+    ("generate_landscape.smoothing_rounds", [1]),
+    ("distribute_population.total", [5]),
+    ("build_species_suite.pool_size", [4, 5]),
+    ("build_species_suite.grid", [2]),
+    ("default_params.species_count", [2, 2]),
+    ("select_extremes.k", [1]),
     ("sweep.budgets", [[1, 2]]),
     ("landscape.values", np.zeros((0, 0))),
     ("landscape.values", [[0.0, 0.25]]),
@@ -172,7 +203,7 @@ WRONG_SHAPES = [
 ]
 SHAPE_BUILDS = {
     **{field: build for field, (build, _, _) in FIELDS.items()},
-    "sweep.budgets": lambda v: solve_sweep([[1, 2]], (1,), [1, 1], v),
+    "sweep.budgets": lambda v: solve_models([[[1, 2]]], (1,), [1, 1], v),
 }
 
 
