@@ -120,8 +120,8 @@ class Scenario:
         if len(weights) != len(species):
             raise ValueError(f"{len(weights)} weights for {len(species)} species")
         budgets = as_numbers(self.budgets, "budgets", integer=True, shape=(None,))
-        if np.any(np.diff(budgets) <= 0):
-            raise ValueError("budgets must be strictly ascending and unique")
+        if not budgets.size or np.any(np.diff(budgets) <= 0):
+            raise ValueError("budgets must be nonempty, strictly ascending and unique")
         costs = as_numbers(self.costs, "costs", integer=True, shape=(n * n,))
         if self.lv_params.species_count != len(species):
             raise ValueError(
@@ -132,6 +132,7 @@ class Scenario:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "budgets", tuple(budgets.tolist()))
         object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "seed", None if self.seed is None else as_seed(self.seed))
 
     def observed(self) -> CountsGrid:
         """Observed counts of the scenario's species, stacked in order."""

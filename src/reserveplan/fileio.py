@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._checks import decimal_integer
+from ._checks import as_seed, decimal_integer
 from .dynamics import LVParams
 from .experiment import Scenario, SimilarityStats, SpeciesSpec, SweepRow
 from .landscape import CountsGrid, Landscape
@@ -307,16 +307,15 @@ def scenario_to_obj(scenario: Scenario) -> dict:
 
 
 def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
-    seed = obj.get("seed") if isinstance(obj, dict) else None
     return _build(
         Scenario,
         where,
-        seed=None if seed is None else _field(obj, "seed", where, 0, integer=True),
+        seed=obj.get("seed") if isinstance(obj, dict) else None,
         weights=_fractions(obj, "weights", where),
         budgets=_field(obj, "budgets", where, 1, integer=True),
         costs=_field(obj, "costs", where, 1, integer=True),
         lv_params=params_from_obj(_field(obj, "lv_params", where), f"{where}.lv_params"),
-        species=suite_from_obj(obj, where),
+        species=_species_list(obj, where),
     )
 
 
@@ -329,12 +328,24 @@ def suite_to_obj(suite: Sequence[SpeciesSpec], *, seed: int, pool_size: int, gri
     }
 
 
-def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
+def _species_list(obj, where: str) -> list[SpeciesSpec]:
     """The species of a suite document, or of a scenario document."""
     raw = _field(obj, "species", where)
     if not isinstance(raw, list) or not raw:
         raise _fail(f"{where}.species", "expected a nonempty list")
     return [_species_from_obj(sp, f"{where}.species[{i}]") for i, sp in enumerate(raw)]
+
+
+def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
+    """The species of a suite document, whose seed, pool size and grid side are checked too."""
+    species = _species_list(obj, where)
+    _build(as_seed, where, value=_field(obj, "seed", where))
+    if _field(obj, "pool_size", where, 0, integer=True) < 4:
+        raise _fail(f"{where}.pool_size", "must be at least 4 to pick two extremes each way")
+    grid = _field(obj, "grid", where, 0, integer=True)
+    if any(sp.counts.n != grid for sp in species):  # sides are positive, so is a matching grid
+        raise _fail(f"{where}.grid", f"must be a positive integer equal to every species' side, got {grid}")
+    return species
 
 
 # --- files --------------------------------------------------------------------

@@ -138,10 +138,12 @@ def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk:
     ``best`` and ``take`` are shared too, and the views of them and of ``keep``
     are built once per distinct cost. Value entries are subset sums of
     nonnegative scores, so they take the narrowest unsigned type that holds
-    the largest total score (else the widest scores' dtype). Each budget
-    traces back into its row of ``x``, reading ``keep[j, b]`` as flat byte
-    ``j * width + b``: the index steps ``width`` per parcel, back by each
-    protected cost, so its end gives the spend; ``best[b]`` is the objective.
+    the largest total score (else the widest scores' dtype); the fill hands
+    ``np.add`` each parcel's score as one reused 0-d array of that dtype. The
+    traceback walks every budget's lane together, one bytes view of a keep
+    row at a time: a lane at remaining budget r marks parcel j in its row of
+    ``x`` when ``keep[j, r]`` and then drops to ``r - c_j``, so the budget
+    less its last remainder is the spend; ``best[b]`` is the objective.
     """
     scored, n, sweeps = [_integer_scores(problem) for problem in problems], problems[0].parcel_count, []
     if topk:
@@ -171,31 +173,30 @@ def _solve_budgets(problems: Sequence[ReserveProblem], budgets: list[int], topk:
     views = {  # per distinct cost c, over the budgets b >= c: best[b - c], take, best[b], keep[:, b]
         c: (best[: width - c], take[: width - c], best[c:], keep[:, c:]) for c in set(costs) if c <= bmax
     }
-    flat = memoryview(keep).cast("B")  # keep[j, b] is flat[j * width + b]
+    flat = memoryview(keep).cast("B")  # keep[j] is flat[j * width : (j + 1) * width]
     add, greater_equal, maximum = np.add, np.greater_equal, np.maximum  # local names: ~5% of a fill
+    score = np.empty((), dtype=row)  # np.add takes a 0-d array faster than a numpy scalar
+    starts, lanes = [min(b, bmax) for b in budgets], range(len(budgets))
     for scores, den in scored:
         best.fill(0)
-        row_scores = scores.astype(row)
+        values = scores.tolist()
         for j in range(n - 1, -1, -1):
             c = costs[j]
             if c <= bmax:
                 head, t, tail, rows = views[c]
-                add(head, row_scores[j], t)
+                score[()] = values[j]
+                add(head, score, t)
                 greater_equal(t, tail, rows[j])
                 maximum(tail, t, out=tail)
-        xs, objectives, spent = np.zeros((len(budgets), n), dtype=np.int8), [], []
-        for x, budget in zip(xs, budgets):
-            start = at = min(budget, bmax)
-            chosen = []
-            for j in range(n):
-                if flat[at]:
-                    chosen.append(j)
-                    at -= costs[j]
-                at += width
-            x[chosen] = 1
-            objectives.append(Fraction(int(best[start]), den))
-            spent.append(start + n * width - at)
-        sweeps.append((xs, objectives, spent))
+        xs = np.zeros((len(budgets), n), dtype=np.int8)
+        rems, marks = list(starts), list(map(memoryview, xs))  # marks[k][j] is xs[k, j]
+        for j, c in enumerate(costs):  # every budget's lane reads row j, then steps down
+            keep_j = flat[j * width : (j + 1) * width]
+            for k in lanes:
+                if keep_j[rems[k]]:
+                    marks[k][j] = 1
+                    rems[k] -= c
+        sweeps.append((xs, [Fraction(int(best[b]), den) for b in starts], [b - r for b, r in zip(starts, rems)]))
     return sweeps
 
 

@@ -1,5 +1,6 @@
 """Every constructor refuses bad numbers and shapes through one check, and fileio names bad JSON leaves."""
 
+import dataclasses
 import json
 import math
 import re
@@ -29,6 +30,7 @@ from reserveplan import (
 )
 from reserveplan import fileio
 from reserveplan._checks import as_numbers, decimal_integer
+from reserveplan.cli import main
 from reserveplan.fileio import SchemaError
 from reserveplan.solver import solve_models
 
@@ -241,6 +243,64 @@ def test_landscape_of_another_side_than_the_counts_is_refused_naming_it():
     obj["species"][0]["landscape"] = {"n": 4, "values": [0.5] * 16}
     message = "suite.species[0]: landscape must be 2x2 like its counts, got 4x4"
     with pytest.raises(SchemaError, match=re.escape(message)):
+        fileio.suite_from_obj(obj)
+
+
+# a seed that is not a nonnegative integer, as JSON writes it and as the library is given it
+BAD_SEEDS = ["x", -5, 2.5, True]
+
+
+def _sweep_file(tmp_path, capsys, **fields):
+    """Exit code, stderr and the file's path of ``sweep`` on ``_scenario()``'s file with ``fields`` set."""
+    path, out = tmp_path / "case.json", tmp_path / "case.csv"
+    path.write_text(json.dumps({**fileio.scenario_to_obj(_scenario()), **fields}))
+    out.unlink(missing_ok=True)
+    code = main(["sweep", "--scenario", str(path), "--out", str(out)])
+    stderr = capsys.readouterr().err
+    assert out.exists() == (code == 0), "a refused sweep writes no CSV"
+    return code, stderr, path
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_bad_scenario_seed_is_refused_in_the_library_and_as_a_file(seed, tmp_path, capsys):
+    message = f"seed must be a nonnegative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(_scenario(), seed=seed)
+    assert _sweep_file(tmp_path, capsys, seed=7)[0] == 0  # the file is otherwise sound
+    code, stderr, path = _sweep_file(tmp_path, capsys, seed=seed)
+    assert (code, stderr) == (1, f"error: {path}: scenario: {message}\n")
+
+
+def test_empty_budgets_are_refused_in_the_library_and_by_sweep(tmp_path, capsys):
+    message = "budgets must be nonempty, strictly ascending and unique"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _scenario(budgets=())
+    code, stderr, path = _sweep_file(tmp_path, capsys, budgets=[])
+    assert (code, stderr) == (1, f"error: {path}: scenario: {message}\n")
+
+
+# suite field: (a bad value, the refusal naming it)
+SUITE_FIELDS = {
+    "seed-text": ("seed", "x", "suite: seed must be a nonnegative integer, got 'x'"),
+    "seed-negative": ("seed", -5, "suite: seed must be a nonnegative integer, got -5"),
+    "seed-bool": ("seed", True, "suite: seed must be a nonnegative integer, got True"),
+    "pool-size-null": ("pool_size", None, "suite.pool_size: expected an integer, got None"),
+    "pool-size-small": ("pool_size", 3, "suite.pool_size: must be at least 4 to pick two extremes each way"),
+    "grid-negative": ("grid", -3, "suite.grid: must be a positive integer equal to every species' side, got -3"),
+    "grid-other-side": ("grid", 3, "suite.grid: must be a positive integer equal to every species' side, got 3"),
+    "grid-float": ("grid", 2.0, "suite.grid: expected an integer, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_FIELDS))
+def test_bad_suite_field_is_refused_naming_it(case):
+    key, value, message = SUITE_FIELDS[case]
+    obj = fileio.suite_to_obj([SPECIES], seed=0, pool_size=4, grid=N)
+    assert len(fileio.suite_from_obj(obj)) == 1
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        fileio.suite_from_obj({**obj, key: value})
+    del obj[key]
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'suite.{key}: missing field')}$"):
         fileio.suite_from_obj(obj)
 
 
