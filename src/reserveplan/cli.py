@@ -65,55 +65,48 @@ def _mode(args, mode: str, needs: str | None = None, refuses: tuple = ()) -> Non
             args.parser.error(f"--{flag} does not apply to --{mode} input")
 
 
-def _natural(text: str, kind: str = "nonnegative") -> int:
-    """A ``kind`` integer flag such as ``--seed``; argparse reports a refusal as a usage error."""
-    try:
-        return decimal_integer(text, kind)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _flag(read, ok, want: str):
-    """A flag type: ``read(text)``, a usage error unless ``ok`` holds for it, refused as 'must {want}'."""
+def _flag(read, ok=None, want: str = ""):
+    """A flag type: ``read(text)``, refused as a usage error on a ValueError, or as
+    'must {want}, got ...' when ``ok`` is given and fails for the value."""
     def parse(text: str):
-        if not ok(value := read(text)):
+        try:
+            value = read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if ok is not None and not ok(value):
             raise argparse.ArgumentTypeError(f"must {want}, got {text!r}")
         return value
     return parse
 
 
-_budget = _flag(_natural, lambda value: value < 2**63, f"be at most {2**63 - 1}")  # like every budget
-_pool_size = _flag(_natural, lambda value: value >= 4, "be at least 4 to pick two extremes each way")
-_positive = _flag(lambda text: _natural(text, "positive"), bool, "be a positive integer")
+_natural = _flag(decimal_integer)  # a nonnegative integer such as --seed
+_budget = _flag(decimal_integer, lambda value: value < 2**63, f"be at most {2**63 - 1}")  # like every budget
+_pool_size = _flag(decimal_integer, lambda value: value >= 4, "be at least 4 to pick two extremes each way")
+_positive = _flag(lambda text: decimal_integer(text, "positive"), bool, "be a positive integer")
 _output = _flag(str, bool, "name a path")  # an empty path would name the working directory
-
-
-def _weights(text: str) -> tuple:
-    """Comma-separated exact ``--weights``; argparse reports a refusal as a usage error."""
-    try:
-        return as_weights(text.split(","), "weights")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_weights = _flag(lambda text: as_weights(text.split(","), "weights"))  # exact, comma-separated
 
 
 def _cmd_generate(args) -> int:
+    made = []  # the directories this call creates, deepest first, removed again if anything fails
     try:
-        if args.pool_size * args.grid**2 * 8 > sys.maxsize:  # numpy refuses such arrays naming no flag
-            raise MemoryError
-        suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
-    except MemoryError:
-        raise CLIError(
-            f"--pool-size {args.pool_size} landscapes of --grid {args.grid} do not fit in memory"
-        ) from None
-    docs = {args.out: fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid)}
-    made = []  # the directories this call creates, deepest first, removed again if the write fails
-    if args.scenario_dir is not None:
-        scenario_dir = Path(args.scenario_dir)
-        made = list(itertools.takewhile(lambda d: not d.exists(), (scenario_dir, *scenario_dir.parents)))
-        scenario_dir.mkdir(parents=True, exist_ok=True)
-        for i, scenario in enumerate(default_scenarios(suite, seed=args.seed), start=1):
-            docs[scenario_dir / f"case{i}.json"] = fileio.scenario_to_obj(scenario)
-    try:
+        if args.scenario_dir is not None:  # made first: a path that cannot be a directory fails fast
+            scenario_dir = Path(args.scenario_dir)
+            made = list(itertools.takewhile(lambda d: not d.exists(), (scenario_dir, *scenario_dir.parents)))
+            with _blame(args.scenario_dir):
+                scenario_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            if args.pool_size * args.grid**2 * 8 > sys.maxsize:  # numpy refuses such arrays naming no flag
+                raise MemoryError
+            suite = build_species_suite(args.seed, pool_size=args.pool_size, grid=args.grid)
+        except MemoryError:
+            raise CLIError(
+                f"--pool-size {args.pool_size} landscapes of --grid {args.grid} do not fit in memory"
+            ) from None
+        docs = {args.out: fileio.suite_to_obj(suite, seed=args.seed, pool_size=args.pool_size, grid=args.grid)}
+        if args.scenario_dir is not None:
+            for i, scenario in enumerate(default_scenarios(suite, seed=args.seed), start=1):
+                docs[scenario_dir / f"case{i}.json"] = fileio.scenario_to_obj(scenario)
         fileio.write_jsons(docs)  # all files or none
     except BaseException:
         for directory in made:

@@ -206,11 +206,12 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     (``r``, ``alpha``, ``beta``, ``dt`` and ``T``, compared bit for bit) are
     read from the module's memo; only the others are stepped, by ``_project``.
     That is exact: each step is elementwise per column, so a column's bits do
-    not depend on the batch it is stepped in. New columns are stored once the
-    whole call has passed the overflow and clamp check; if they would not fit
-    within ``MEMO_BYTES`` beside what the memo holds, it is emptied first, and
-    columns too many to fit alone are not stored. The result is always a fresh
-    array.
+    not depend on the batch it is stepped in. Only the new columns are checked,
+    and a refusal names the first parcel holding a refused one: a column the
+    memo holds passed the check when it was stored. New columns are stored once
+    they pass; if they would not fit within ``MEMO_BYTES`` beside what the memo
+    holds, it is emptied first, and columns too many to fit alone are not
+    stored. The result is always a fresh array.
     """
     if observed.species_count != params.species_count:
         raise ValueError(
@@ -220,47 +221,45 @@ def simulate(observed: CountsGrid, params: LVParams) -> np.ndarray:
     initial = observed.matrix().astype(np.float64)
     s = initial.shape[0]
     # Dedup by each column's bytes: counts are integers, so equal bytes mean equal values.
-    parcels, index = _columns(initial), {}
-    inverse = np.fromiter((index.setdefault(c, len(index)) for c in parcels), np.intp, len(parcels))
-    cell_steps = params.T * s * len(index)
+    parcels = _columns(initial)
+    starts = dict.fromkeys(parcels)  # the distinct columns, in first-seen order
+    cell_steps = params.T * s * len(starts)
     if cell_steps > MAX_CELL_STEPS:
         raise ValueError(
-            f"T={params.T} steps on {s} species x {len(index)} distinct columns "
+            f"T={params.T} steps on {s} species x {len(starts)} distinct columns "
             f"is {cell_steps:,} cell-steps, past the cap of {MAX_CELL_STEPS:,}"
         )
     key = (params.r.tobytes(), params.alpha.tobytes(), params.beta.tobytes(), params.dt, params.T)
-    starts, known = list(index), _memo.columns.get(key, {})
-    ends = [known.get(start) for start in starts]
-    new = [i for i, end in enumerate(ends) if end is None]
-    # Overflow is refused below, naming its step, so numpy need not warn of it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if new:
-            columns = np.frombuffer(b"".join([starts[i] for i in new]), np.float64).reshape(-1, s)
-            for i, end in zip(new, _columns(_project(columns.T, params, params.T))):
-                ends[i] = end
-        state = np.frombuffer(b"".join(ends), np.float64).reshape(-1, s).T.take(inverse, axis=1)
-        bad = _refused(state, initial)
-        if bad.any():
-            # Parcels evolve independently, and a refused count stays refused (a non-finite
-            # one stays so, a clamped one 0 or NaN): bisect the first bad one's run alone.
-            parcel = int(bad.any(axis=0).argmax())
-            x = start = initial[:, [parcel]]
-            lo, hi = 0, params.T  # x is the state at step lo, not refused
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                y = _project(x, params, mid - lo)
-                if _refused(y, start).any():
-                    hi = mid
-                else:
-                    x, lo = y, mid
-            x = _project(x, params, hi - lo)
-            if not _refused(x, start).any():
-                raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
-            kind = "clamped to zero" if np.isfinite(x).all() else "overflow"
-            raise ValueError(f"projected counts {kind} at step {hi} in parcel {parcel}")
+    known = _memo.columns.get(key, {})
+    new, ends = [start for start in starts if start not in known], {}
     if new:
-        _memo.store(key, {starts[i]: ends[i] for i in new}, s)
-    return state.reshape(-1, observed.n, observed.n)
+        columns = np.frombuffer(b"".join(new), np.float64).reshape(-1, s).T
+        # Overflow is refused below, naming its step, so numpy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            projected = _project(columns, params, params.T)
+            bad = _refused(projected, columns).any(axis=0)
+            if bad.any():
+                # Parcels evolve independently, and a refused count stays refused (a non-finite
+                # one stays so, a clamped one 0 or NaN): bisect the first bad one's run alone.
+                parcel = parcels.index(new[int(bad.argmax())])
+                x = start = initial[:, [parcel]]
+                lo, hi = 0, params.T  # x is the state at step lo, not refused
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    y = _project(x, params, mid - lo)
+                    if _refused(y, start).any():
+                        hi = mid
+                    else:
+                        x, lo = y, mid
+                x = _project(x, params, hi - lo)
+                if not _refused(x, start).any():
+                    raise ValueError(f"projected counts overflow or clamp to zero in parcel {parcel}")
+                kind = "clamped to zero" if np.isfinite(x).all() else "overflow"
+                raise ValueError(f"projected counts {kind} at step {hi} in parcel {parcel}")
+        ends = dict(zip(new, _columns(projected)))
+        _memo.store(key, ends, s)
+    state = np.frombuffer(b"".join([known.get(c) or ends[c] for c in parcels]), np.float64)
+    return state.reshape(-1, s).T.reshape(-1, observed.n, observed.n).copy()
 
 
 def round_counts(projected: np.ndarray) -> CountsGrid:

@@ -4,7 +4,8 @@ Schemas (all JSON, grids row-major):
 
 * landscape   {"n": int, "values": [float, ...]}
 * counts      {"n": int, "species": int, "counts": [[int, ...], ...]}; projected
-              counts use this schema with real-valued entries
+              counts use this schema with real-valued entries, so only the
+              output of ``simulate --round`` reads back as counts
 * params      {"r": [...], "alpha": [[...]], "beta": [...], "dt": float, "T": int}
 * problem     {"values": [[int, ...], ...], "weights": [[num, den], ...],
                "costs": [int, ...], "budget": int}

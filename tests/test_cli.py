@@ -128,6 +128,29 @@ class TestGenerate:
         left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
         assert left == ["a", "a/b", "a/b/c", "a/keep.txt"]
 
+    @pytest.mark.parametrize("scenario_dir, reason", [("afile", "File exists"), ("afile/sub", "Not a directory")])
+    def test_scenario_dir_that_cannot_be_a_directory_is_refused_before_the_pool(
+        self, tmp_path, monkeypatch, capsys, scenario_dir, reason
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        monkeypatch.setattr(cli, "build_species_suite", lambda *a, **k: pytest.fail("the pool was built"))
+        argv = ["generate", "--seed", "1", "--out", "s.json", "--scenario-dir", scenario_dir]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {scenario_dir}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert Path("afile").read_text() == "kept\n"
+
+    def test_failed_pool_removes_the_scenario_directories_it_made(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        def refuse(*args, **kwargs):
+            assert Path("a/b").is_dir()  # made before the pool is built
+            raise ValueError("no pool")
+        monkeypatch.setattr(cli, "build_species_suite", refuse)
+        assert main("generate --seed 0 --pool-size 20 --grid 4 --out suite.json --scenario-dir a/b".split()) == 1
+        assert capsys.readouterr().err == "error: no pool\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepAndReport:
     def test_sweep_emits_21_budget_rows(self, workspace, tmp_path):
@@ -247,6 +270,17 @@ class TestSimulateSolveRenderChain:
         doc = fileio.read_json(out)
         values = [v for row in doc["counts"] for v in row]
         assert any(isinstance(v, float) and v != int(v) for v in values)
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "render"])
+    def test_unrounded_projection_does_not_read_back_as_counts(self, tmp_path, capsys, command):
+        grid, projected, out = tmp_path / "counts.json", tmp_path / "projected.json", tmp_path / "out"
+        fileio.write_json(grid, {"n": 2, "species": 1, "counts": [[10, 0, 3, 1]]})
+        assert main(["simulate", "--counts", str(grid), "--out", str(projected)]) == 0
+        capsys.readouterr()
+        extra = {"simulate": [], "solve": ["--budget", "2"], "render": ["--solution", str(tmp_path / "sol.json")]}
+        assert main([command, "--counts", str(projected), *extra[command], "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {projected}: counts.counts: counts must be whole numbers\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.json", "projected.json"]
 
     def test_simulate_counts_mode_with_default_params(self, workspace, tmp_path):
         grid = tmp_path / "counts.json"

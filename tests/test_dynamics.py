@@ -552,6 +552,32 @@ class TestMemo:
         assert second.tobytes() == expected == self.kernel(grid, params)
         assert second.flags.writeable and not np.shares_memory(first, second)
 
+    def test_a_call_the_memo_answers_steps_and_checks_nothing(self, monkeypatch):
+        grid = CountsGrid(np.random.default_rng(4).integers(0, 60, size=(3, 4, 4)))
+        params = dataclasses.replace(default_params(3), T=40)
+        cold = simulate(grid, params).tobytes()
+        calls, refused_ = [], dynamics._refused
+        monkeypatch.setattr(dynamics, "_project", lambda *a: calls.append("_project") or _project(*a))
+        monkeypatch.setattr(dynamics, "_refused", lambda *a: calls.append("_refused") or refused_(*a))
+        assert simulate(grid, params).tobytes() == cold == self.kernel(grid, params)
+        assert calls == []
+
+    def test_only_the_columns_the_memo_lacks_are_checked(self, monkeypatch):
+        # D = 9 distinct columns on a 4x4 grid (parcels 9 to 15 repeat some); the memo holds K
+        distinct = np.array([np.arange(1, 10), np.arange(30, 39)])
+        order = np.concatenate([np.arange(9), np.random.default_rng(8).integers(0, 9, size=7)])
+        grid = CountsGrid(distinct[:, order].reshape(2, 4, 4))
+        params = dataclasses.replace(default_params(2), T=30)
+        refused_, checked = dynamics._refused, []
+        monkeypatch.setattr(dynamics, "_refused", lambda x, *a: checked.append(x.shape[1]) or refused_(x, *a))
+        for known in (0, 1, 4, 8):  # all 9: test_a_call_the_memo_answers_steps_and_checks_nothing
+            dynamics._memo.clear()
+            if known:
+                simulate(CountsGrid(distinct[:, np.arange(9) % known].reshape(2, 3, 3)), params)
+            checked.clear()
+            assert simulate(grid, params).tobytes() == self.kernel(grid, params)
+            assert checked == [9 - known]
+
     def test_the_cell_step_cap_counts_known_columns_too(self, monkeypatch):
         # The refusal must not depend on what earlier calls left in the memo.
         monkeypatch.setattr(dynamics, "MAX_CELL_STEPS", 6 * 10)

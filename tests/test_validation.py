@@ -24,9 +24,11 @@ from reserveplan import (
     SpeciesSpec,
     build_species_suite,
     default_params,
+    default_scenarios,
     distribute_population,
     generate_landscape,
     select_extremes,
+    summarize_similarities,
 )
 from reserveplan import fileio
 from reserveplan._checks import as_numbers, decimal_integer
@@ -277,6 +279,114 @@ def test_empty_budgets_are_refused_in_the_library_and_by_sweep(tmp_path, capsys)
         _scenario(budgets=())
     code, stderr, path = _sweep_file(tmp_path, capsys, budgets=[])
     assert (code, stderr) == (1, f"error: {path}: scenario: {message}\n")
+
+
+# refusal: (a library call that makes it, its whole message)
+LIBRARY_REFUSALS = {
+    "params-ragged-r": (
+        lambda: LVParams(r=[[1], [1, 2]], alpha=[[0.0]], beta=[0.1]), "r must be a rectangular array of numbers"),
+    "params-no-species": (lambda: default_params(0), "species_count must be >= 1, got 0"),
+    "species-of-two-species": (
+        lambda: dataclasses.replace(SPECIES, counts=CountsGrid(np.ones((2, N, N))), total=2 * N * N),
+        "a species spec holds a single-species counts grid",
+    ),
+    "species-total-too-high": (
+        lambda: dataclasses.replace(SPECIES, total=SPECIES.total + 1),
+        f"counts sum to {SPECIES.total}, expected total {SPECIES.total + 1}",
+    ),
+    "scenario-no-species": (
+        lambda: dataclasses.replace(_scenario(), species=()), "scenario needs at least one species"),
+    "scenario-params-of-3-species": (
+        lambda: Scenario((SPECIES, SPECIES), (1, 1), (0, 2), (1, 1, 1, 1), default_params(3)),
+        "dynamics parameters cover 3 species, scenario has 2",
+    ),
+    "suite-of-7": (lambda: default_scenarios([SPECIES] * 7), "expected a suite of 8 species, got 7"),
+    "stats-unaligned": (lambda: summarize_similarities([0, 1, 2], [1, 2]), "3 budgets for 2 similarities"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refusal_is_worded_as_shown(case):
+    build, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def _two_species_obj() -> dict:
+    """A sound two-species scenario document."""
+    return fileio.scenario_to_obj(
+        dataclasses.replace(_scenario(), species=(SPECIES, SPECIES), weights=(1, 1), lv_params=PARAMS)
+    )
+
+
+# scenario file: (an edit of ``_two_species_obj()``, the refusal naming the field)
+SCENARIO_FILES = {
+    "params-not-an-object": (lambda obj: obj.update(lv_params=5), "scenario.lv_params: expected a JSON object"),
+    "species-id-not-a-string": (
+        lambda obj: obj["species"][1].update(id=7), "scenario.species[1].id: expected a string"),
+    "no-species": (lambda obj: obj.update(species=[]), "scenario.species: expected a nonempty list"),
+    "species-total-too-high": (
+        lambda obj: obj["species"][0].update(total=SPECIES.total + 1),
+        f"scenario.species[0]: counts sum to {SPECIES.total}, expected total {SPECIES.total + 1}",
+    ),
+    "params-of-3-species": (
+        lambda obj: obj.update(lv_params=fileio.params_to_obj(default_params(3))),
+        "scenario: dynamics parameters cover 3 species, scenario has 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_FILES))
+def test_bad_scenario_file_is_refused_by_sweep_naming_the_field(case, tmp_path, capsys):
+    edit, message = SCENARIO_FILES[case]
+    path, out = tmp_path / "case.json", tmp_path / "case.csv"
+    obj = _two_species_obj()
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
+
+
+def test_the_sound_two_species_scenario_file_sweeps(tmp_path):
+    path, out = tmp_path / "case.json", tmp_path / "case.csv"
+    path.write_text(json.dumps(_two_species_obj()))
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
+    assert len(fileio.sweep_csv_to_rows(out.read_text())) == 3
+
+
+HEADER_LINE = "budget,similarity,objective1,objective2\n"
+# sweep CSV: (its text, the refusal naming the field)
+SWEEP_FILES = {
+    "empty": ("", "sweep: empty CSV"),
+    "header-only": (HEADER_LINE, "sweep: no data rows"),
+    "three-fields": (HEADER_LINE + "0,100,0\n", "sweep.line2: expected 4 columns"),
+    "three-fields-after-blank-lines": (HEADER_LINE + "\n0,100,0,0\n\n5,90\n", "sweep.line5: expected 4 columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_FILES))
+def test_bad_sweep_file_is_refused_by_report_naming_the_field(case, tmp_path, capsys):
+    text, message = SWEEP_FILES[case]
+    path, out = tmp_path / "a.csv", tmp_path / "stats.csv"
+    path.write_text(text)
+    assert main(["report", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+
+def test_blank_lines_between_sweep_rows_are_skipped(tmp_path):
+    rows = ["0,100,0,0", "5,90,1/2,1", "10,100,2,2"]
+    dense = HEADER_LINE + "".join(f"{row}\n" for row in rows)
+    sparse = HEADER_LINE + "\n" + "\n\n".join(rows) + "\n\n"
+    assert fileio.sweep_csv_to_rows(sparse) == fileio.sweep_csv_to_rows(dense)
+    outs = []
+    for name, text in (("dense", dense), ("blank", dense.replace("\n", "\n\n"))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.csv").write_text(text)
+        outs.append(tmp_path / name / "stats.csv")
+        assert main(["report", str(tmp_path / name / "a.csv"), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # suite field: (a bad value, the refusal naming it)
