@@ -75,12 +75,12 @@ def as_seed(value) -> int:
 def as_weights(value, name: str) -> tuple[Fraction, ...]:
     """``value`` as a tuple of exact nonnegative rationals.
 
-    Each entry may be anything ``Fraction`` takes: an integer, a finite float,
-    a Fraction or a string such as ``"9/10"``. Raises ValueError naming
-    ``name`` for anything else and for negative entries.
+    Each entry may be anything ``Fraction`` takes: an integer (a numpy one read as an int, so every
+    part is an int), a finite float, a Fraction or a string such as ``"9/10"``. Raises ValueError
+    naming ``name`` for anything else and for negative entries.
     """
     try:
-        weights = tuple(Fraction(w) for w in value)
+        weights = tuple(Fraction(int(w) if isinstance(w, np.integer) else w) for w in value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{name} must be finite rational numbers: {exc}") from None
     if any(w < 0 for w in weights):

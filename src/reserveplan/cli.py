@@ -87,7 +87,7 @@ _output = _flag(str, bool, "name a path")  # an empty path would name the workin
 _weights = _flag(lambda text: as_weights(text.split(","), "weights"))  # exact, comma-separated
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> str:
     made = []  # the directories this call creates, deepest first, removed again if anything fails
     try:
         if args.scenario_dir is not None:  # made first: a path that cannot be a directory fails fast
@@ -113,13 +113,11 @@ def _cmd_generate(args) -> int:
             with contextlib.suppress(OSError):  # no longer empty: something else wrote there
                 directory.rmdir()
         raise
-    print(f"wrote {args.out} ({len(suite)} species, pool {args.pool_size}, {args.grid}x{args.grid} grid)")
-    for path in list(docs)[1:]:
-        print(f"wrote {path}")
-    return 0
+    note = f"wrote {args.out} ({len(suite)} species, pool {args.pool_size}, {args.grid}x{args.grid} grid)"
+    return note + "".join(f"\nwrote {path}" for path in list(docs)[1:])
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     if args.scenario is not None:
         _mode(args, "scenario", refuses=("params",))
         scenario = _read(args.scenario, fileio.scenario_from_obj)
@@ -133,17 +131,18 @@ def _cmd_simulate(args) -> int:
         projected = simulate(observed, params)
         obj = fileio.counts_to_obj(round_counts(projected).counts if args.round else projected)
     fileio.write_json(args.out, obj)
-    print(f"wrote {args.out} ({params.T} steps of {params.dt:g})")
-    return 0
+    return f"wrote {args.out} ({params.T} steps of {params.dt:g})"
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
     if args.problem is not None:
         _mode(args, "problem", refuses=("budget", "weights"))
         problem = _read(args.problem, fileio.problem_from_obj)
     else:
         _mode(args, "counts", needs="budget")
         counts = _read(args.counts, fileio.counts_from_obj)
+        if args.weights is not None and len(args.weights) != (species := counts.species_count):
+            raise CLIError(f"{args.counts}: --weights gives {len(args.weights)} weights for {species} species")
         with _blame(args.counts):
             problem = ReserveProblem(
                 values=counts.matrix(),
@@ -154,11 +153,10 @@ def _cmd_solve(args) -> int:
     with _blame(args.problem or args.counts):
         solution = solve(problem)
     fileio.write_json(args.out, fileio.solution_to_obj(solution))
-    print(f"wrote {args.out} (objective {solution.objective}, spent {solution.spent} of {problem.budget})")
-    return 0
+    return f"wrote {args.out} (objective {solution.objective}, spent {solution.spent} of {problem.budget})"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     with _blame(args.scenario):
         rows = budget_sweep(_read(args.scenario, fileio.scenario_from_obj))
     fileio.write_text_atomic(args.out, fileio.sweep_rows_to_csv(rows))
@@ -166,11 +164,10 @@ def _cmd_sweep(args) -> int:
     if len(rows) >= 3:
         stats = summarize(rows)
         note += f"; interior similarity min {stats.min} mean {stats.mean:.2f} median {stats.median:g}"
-    print(note)
-    return 0
+    return note
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> str:
     if args.scenario is not None:
         _mode(args, "scenario", needs="budget", refuses=("solution", "counts2", "solution2"))
         with _blame(args.scenario):
@@ -193,11 +190,10 @@ def _cmd_render(args) -> int:
     with _blame(args.counts2):  # only a second counts grid can differ from the first
         caption = caption_text(panels)
     fileio.write_text_atomic(args.out, render_grid(panels))
-    print(f"wrote {args.out}" + (f": {caption}" if caption else ""))
-    return 0
+    return f"wrote {args.out}" + (f": {caption}" if caption else "")
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> str:
     cases = []  # (label, budgets, similarities, stats) per sweep
     for path in args.sweeps:
         if (label := Path(path).stem) in (labels := [case[0] for case in cases]):  # one stats row each
@@ -213,10 +209,8 @@ def _cmd_report(args) -> int:
     rows = [fileio.stats_to_csv_row(label, st) for label, _, _, st in cases]
     series = [(label, sim) for label, _, sim, _ in cases]
     fileio.write_report(args.out, rows, args.plot_out, cases[0][1], series)  # all or none
-    print(f"wrote {args.out} ({len(cases)} cases)")
-    if args.plot_out is not None:
-        print(f"wrote {args.plot_out} ({len(cases[0][1])} budgets x {len(cases)} series)")
-    return 0
+    plot = f"\nwrote {args.plot_out} ({len(cases[0][1])} budgets x {len(cases)} series)"
+    return f"wrote {args.out} ({len(cases)} cases)" + (plot if args.plot_out is not None else "")
 
 
 _COMMANDS = {
@@ -288,10 +282,11 @@ def main(argv=None) -> int:
     if unknown:  # no subcommand, or arguments it does not take: the whole parser reports them
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print(args.func(args))  # each command's report, once its files are written
     except (CLIError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

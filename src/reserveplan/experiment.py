@@ -20,14 +20,7 @@ import numpy as np
 
 from ._checks import InvalidDimensionError, as_numbers, as_seed, as_weights
 from .dynamics import LVParams, default_params, round_counts, simulate
-from .landscape import (
-    CountsGrid,
-    Landscape,
-    _generate_values,
-    distribute_population,
-    fragmentation,
-    select_extremes,
-)
+from .landscape import MAX_SMOOTHING_ROUNDS, CountsGrid, Landscape, _pool_extremes, distribute_population
 # ``solve`` is unused here; bench/test_bench.py checks that the tracer wraps this name.
 from .solver import ReserveSolution, solve, solve_models  # noqa: F401
 
@@ -73,10 +66,6 @@ CASE_GROUPS: tuple[tuple[int, ...], ...] = (
 
 DEFAULT_BUDGETS: tuple[int, ...] = tuple(range(0, 101, 5))
 
-#: Smoothing rounds are drawn uniformly from {0, ..., MAX_SMOOTHING_ROUNDS}.
-MAX_SMOOTHING_ROUNDS = 8
-
-
 @dataclass(frozen=True, eq=False)
 class SpeciesSpec:
     """One species: its label, landscape assignment, and observed counts."""
@@ -88,6 +77,10 @@ class SpeciesSpec:
     counts: CountsGrid
 
     def __post_init__(self) -> None:
+        for name in ("label", "fragmentation_rank"):  # each is written to and read from files as a string
+            if not isinstance(value := getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+        object.__setattr__(self, "total", int(as_numbers(self.total, "total", integer=True, shape=())))
         if self.counts.species_count != 1:
             raise ValueError("a species spec holds a single-species counts grid")
         n, side = self.counts.n, self.landscape.n
@@ -165,36 +158,16 @@ def build_species_suite(
 ) -> list[SpeciesSpec]:
     """Generate a landscape pool, pick its fragmentation extremes, and place species.
 
-    Pool landscape i uses seed ``seed + i`` with smoothing rounds drawn
-    uniformly from {0, ..., 8}; species j is placed with seed
-    ``seed + pool_size + j``. The result is deterministic in ``seed``.
+    The pool (``landscape._pool_extremes``) gives landscape i seed ``seed + i`` and smoothing
+    rounds drawn uniformly from {0, ..., MAX_SMOOTHING_ROUNDS}; species j is placed on its
+    rank's landscape with seed ``seed + pool_size + j``. The result is deterministic in ``seed``.
     """
     seed, grid = as_seed(seed), int(as_numbers(grid, "grid", integer=True, shape=()))
     pool_size = int(as_numbers(pool_size, "pool_size", integer=True, shape=()))
     if pool_size < 4:
         raise ValueError(f"pool_size must be >= 4 to pick two extremes each way, got {pool_size}")
-    rng = np.random.default_rng(seed)
-    rounds = rng.integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
-    # One working set serves every smoothing-rounds group: two flat buffers sized for the
-    # largest group hold its draws, smoothing, rescale and values, and scoring writes its
-    # differences into the one not holding the values. A grid the pool picks is among its
-    # group's own select_extremes picks (a group is the pool's subset in index order), so
-    # only those, at most four per group, keep their values for the pool's four Landscapes.
-    size = np.bincount(rounds).max() * grid * grid
-    buffers = np.empty(size), np.empty(size)
-    scores = np.empty(pool_size)
-    kept = {}
-    fits = seed + pool_size <= 2**64  # pool seeds that fit in 64 bits go to the draws as one array
-    for r in range(MAX_SMOOTHING_ROUNDS + 1):
-        idx = np.flatnonzero(rounds == r)
-        seeds = idx.astype(np.uint64) + np.uint64(seed) if fits else [seed + i for i in idx.tolist()]
-        values, spare = _generate_values(grid, r, seeds, buffers)
-        group = scores[idx] = fragmentation(values, scratch=spare)
-        keep = np.concatenate(select_extremes(group, 2)) if len(group) >= 4 else np.arange(len(group))
-        kept.update(zip(idx[keep].tolist(), values[keep]))
-    most, least = select_extremes(scores, k=2)
-    ranks = ("highest", "2nd highest", "lowest", "2nd lowest")
-    by_rank = {rank: Landscape(kept[i]) for rank, i in zip(ranks, [*most.tolist(), *least.tolist()])}
+    grids = zip(("highest", "2nd highest", "lowest", "2nd lowest"), _pool_extremes(seed, pool_size, grid))
+    by_rank = {rank: Landscape(values) for rank, values in grids}
     return [
         SpeciesSpec(label, rank, total, by_rank[rank],
                     distribute_population(by_rank[rank], total, seed + pool_size + j))

@@ -101,9 +101,9 @@ def _write_all(texts: Iterable[tuple[str | os.PathLike, str]]) -> None:
             try:  # mode 0o666 lets the umask set the permissions, as open() would
                 fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             except FileNotFoundError:
-                raise FileNotFoundError(
-                    f"cannot write {path}: directory {path.parent} does not exist"
-                ) from None
+                raise FileNotFoundError(f"cannot write {path}: directory {path.parent} does not exist") from None
+            except OSError as exc:  # of its own type, naming the target and not the temp file
+                raise type(exc)(f"cannot write {path}: {exc.strerror}") from None
             temps.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -321,12 +321,20 @@ def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
 
 
 def suite_to_obj(suite: Sequence[SpeciesSpec], *, seed: int, pool_size: int, grid: int) -> dict:
-    return {
-        "seed": seed,
-        "pool_size": pool_size,
-        "grid": grid,
-        "species": [_species_to_obj(sp) for sp in suite],
-    }
+    pool_size, grid = (int(v) if isinstance(v, np.integer) else v for v in (pool_size, grid))  # written as ints
+    return {**_suite_header(suite, "suite", seed, pool_size, grid), "species": list(map(_species_to_obj, suite))}
+
+
+def _suite_header(species: Sequence[SpeciesSpec], where: str, seed, pool_size, grid) -> dict:
+    """A suite's seed, pool size and grid side as ints, refused by one rule when written or read."""
+    header = {"seed": _build(as_seed, where, value=seed)}
+    for key, value in (("pool_size", pool_size), ("grid", grid)):
+        header[key] = _numbers(value, f"{where}.{key}", 0, integer=True)
+    if header["pool_size"] < 4:
+        raise _fail(f"{where}.pool_size", "must be at least 4 to pick two extremes each way")
+    if any(sp.counts.n != header["grid"] for sp in species):  # sides are positive, so is a matching grid
+        raise _fail(f"{where}.grid", f"must be a positive integer equal to every species' side, got {grid}")
+    return header
 
 
 def _species_list(obj, where: str) -> list[SpeciesSpec]:
@@ -340,12 +348,7 @@ def _species_list(obj, where: str) -> list[SpeciesSpec]:
 def suite_from_obj(obj, where: str = "suite") -> list[SpeciesSpec]:
     """The species of a suite document, whose seed, pool size and grid side are checked too."""
     species = _species_list(obj, where)
-    _build(as_seed, where, value=_field(obj, "seed", where))
-    if _field(obj, "pool_size", where, 0, integer=True) < 4:
-        raise _fail(f"{where}.pool_size", "must be at least 4 to pick two extremes each way")
-    grid = _field(obj, "grid", where, 0, integer=True)
-    if any(sp.counts.n != grid for sp in species):  # sides are positive, so is a matching grid
-        raise _fail(f"{where}.grid", f"must be a positive integer equal to every species' side, got {grid}")
+    _suite_header(species, where, *(_field(obj, key, where) for key in ("seed", "pool_size", "grid")))
     return species
 
 

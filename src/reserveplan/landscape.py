@@ -8,12 +8,13 @@ quality q = 1 - h.
 The starting uniforms of every grid, one landscape or a whole pool, come from
 ``_pcg.uniform_grids``, which reproduces ``np.random.default_rng(seed).random((n, n))``
 bit for bit (pinned by ``TestUniformGrids`` and ``test_matches_per_landscape_reference``).
-A pool is built group by group in one working set of two flat buffers, so no group
-allocates arrays of its own: the draws land in one, smoothing and rescaling ping-pong
-through both as (n, n, m) grid-last views (each shifted add one contiguous run over all
-m grids, each cell adding the same values in the same order), and ``fragmentation``
-scores the row-major (m, n, n) values, writing its differences into the other (a grid-last
-sum would move the scores' last bits). ``select_extremes`` picks pool indices from the scores.
+A pool (``_pool_extremes``) is built one smoothing-rounds group at a time in one working set of
+two flat buffers, so no group allocates arrays of its own: the draws land in one, smoothing and
+rescaling ping-pong through both as (n, n, m) grid-last views (each shifted add one contiguous
+run over all m grids, each cell adding the same values in the same order), and ``fragmentation``
+scores the row-major (m, n, n) values, writing its differences into the other (a grid-last sum
+would move the scores' last bits). A pool pick is among its group's own ``select_extremes``
+picks (a group is the pool's subset in index order), so only those keep their values.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ __all__ = [
     "select_extremes",
     "distribute_population",
 ]
+
+#: Smoothing rounds are drawn uniformly from {0, ..., MAX_SMOOTHING_ROUNDS}.
+MAX_SMOOTHING_ROUNDS = 8
 
 
 class InsufficientCandidatesError(ValueError):
@@ -202,6 +206,29 @@ def select_extremes(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     most = sorted(np.flatnonzero(scores >= high).tolist(), key=lambda i: -scores[i])[:k]
     least = sorted(np.flatnonzero(scores <= low)[::-1].tolist(), key=lambda i: scores[i])[:k]
     return np.array(most, dtype=np.intp), np.array(least, dtype=np.intp)
+
+
+def _pool_extremes(seed: int, pool_size: int, grid: int) -> list[np.ndarray]:
+    """Value grids of a pool's highest, 2nd highest, lowest and 2nd lowest fragmentation scores.
+
+    Pool landscape i is ``generate_landscape(grid, rounds[i], seed + i)``, with every rounds[i]
+    drawn by ``np.random.default_rng(seed)``. The caller checks seed, grid and pool_size >= 4.
+    """
+    rounds = np.random.default_rng(seed).integers(0, MAX_SMOOTHING_ROUNDS + 1, size=pool_size)
+    size = np.bincount(rounds).max() * grid * grid
+    buffers = np.empty(size), np.empty(size)
+    scores = np.empty(pool_size)
+    kept = {}
+    fits = seed + pool_size <= 2**64  # pool seeds that fit in 64 bits go to the draws as one array
+    for r in range(MAX_SMOOTHING_ROUNDS + 1):
+        idx = np.flatnonzero(rounds == r)
+        seeds = idx.astype(np.uint64) + np.uint64(seed) if fits else [seed + i for i in idx.tolist()]
+        values, spare = _generate_values(grid, r, seeds, buffers)
+        group = scores[idx] = fragmentation(values, scratch=spare)
+        keep = np.concatenate(select_extremes(group, 2)) if len(group) >= 4 else np.arange(len(group))
+        kept.update(zip(idx[keep].tolist(), values[keep]))
+    most, least = select_extremes(scores, k=2)
+    return [kept[i] for i in [*most.tolist(), *least.tolist()]]
 
 
 def distribute_population(landscape: Landscape, total: int, seed: int) -> CountsGrid:

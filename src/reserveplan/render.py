@@ -47,6 +47,8 @@ class Panel:
     solution: ReserveSolution
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"panel label must be a string, got {type(self.label).__name__}")
         if self.solution.parcel_count != self.counts.parcel_count:
             raise ValueError(
                 f"solution covers {self.solution.parcel_count} parcels, counts grid has "

@@ -530,6 +530,30 @@ class TestErrorHandling:
         assert code == 1
         assert "weights" in capsys.readouterr().err
 
+    def test_weights_of_another_length_than_the_counts_exit_1_naming_the_flag(self, tmp_path, capsys):
+        grid, out = tmp_path / "proj.json", tmp_path / "sol.json"
+        fileio.write_json(grid, {"n": 1, "species": 2, "counts": [[1], [2]]})
+        code = main(["solve", "--counts", str(grid), "--budget", "5", "--weights", "1", "--out", str(out)])
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {grid}: --weights gives 1 weights for 2 species\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["proj.json"]
+
+    @pytest.mark.parametrize("command", ["sweep", "generate"])
+    def test_write_under_a_file_names_the_target_the_same_each_run(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
+        # the refusal names the output path, not a temp file of random name, and leaves none behind
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("")
+        argv = {
+            "sweep": ["sweep", "--scenario", str(workspace / "scenarios/case1.json"), "--out", "afile/x.csv"],
+            "generate": ["generate", "--seed", "0", "--pool-size", "8", "--grid", "2", "--out", "afile/suite.json"],
+        }[command]
+        target = argv[-1]
+        for _ in range(2):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: cannot write {target}: Not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_value_beyond_int64_exits_1_and_names_field(self, tmp_path, capsys):
         problem = tmp_path / "huge.json"
         problem.write_text(

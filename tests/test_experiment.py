@@ -142,7 +142,7 @@ class TestBuildSpeciesSuite:
 
         monkeypatch.setattr(experiment, "generate_landscape", counting, raising=False)
         monkeypatch.setattr(landscape, "generate_landscape", counting)
-        monkeypatch.setattr(experiment, "select_extremes", recording)
+        monkeypatch.setattr(landscape, "select_extremes", recording)
         suite = build_species_suite(seed, pool_size=pool_size, grid=grid)
         assert calls == []
         most, least = chosen[-1]
@@ -182,7 +182,7 @@ class TestBuildSpeciesSuite:
             scored.append(scores.copy())
             return select_extremes(scores, k)
 
-        monkeypatch.setattr(experiment, "select_extremes", recording)
+        monkeypatch.setattr(landscape, "select_extremes", recording)
         build_species_suite(seed, pool_size=pool_size, grid=grid)
         scores = scored[-1]
         assert len(scores) == pool_size

@@ -16,11 +16,15 @@ from hypothesis import strategies as st
 from reserveplan import (
     CountsGrid,
     Landscape,
+    LVParams,
     ReserveProblem,
     ReserveSolution,
+    Scenario,
+    SpeciesSpec,
     default_params,
     default_scenarios,
     generate_landscape,
+    round_counts,
     simulate,
 )
 from reserveplan import cli, fileio
@@ -361,3 +365,60 @@ class TestJsonText:
             text = (tmp_path / name).read_text()
             assert text == json.dumps(json.loads(text), indent=2) + "\n", name
         assert any(isinstance(v, float) for v in json.loads((tmp_path / "proj.json").read_text())["counts"][0])
+
+
+def _species(total) -> SpeciesSpec:
+    # a 2x2 species of 6 individuals, its total given as a numpy integer or a whole float
+    landscape = Landscape(((0.0, np.float32(0.25)), (0.5, 1)))
+    return SpeciesSpec("S0", "highest", total, landscape, CountsGrid((((1, 2), (3, np.int64(0))),)))
+
+
+def _scenario(total=6) -> Scenario:
+    params = LVParams(r=(1, 2.0), alpha=((0, 0.5), (np.float32(0.25), 0)), beta=(0.1, 0.2),
+                      dt=np.float32(0.1), T=np.int64(3))
+    return Scenario((_species(total), _species(6)), (1, Fraction(1, 3)), tuple(np.arange(0, 6, 2)),
+                    (1.0, 2, np.int64(1), 3), params, seed=np.int64(7))
+
+
+def _fields(value):
+    """A value's fields, recursively, as plain comparable data."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _fields(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind, value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_fields(item) for item in value]
+    return value
+
+
+# value built through the public constructors: (value, writer, reader)
+ROUND_TRIPS = {
+    "suite": (
+        ([_species(np.int64(6)), _species(6.0)], {"seed": np.int64(7), "pool_size": np.int64(4), "grid": np.int64(2)}),
+        lambda v: fileio.suite_to_obj(v[0], **v[1]),
+        lambda obj: (fileio.suite_from_obj(obj), {key: obj[key] for key in ("seed", "pool_size", "grid")}),
+    ),
+    "species-numpy-total": (_scenario(np.int64(6)), fileio.scenario_to_obj, fileio.scenario_from_obj),
+    "species-whole-float-total": (_scenario(6.0), fileio.scenario_to_obj, fileio.scenario_from_obj),
+    "scenario": (_scenario(), fileio.scenario_to_obj, fileio.scenario_from_obj),
+    "rounded-counts": (
+        round_counts(simulate(_scenario().observed(), _scenario().lv_params)),
+        lambda grid: fileio.counts_to_obj(grid.counts),
+        fileio.counts_from_obj,
+    ),
+    "params": (_scenario().lv_params, fileio.params_to_obj, fileio.params_from_obj),
+    "problem": (
+        ReserveProblem(((1, 2), (np.int64(3), 4.0)), (np.int64(1), 0.5), (2.0, np.int64(1)), np.int64(2)),
+        fileio.problem_to_obj,
+        fileio.problem_from_obj,
+    ),
+    "solution": (
+        ReserveSolution((1.0, np.int8(0)), Fraction(3, 2), np.int64(1)), fileio.solution_to_obj, fileio.solution_from_obj),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_every_writer_output_reads_back(case, tmp_path):
+    value, write, read = case
+    fileio.write_json(tmp_path / "doc.json", write(value))
+    assert _fields(read(fileio.read_json(tmp_path / "doc.json"))) == _fields(value)

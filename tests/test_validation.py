@@ -34,6 +34,7 @@ from reserveplan import fileio
 from reserveplan._checks import as_numbers, decimal_integer
 from reserveplan.cli import main
 from reserveplan.fileio import SchemaError
+from reserveplan.render import Panel
 from reserveplan.solver import solve_models
 
 N = 2
@@ -290,6 +291,12 @@ LIBRARY_REFUSALS = {
         lambda: dataclasses.replace(SPECIES, counts=CountsGrid(np.ones((2, N, N))), total=2 * N * N),
         "a species spec holds a single-species counts grid",
     ),
+    "species-label-not-text": (lambda: dataclasses.replace(SPECIES, label=5), "label must be a string, got int"),
+    "species-rank-not-text": (
+        lambda: dataclasses.replace(SPECIES, fragmentation_rank=None), "fragmentation_rank must be a string, got NoneType"),
+    "species-total-fraction": (lambda: dataclasses.replace(SPECIES, total=6.5), "total must be whole numbers"),
+    "panel-label-not-text": (
+        lambda: Panel(5, GRID, ReserveSolution([0] * N * N, 0, 0)), "panel label must be a string, got int"),
     "species-total-too-high": (
         lambda: dataclasses.replace(SPECIES, total=SPECIES.total + 1),
         f"counts sum to {SPECIES.total}, expected total {SPECIES.total + 1}",
@@ -412,6 +419,14 @@ def test_bad_suite_field_is_refused_naming_it(case):
     del obj[key]
     with pytest.raises(SchemaError, match=f"^{re.escape(f'suite.{key}: missing field')}$"):
         fileio.suite_from_obj(obj)
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_FIELDS))
+def test_bad_suite_field_is_refused_when_written_as_when_read(case):
+    # a suite the writer takes is one the reader takes back
+    key, value, message = SUITE_FIELDS[case]
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        fileio.suite_to_obj([SPECIES], **{"seed": 0, "pool_size": 4, "grid": N, key: value})
 
 
 LEAVES = {
